@@ -11,8 +11,6 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from . import kernels
-
 
 class BitMatrix:
     """Immutable dense matrix over GF(2).
@@ -79,17 +77,23 @@ class BitMatrix:
         return f"BitMatrix({self.to_strings()!r})"
 
 
-def column_masks(m: BitMatrix) -> list[int]:
-    """Per-column bitmasks (row i contributes bit i), as the kernels expect."""
-    a = m.a
-    return [int(sum(int(a[i, j]) << i for i in range(m.rows))) for j in range(m.cols)]
-
-
 def rank(m: BitMatrix) -> int:
-    """Dimension of the row space over GF(2).  Empty matrices have rank 0."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return kernels.rank_from_masks(column_masks(m), m.rows)
+    """Dimension of the row space over GF(2).  Empty matrices have rank 0.
+
+    Gaussian elimination on rows packed into Python integers, so any
+    matrix size works.
+    """
+    basis: dict[int, int] = {}
+    for packed in np.packbits(m.a, axis=1):
+        v = int.from_bytes(packed.tobytes(), "big")
+        while v:
+            p = v.bit_length() - 1
+            if p in basis:
+                v ^= basis[p]
+            else:
+                basis[p] = v
+                break
+    return len(basis)
 
 
 def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:

@@ -1,9 +1,9 @@
 """Command-line surface for the toolkit.
 
 Every subcommand that emits files also writes a ``manifest.json`` next
-to them recording the command, options, input digests, seed, package
-version, and kernel backend, so any output can be reproduced from the
-manifest alone.  Numeric output uses 6 significant digits.
+to them recording the command, options, input digests, seed and package
+version, so any output can be reproduced from the manifest alone.
+Numeric output uses 6 significant digits.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, channel, codes, kernels, sweep as sweepmod, wiretap
+from . import __version__, channel, codes, sweep as sweepmod, wiretap
 
 DEFAULT_TAUS = [25.0, 26.0, 27.0, 28.0, 29.0, 30.0, 31.0]
 
@@ -41,7 +41,6 @@ def _write_manifest(out: Path, command: str, options: dict, inputs: dict[str, st
         "options": options,
         "inputs": {p: _sha256(p) for p in inputs.values() if p},
         "version": __version__,
-        "kernel_backend": "compiled" if kernels.HAVE_COMPILED else "python",
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -80,7 +79,10 @@ def _resolve_code(spec: str, orientation: str) -> wiretap.WiretapCode:
             u, m = (int(v) for v in spec[3:].split(","))
         except ValueError:
             raise click.ClickException(f"bad code spec {spec!r}; expected rm:U,M") from None
-        base = codes.reed_muller(u, m)
+        try:
+            base = codes.reed_muller(u, m)
+        except ValueError as exc:
+            raise click.ClickException(f"{spec}: {exc}") from None
         if orientation == "Cperp":
             base = codes.dual(base)
         if not 0 < base.dim < base.n:
@@ -251,7 +253,10 @@ def ghw(code_spec, out_dir):
             u, m = (int(v) for v in code_spec[3:].split(","))
         except ValueError:
             raise click.ClickException(f"bad code spec {code_spec!r}") from None
-        profile = codes.ghw_reed_muller(u, m)
+        try:
+            profile = codes.ghw_reed_muller(u, m)
+        except ValueError as exc:
+            raise click.ClickException(f"{code_spec}: {exc}") from None
         label = f"RM({u},{m})"
     elif code_spec == "table1":
         c = wiretap.example_code().base_code
@@ -374,17 +379,15 @@ def demo(out_dir):
     lines = [f"built-in wiretap code: n={w.n}, k={w.k}, rate={w.k / w.n:g}"]
     lines.append("G  = " + " / ".join(w.base_code.generator.to_strings()))
     lines.append("G' = " + " / ".join(w.gprime.to_strings()))
-    header = "m \\ m'  " + "  ".join(
-        "".join(str(b) for b in wiretap._int_to_bits(j, w.n - w.k)) for j in range(2 ** (w.n - w.k))
-    )
-    lines.append(header)
+    aux = [format(j, f"0{w.n - w.k}b") for j in range(2 ** (w.n - w.k))]
+    lines.append("m \\ m'  " + "  ".join(aux))
     ok = True
     for mi in range(2**w.k):
-        m = wiretap._int_to_bits(mi, w.k)
-        row = ["".join(str(b) for b in m) + "    "]
-        for j in range(2 ** (w.n - w.k)):
-            mp = wiretap._int_to_bits(j, w.n - w.k)
-            x = wiretap.encode(w, m, mp)
+        label = format(mi, f"0{w.k}b")
+        m = [int(b) for b in label]
+        row = [label + "    "]
+        for mp in aux:
+            x = wiretap.encode(w, m, [int(b) for b in mp])
             ok = ok and np.array_equal(wiretap.decode(w, x), m)
             row.append("".join(str(int(b)) for b in x))
         lines.append("  ".join(row))

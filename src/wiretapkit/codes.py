@@ -15,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from . import bitlinalg, kernels
+from . import bitlinalg
 from .bitlinalg import BitMatrix
 
 DEFAULT_ENUM_CAP = 24
@@ -23,6 +23,10 @@ DEFAULT_GHW_EXACT_CAP = 20
 # Above this blocklength the Reed-Muller weight hierarchy comes from the
 # monomial-support construction instead of exhaustive subset search.
 GHW_CLOSED_FORM_THRESHOLD = 20
+# The subset-rank tally holds one uint16 count per coordinate subset
+# (32 MB at n = 24) and works through it in chunks of this many subsets.
+SUBSET_RANK_CAP = 24
+_TALLY_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -170,12 +174,47 @@ def enumerate_codewords(c: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.ndarra
     return ((bits @ c.generator.a.astype(np.uint64)) & 1).astype(np.uint8)
 
 
-def min_rank_by_subset_size(g: BitMatrix) -> np.ndarray:
+def subset_rank_tallies(c: LinearCode) -> np.ndarray:
+    """Tally GF(2) ranks of the generator's column-subset submatrices.
+
+    Returns an (n+1) x (n+1) int64 array ``out`` with ``out[s, r]`` the
+    number of s-subsets S of coordinates whose columns G_S have rank r.
+
+    Let F(S) count the codewords of D, the smaller of C and C-perp, whose
+    support lies inside S.  One subset-sum (zeta) transform of D's
+    support indicator gives F for every S at once, and F(S) is a power
+    of two: log2 F(S) = |S| - rank(G_S) when D = C-perp, and
+    log2 F(complement of S) = dim - rank(G_S) when D = C.  Enumerating
+    the smaller side keeps every count at or below 2^(n/2).
+    """
+    n = c.n
+    if n > SUBSET_RANK_CAP:
+        raise ValueError(f"blocklength {n} exceeds subset-rank cap {SUBSET_RANK_CAP} (2^{n} subsets)")
+    use_dual = 2 * c.dim > n
+    side = dual(c) if use_dual else c
+    words = enumerate_codewords(side, cap=side.dim).astype(np.int64)
+    counts = np.zeros(1 << n, dtype=np.uint16)
+    counts[words @ (1 << np.arange(n, dtype=np.int64))] = 1
+    for i in range(n):
+        pairs = counts.reshape(-1, 2, 1 << i)
+        pairs[:, 1, :] += pairs[:, 0, :]
+    if not use_dual:
+        counts = counts[::-1]  # now indexed by the complement of S
+    out = np.zeros((n + 1) ** 2, dtype=np.int64)
+    for start in range(0, 1 << n, _TALLY_CHUNK):
+        subsets = np.arange(start, min(start + _TALLY_CHUNK, 1 << n))
+        sizes = np.bitwise_count(subsets).astype(np.int64)
+        free = np.bitwise_count(counts[start : start + _TALLY_CHUNK] - 1).astype(np.int64)
+        ranks = sizes - free if use_dual else c.dim - free
+        out += np.bincount(sizes * (n + 1) + ranks, minlength=(n + 1) ** 2)
+    return out.reshape(n + 1, n + 1)
+
+
+def min_rank_by_subset_size(c: LinearCode) -> np.ndarray:
     """For t = 0..n, the minimum GF(2) rank over all t-column submatrices."""
-    n = g.cols
-    tallies = kernels.subset_rank_tallies(bitlinalg.column_masks(g), g.rows)
-    out = np.zeros(n + 1, dtype=np.int64)
-    for t in range(n + 1):
+    tallies = subset_rank_tallies(c)
+    out = np.zeros(c.n + 1, dtype=np.int64)
+    for t in range(c.n + 1):
         nz = np.nonzero(tallies[t])[0]
         out[t] = nz[0] if nz.size else 0
     return out
@@ -190,7 +229,7 @@ def ghw_exact(c: LinearCode, cap: int = DEFAULT_GHW_EXACT_CAP) -> GHWProfile:
     """
     if c.n > cap:
         raise ValueError(f"blocklength {c.n} exceeds exact-search cap {cap}")
-    minrank = min_rank_by_subset_size(c.generator)
+    minrank = min_rank_by_subset_size(c)
     weights = []
     for r in range(1, c.dim + 1):
         for mu in range(1, c.n + 1):

@@ -189,15 +189,10 @@ def simulate_mc(
     block_carriers = active[: w.n]
     eve_read = channel.erase_mask(grid.snr_db[point.worst_eve_location], tau)[block_carriers]
 
-    # Precompute the full codebook once; the per-trial posterior is then a
+    # Enumerate the codebook once; the per-trial posterior is then a
     # vectorized match on Eve's revealed positions, equivalent to
     # wiretap.posterior_oracle but without re-enumerating every trial.
-    msgs = codes.enumerate_codewords(
-        codes.LinearCode(n=w.n, dim=w.k, generator=w.gprime, label="gprime"), cap=w.k
-    )
-    cosets = codes.enumerate_codewords(w.base_code, cap=w.base_code.dim)
-    words = (msgs[:, None, :] ^ cosets[None, :, :]).reshape(-1, w.n)
-    owner = np.repeat(np.arange(2**w.k), 2 ** (w.n - w.k))
+    words, owner = wiretap.coset_codebook(w)
     rev = np.nonzero(eve_read)[0]
 
     bob_errors = 0

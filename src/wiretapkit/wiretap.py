@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from . import bitlinalg, codes, kernels
+from . import bitlinalg, codes
 from .bitlinalg import BitMatrix
 from .codes import GHWProfile, LinearCode
 
@@ -236,25 +236,30 @@ def posterior_oracle(
     if w.n > cap:
         raise ValueError(f"blocklength {w.n} exceeds oracle cap {cap}")
     revealed, values = _parse_observation(z, w.n)
+    words, owner = coset_codebook(w)
+    match = np.all(words[:, revealed] == values[None, :], axis=1)
+    hits = np.bincount(owner[match], minlength=2**w.k)
+    total = int(hits.sum())
+    if total == 0:
+        raise ValueError("observation is inconsistent with every codeword")
+    return {format(mi, f"0{w.k}b"): int(h) / total for mi, h in enumerate(hits) if h}
+
+
+def coset_codebook(w: WiretapCode) -> tuple[np.ndarray, np.ndarray]:
+    """Every transmittable word and the message that selects it.
+
+    Returns ``(words, owner)``: ``words`` is the (2^n, n) uint8 array of
+    m.G' xor m'.G over all (m, m'), and ``owner[i]`` is the index of the
+    message behind row i, whose k-bit binary expansion (leftmost bit
+    first) is m.
+    """
     msgs = codes.enumerate_codewords(
         LinearCode(n=w.n, dim=w.k, generator=w.gprime, label="gprime"), cap=w.k
     )
     cosets = codes.enumerate_codewords(w.base_code, cap=w.base_code.dim)
-    counts: dict[str, int] = {}
-    total = 0
-    for mi in range(msgs.shape[0]):
-        words = msgs[mi][None, :] ^ cosets
-        if revealed:
-            hits = int(np.all(words[:, revealed] == values[None, :], axis=1).sum())
-        else:
-            hits = words.shape[0]
-        if hits:
-            key = "".join(str(int(b)) for b in _int_to_bits(mi, w.k))
-            counts[key] = hits
-            total += hits
-    if total == 0:
-        raise ValueError("observation is inconsistent with every codeword")
-    return {key: hits / total for key, hits in counts.items()}
+    words = (msgs[:, None, :] ^ cosets[None, :, :]).reshape(-1, w.n)
+    owner = np.repeat(np.arange(2**w.k), 2 ** (w.n - w.k))
+    return words, owner
 
 
 def posterior_entropy(dist: dict[str, float]) -> float:
@@ -286,8 +291,7 @@ def equivocation_matrix(w: WiretapCode, cap: int = DEFAULT_PATTERN_CAP) -> Equiv
             f"blocklength {w.n} exceeds pattern cap {cap} "
             f"(~{comb(w.n, w.n // 2)} patterns at the worst weight)"
         )
-    g = w.base_code.generator
-    tallies = kernels.subset_rank_tallies(bitlinalg.column_masks(g), g.rows)
+    tallies = codes.subset_rank_tallies(w.base_code)
     counts = np.zeros((w.k + 1, w.n + 1), dtype=np.int64)
     for mu in range(w.n + 1):
         for r in np.nonzero(tallies[mu])[0]:

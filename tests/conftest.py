@@ -16,7 +16,7 @@ from wiretapkit import codes
 
 
 def oracle_rank(rows) -> int:
-    """GF(2) rank by counting the row space (independent of the kernels)."""
+    """GF(2) rank by counting the row space (independent of bitlinalg.rank)."""
     masks = [int("".join(str(int(b)) for b in r), 2) if not isinstance(r, int) else r for r in rows]
     space = {0}
     for m in masks:
@@ -66,6 +66,36 @@ def oracle_ghw(generator: np.ndarray) -> tuple[int, ...]:
             best = min(best, int(support.sum()))
         weights.append(best)
     return tuple(weights)
+
+
+def oracle_subset_rank_tallies(generator: np.ndarray) -> np.ndarray:
+    """out[s, r] = number of s-column subsets of rank r, by depth-first search.
+
+    Walks every column subset, keeping a row-echelon basis of the chosen
+    columns (as integer bitmasks) so each step costs one reduction.
+    """
+    dim, n = generator.shape
+    cols = [sum(int(generator[i, j]) << i for i in range(dim)) for j in range(n)]
+    out = np.zeros((n + 1, n + 1), dtype=np.int64)
+    basis: dict[int, int] = {}
+
+    def dfs(i: int, count: int, rank: int) -> None:
+        if i == n:
+            out[count, rank] += 1
+            return
+        dfs(i + 1, count, rank)
+        v = cols[i]
+        while v and (v.bit_length() - 1) in basis:
+            v ^= basis[v.bit_length() - 1]
+        if v:
+            basis[v.bit_length() - 1] = v
+            dfs(i + 1, count + 1, rank + 1)
+            del basis[v.bit_length() - 1]
+        else:
+            dfs(i + 1, count + 1, rank)
+
+    dfs(0, 0, 0)
+    return out
 
 
 def random_corpus(max_n: int, count: int, seed: int = 71) -> list[codes.LinearCode]:

@@ -61,6 +61,18 @@ class TestRank:
     def test_dependent_rows(self):
         assert bitlinalg.rank(BitMatrix.from_strings(["101", "011", "110"])) == 2
 
+    def test_identity(self):
+        assert bitlinalg.rank(BitMatrix.identity(5)) == 5
+
+    def test_more_than_64_rows(self):
+        rng = np.random.default_rng(3)
+        m = BitMatrix(rng.integers(0, 2, size=(70, 6), dtype=np.uint8))
+        assert bitlinalg.rank(m) == oracle_rank(m.a)
+        a = np.eye(70, dtype=np.uint8)
+        assert bitlinalg.rank(BitMatrix(a)) == 70
+        a[69] = a[0] ^ a[68]
+        assert bitlinalg.rank(BitMatrix(a)) == 69
+
     @given(bit_matrices)
     @settings(max_examples=150, deadline=None)
     def test_matches_rowspace_oracle(self, rows):

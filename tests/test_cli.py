@@ -71,6 +71,22 @@ class TestEqmatrix:
         assert res.exit_code != 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eqmatrix", "--code", "rm:9,3"],
+        ["ghw", "--code", "rm:4,3"],
+        ["simulate", "--code", "rm:9,3"],
+    ],
+)
+def test_out_of_range_rm_spec_is_one_line_error(runner, tmp_path, args):
+    res = runner.invoke(cli.main, [*args, "--out-dir", str(tmp_path)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert "Traceback" not in res.output
+    assert res.output.startswith("Error: rm:") and res.output.count("\n") == 1, res.output
+
+
 class TestGhw:
     def test_rm14(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["ghw", "--code", "rm:1,4", "--out-dir", str(tmp_path)])
@@ -95,7 +111,6 @@ class TestSynth:
         assert (out1 / "grid.csv").read_bytes() == (out2 / "grid.csv").read_bytes()
         m = manifest(out1)
         assert m["options"]["seed"] == 7
-        assert m["kernel_backend"] in ("compiled", "python")
 
 
 class TestSound:

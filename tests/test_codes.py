@@ -1,13 +1,17 @@
 """Tests for code construction, duals, and weight hierarchies."""
 
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretapkit import bitlinalg, codes
 from wiretapkit.bitlinalg import BitMatrix
 from wiretapkit.codes import GHWProfile, LinearCode
 
-from conftest import oracle_codeword_set, oracle_ghw, oracle_rank
+from conftest import oracle_codeword_set, oracle_ghw, oracle_rank, oracle_subset_rank_tallies
 
 
 class TestLinearCode:
@@ -107,6 +111,61 @@ class TestEnumerate:
         for c in small_corpus[:10]:
             got = {tuple(int(b) for b in w) for w in codes.enumerate_codewords(c)}
             assert got == oracle_codeword_set(c.generator.a)
+
+
+class TestSubsetRankTallies:
+    def test_identity_code(self):
+        # every subset of independent columns has rank == size
+        t = codes.subset_rank_tallies(LinearCode(n=3, dim=3, generator=BitMatrix.identity(3)))
+        for s in range(4):
+            assert t[s, s] == comb(3, s)
+            assert t[s].sum() == comb(3, s)
+
+    def test_matches_dfs_oracle_every_dimension(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 11):
+            for dim in range(n + 1):
+                if dim == 0:
+                    c = LinearCode(n=n, dim=0, generator=BitMatrix.zeros(0, n))
+                else:
+                    c = codes.random_code(n, dim, rng)
+                expected = oracle_subset_rank_tallies(c.generator.a)
+                assert np.array_equal(codes.subset_rank_tallies(c), expected), (n, dim)
+
+    def test_matches_dfs_oracle_up_to_14(self):
+        rng = np.random.default_rng(14)
+        for n in range(11, 15):
+            for dim in (int(rng.integers(1, n // 2 + 1)), int(rng.integers(n // 2 + 1, n))):
+                c = codes.random_code(n, dim, rng)
+                expected = oracle_subset_rank_tallies(c.generator.a)
+                assert np.array_equal(codes.subset_rank_tallies(c), expected), (n, dim)
+
+    def test_cap(self):
+        c = codes.random_code(codes.SUBSET_RANK_CAP + 1, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="subset-rank cap"):
+            codes.subset_rank_tallies(c)
+
+
+class TestWeiDuality:
+    """{d_r(C)} and {n + 1 - d_r(C-perp)} partition {1, ..., n} (Wei 1991)."""
+
+    @staticmethod
+    def assert_partition(n: int, weights, dual_weights):
+        assert sorted([*weights, *(n + 1 - d for d in dual_weights)]) == list(range(1, n + 1))
+
+    @given(st.integers(2, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_random_codes(self, shape, seed):
+        n, dim = shape
+        c = codes.random_code(n, dim, np.random.default_rng(seed))
+        self.assert_partition(n, codes.ghw_exact(c).weights, codes.ghw_exact(codes.dual(c)).weights)
+
+    def test_monomial_reed_muller(self):
+        for m in range(1, 8):
+            for u in range(m + 1):
+                dual_weights = () if u == m else codes.ghw_reed_muller(m - u - 1, m, "monomial").weights
+                self.assert_partition(2**m, codes.ghw_reed_muller(u, m, "monomial").weights, dual_weights)
 
 
 class TestGHW:
