@@ -188,6 +188,17 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     return BitMatrix(a[: len(pivots)] if pivots else np.zeros((0, ncols), dtype=np.uint8)), pivots
 
 
+def inverse(m: BitMatrix) -> BitMatrix:
+    """Inverse of a square matrix over GF(2), by reducing [m | I] to [I | m^-1]."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError(f"only square matrices have inverses, got {m.rows}x{m.cols}")
+    red, pivots = rref(BitMatrix(np.hstack([m.a, BitMatrix.identity(n).a])))
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular over GF(2)")
+    return BitMatrix(red.a[:, n:])
+
+
 def null_space(m: BitMatrix) -> BitMatrix:
     """Basis of {v : m . v^T = 0}, as rows; (n - rank) x n."""
     red, pivots = rref(m)

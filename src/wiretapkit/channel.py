@@ -395,6 +395,8 @@ def grid_to_csv(grid: ChannelGrid) -> str:
 
 def grid_from_csv(text: str, tx: tuple[float, float] = (0.0, 0.0), grid_spacing: float = 0.102) -> ChannelGrid:
     lines = text.strip().splitlines()
+    if not lines:
+        raise ValueError("empty grid file; expected a header x,y,region,snr_00..snr_63")
     header = lines[0].split(",")
     if header[:3] != ["x", "y", "region"] or len(header) != 3 + CARRIERS:
         raise ValueError(f"bad grid header: expected x,y,region,snr_00..snr_63, got {header[:4]}...")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -290,6 +291,8 @@ def sweep_cmd(grid_path, regions_path, taus, max_m, interleave, require_full_equ
         tau_list = [float(t) for t in taus.split(",") if t]
     except ValueError:
         raise click.ClickException(f"bad --taus {taus!r}; expected comma-separated dB values") from None
+    if not all(math.isfinite(t) for t in tau_list):
+        raise click.ClickException(f"bad --taus {taus!r}; thresholds must be finite")
     family = sweepmod.default_code_family(max_m=max_m)
     try:
         points = sweepmod.sweep(family, grid, regions, tau_list, interleave=interleave)

@@ -19,7 +19,6 @@ from . import bitlinalg
 from .bitlinalg import BitMatrix
 
 DEFAULT_ENUM_CAP = 24
-DEFAULT_GHW_EXACT_CAP = 20
 # Above this blocklength the Reed-Muller weight hierarchy comes from the
 # monomial-support construction instead of exhaustive subset search.
 GHW_CLOSED_FORM_THRESHOLD = 20
@@ -220,15 +219,14 @@ def min_rank_by_subset_size(c: LinearCode) -> np.ndarray:
     return out
 
 
-def ghw_exact(c: LinearCode, cap: int = DEFAULT_GHW_EXACT_CAP) -> GHWProfile:
+def ghw_exact(c: LinearCode) -> GHWProfile:
     """Weight hierarchy by exhaustive search over coordinate subsets.
 
     Uses the identity: the largest subcode supported inside a coordinate
     set S has dimension dim - rank(G restricted to the complement of S),
-    so d_r is the smallest |S| for which that dimension reaches r.
+    so d_r is the smallest |S| for which that dimension reaches r.  The
+    subset-rank tally bounds n (``SUBSET_RANK_CAP``).
     """
-    if c.n > cap:
-        raise ValueError(f"blocklength {c.n} exceeds exact-search cap {cap}")
     minrank = min_rank_by_subset_size(c)
     weights = []
     for r in range(1, c.dim + 1):
@@ -281,19 +279,19 @@ def ghw_reed_muller(order: int, degree: int, method: str = "auto") -> GHWProfile
     if method == "auto":
         method = "exact" if 2**m <= GHW_CLOSED_FORM_THRESHOLD else "monomial"
     if method == "exact":
-        return ghw_exact(reed_muller(u, m), cap=2**m)
+        return ghw_exact(reed_muller(u, m))
     if method == "monomial":
         return _ghw_rm_monomial(u, m)
     raise ValueError(f"unknown method {method!r}")
 
 
-def ghw_of(c: LinearCode, cap: int = DEFAULT_GHW_EXACT_CAP) -> GHWProfile:
+def ghw_of(c: LinearCode) -> GHWProfile:
     """Hierarchy of an arbitrary code: closed path for RM codes, exact else."""
     if c.dim == 0:
         return GHWProfile(weights=())
     if c.rm_params is not None:
         return ghw_reed_muller(*c.rm_params)
-    return ghw_exact(c, cap=cap)
+    return ghw_exact(c)
 
 
 def random_code(n: int, dim: int, rng: np.random.Generator, label: str = "") -> LinearCode:

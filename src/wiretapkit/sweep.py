@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,6 @@ import numpy as np
 from . import bitlinalg, channel, codes, wiretap
 from .channel import ChannelGrid, RegionMap
 from .wiretap import WiretapCode
-
-log = logging.getLogger(__name__)
 
 
 class NoSecureOperatingPoint(Exception):
@@ -40,6 +37,7 @@ class SweepPoint:
     throughput: float
     min_equivocation_pct: float
     worst_eve_location: int
+    bob_location: int
     reliable: bool = True
 
 
@@ -59,63 +57,15 @@ def evaluate(
     tau: float,
     interleave: bool = False,
 ) -> SweepPoint:
-    """Score one code at one threshold.
-
-    Only subcarriers reliable at Bob's reference location are active.
-    For each Eve location, e counts her readable active carriers; the
-    default worst-case rule charges a whole block with mu* = min(n, e)
-    revealed bits, assuming the least favorable alignment of codeword
-    bits onto her carriers.  ``interleave`` instead scores a concrete
-    round-robin bit-to-carrier map per block.
-    """
-    regions.validate_against(grid)
-    eve_idxs = regions.eve_location_indices(grid)
-    if not eve_idxs:
-        raise ValueError("no candidate Eve locations (empty or fully excluded Eve regions)")
-    bob_idx = bob_reference_index(grid, regions)
-    bob_mask = channel.erase_mask(grid.snr_db[bob_idx], tau)
-    active = np.nonzero(bob_mask)[0]
-    a = int(active.size)
-    reliable = a > 0
-    throughput = w.k * a / w.n
-
-    min_pct = 100.0
-    worst_eve = eve_idxs[0]
-    for i in eve_idxs:
-        eve_read = channel.erase_mask(grid.snr_db[i], tau)[active]
-        if interleave:
-            pct = _interleaved_equivocation_pct(w, eve_read)
-        else:
-            mu_star = min(w.n, int(eve_read.sum()))
-            pct = 100.0 * (w.k - wiretap.worst_case_leakage(w, mu_star)) / w.k
-        if pct < min_pct:
-            min_pct = pct
-            worst_eve = i
-    return SweepPoint(
-        code_label=w.label,
-        n=w.n,
-        k=w.k,
-        rate=w.k / w.n,
-        tau_db=tau,
-        active_carriers=a,
-        throughput=throughput if reliable else 0.0,
-        min_equivocation_pct=min_pct,
-        worst_eve_location=worst_eve,
-        reliable=reliable,
-    )
+    """Score one code at one threshold: a one-point :func:`sweep`."""
+    return sweep([w], grid, regions, [tau], interleave=interleave)[0]
 
 
-def _interleaved_equivocation_pct(w: WiretapCode, eve_read: np.ndarray) -> float:
-    """Round-robin interleaver: active carrier j feeds block j mod B."""
-    a = eve_read.size
-    if a == 0:
-        return 100.0
-    nblocks = -(-a // w.n)
-    worst = 0
-    for b in range(nblocks):
-        mu = min(w.n, int(eve_read[b::nblocks].sum()))
-        worst = max(worst, wiretap.worst_case_leakage(w, mu))
-    return 100.0 * (w.k - worst) / w.k
+def _block_counts(read: np.ndarray, blocks: int) -> np.ndarray:
+    """Readable carriers per Eve (rows) and block (columns) when active
+    carrier j feeds block j mod ``blocks``."""
+    padded = np.pad(read, ((0, 0), (0, -read.shape[1] % blocks)))
+    return padded.reshape(read.shape[0], -1, blocks).sum(axis=1)
 
 
 def sweep(
@@ -125,20 +75,61 @@ def sweep(
     taus: list[float],
     interleave: bool = False,
 ) -> list[SweepPoint]:
-    """Cartesian-product evaluation, code-major then threshold-minor.
+    """Score every code at every threshold, code-major then threshold-minor.
 
-    A failing point is logged and skipped rather than aborting the rest.
+    Only subcarriers reliable at Bob's reference location are active.
+    For each Eve location, e counts her readable active carriers; the
+    default worst-case rule charges a whole block with mu* = min(n, e)
+    revealed bits, assuming the least favorable alignment of codeword
+    bits onto her carriers.  ``interleave`` instead scores a concrete
+    round-robin map: active carrier j feeds block j mod B, with
+    B = ceil(a / n) blocks over a active carriers, and the worst block
+    counts.  A point's equivocation is set by the first Eve location,
+    in grid order, that leaks the most.
+
+    The regions are checked once and every threshold's (Eve x active
+    carrier) read mask is built once; a code's leakage at each mu comes
+    from a lookup table over its dual weight hierarchy.
     """
     if not code_list or not taus:
         raise ValueError("need at least one code and one threshold")
-    points: list[SweepPoint] = []
-    for w in code_list:
-        for tau in taus:
-            try:
-                points.append(evaluate(w, grid, regions, tau, interleave=interleave))
-            except ValueError as exc:
-                log.warning("skipping %s at tau=%s: %s", w.label, tau, exc)
-    return points
+    regions.validate_against(grid)
+    eve_idxs = regions.eve_location_indices(grid)
+    if not eve_idxs:
+        raise ValueError("no candidate Eve locations (empty or fully excluded Eve regions)")
+    bob_idx = bob_reference_index(grid, regions)
+    eve_snr = grid.snr_db[eve_idxs]
+    leak_tables = [
+        np.array([w.dual_ghw().leakage_at(mu) for mu in range(w.n + 1)]) for w in code_list
+    ]
+    per_code: list[list[SweepPoint]] = [[] for _ in code_list]
+    for tau in taus:
+        active = np.nonzero(channel.erase_mask(grid.snr_db[bob_idx], tau))[0]
+        a = int(active.size)
+        read = channel.erase_mask(eve_snr[:, active], tau)
+        counts: dict[int, np.ndarray] = {}
+        for w, table, points in zip(code_list, leak_tables, per_code):
+            blocks = max(1, -(-a // w.n)) if interleave else 1
+            if blocks not in counts:
+                counts[blocks] = _block_counts(read, blocks)
+            per_eve = table[np.minimum(counts[blocks], w.n)].max(axis=1)
+            worst = int(np.argmax(per_eve))
+            points.append(
+                SweepPoint(
+                    code_label=w.label,
+                    n=w.n,
+                    k=w.k,
+                    rate=w.k / w.n,
+                    tau_db=tau,
+                    active_carriers=a,
+                    throughput=w.k * a / w.n,
+                    min_equivocation_pct=100.0 * (w.k - int(per_eve[worst])) / w.k,
+                    worst_eve_location=eve_idxs[worst],
+                    bob_location=bob_idx,
+                    reliable=a > 0,
+                )
+            )
+    return [p for points in per_code for p in points]
 
 
 def select_best(points: list[SweepPoint], require_full_equivocation: bool = True) -> SweepPoint:
@@ -180,8 +171,7 @@ def simulate_mc(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     point = evaluate(w, grid, regions, tau)
-    bob_idx = bob_reference_index(grid, regions)
-    active = np.nonzero(channel.erase_mask(grid.snr_db[bob_idx], tau))[0]
+    active = np.nonzero(channel.erase_mask(grid.snr_db[point.bob_location], tau))[0]
     if active.size < w.n:
         raise ValueError(
             f"only {active.size} active carriers at tau={tau}; need {w.n} for one block"
@@ -242,10 +232,7 @@ def default_code_family(max_m: int = 5) -> list[WiretapCode]:
                 if key in seen:
                     continue
                 seen.add(key)
-                try:
-                    family.append(wiretap.build(base, label=f"RM({u},{m})|{suffix}"))
-                except ValueError as exc:
-                    log.info("skipping RM(%d,%d)|%s: %s", u, m, suffix, exc)
+                family.append(wiretap.build(base, label=f"RM({u},{m})|{suffix}"))
     return family
 
 

@@ -2,7 +2,8 @@
 
 A k-bit message selects a coset of an (n, n-k) linear code C; the
 auxiliary (n-k)-bit word picks the coset element uniformly.  Decoding is
-a syndrome computation.  Leakage to an erasure-channel eavesdropper is
+one product with a precomputed n x k matrix: the syndrome map followed
+by a k x k GF(2) inverse.  Leakage to an erasure-channel eavesdropper is
 always an integer number of bits and is catalogued per erasure pattern
 in the equivocation matrix, with the worst case per pattern weight given
 by the generalized Hamming weights of the dual code.
@@ -22,7 +23,6 @@ from .codes import GHWProfile, LinearCode
 
 DEFAULT_PATTERN_CAP = 24
 DEFAULT_ORACLE_CAP = 16
-DEFAULT_TABLE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,9 @@ class WiretapCode:
     """Coset wiretap code built on a base code C of dimension n - k.
 
     ``gprime`` carries the message part of the encoder; ``h`` is the
-    parity-check matrix of C used for syndrome decoding.  When the
-    syndrome directly equals the message (``direct_syndrome``) no lookup
-    is needed; otherwise a dense syndrome-to-message table is stored.
+    parity-check matrix of C.  A received word y has syndrome
+    y.H^T = m.G'.H^T, so ``decoder`` = H^T.(G'.H^T)^-1 recovers the
+    message in one product; it equals H^T when G' = H and H.H^T = I.
     """
 
     def __init__(
@@ -106,7 +106,6 @@ class WiretapCode:
         base_code: LinearCode,
         gprime: BitMatrix,
         h: BitMatrix,
-        syndrome_table: np.ndarray | None = None,
         label: str | None = None,
     ):
         n = base_code.n
@@ -115,26 +114,25 @@ class WiretapCode:
             raise ValueError(f"gprime must be {k}x{n}, got {gprime.rows}x{gprime.cols}")
         if h.rows != k or h.cols != n:
             raise ValueError(f"h must be {k}x{n}, got {h.rows}x{h.cols}")
-        if np.any(bitlinalg.mul(base_code.generator, BitMatrix(h.a.T)).a):
+        ht = BitMatrix(h.a.T)
+        if np.any(bitlinalg.mul(base_code.generator, ht).a):
             raise ValueError("h is not a parity check of the base code")
+        if bitlinalg.rank(h) != k:
+            raise ValueError("h must have full row rank")
         if bitlinalg.rank(bitlinalg.stack(gprime, base_code.generator)) != n:
             raise ValueError("gprime stacked over the base generator must have rank n")
         self.base_code = base_code
         self.gprime = gprime
         self.h = h
+        self.decoder = bitlinalg.mul(ht, bitlinalg.inverse(bitlinalg.mul(gprime, ht)))
         self.n = n
         self.k = k
-        self._syndrome_table = syndrome_table
         self._label = label
         self._dual_ghw: GHWProfile | None = None
 
     @property
     def rate(self) -> float:
         return self.k / self.n
-
-    @property
-    def direct_syndrome(self) -> bool:
-        return self._syndrome_table is None
 
     @property
     def label(self) -> str:
@@ -147,48 +145,20 @@ class WiretapCode:
         return self._dual_ghw
 
 
-def build(c: LinearCode, table_cap: int = DEFAULT_TABLE_CAP, label: str | None = None) -> WiretapCode:
+def build(c: LinearCode, label: str | None = None) -> WiretapCode:
     """Construct the wiretap code with base code C = c.
 
-    Prefers a parity-check basis H with H.H^T = I so that the decoded
-    syndrome equals the message outright and G' = H; when no such basis
-    exists, G' comes from a standard-basis completion and a dense
-    syndrome lookup table of size 2^k is built.
+    Prefers a parity-check basis H with H.H^T = I and G' = H, under which
+    the syndrome is the message itself; when no such basis exists, G'
+    comes from a standard-basis completion and H is the dual's generator.
     """
     if not 0 < c.dim < c.n:
         raise ValueError(f"base code must satisfy 0 < dim < n, got dim={c.dim}, n={c.n}")
-    k = c.n - c.dim
     d = codes.dual(c)
     ortho = _orthonormal_dual_basis(d.generator)
     if ortho is not None:
-        # Syndrome identity check: s = m.H.H^T = m for every message.
-        if bitlinalg.mul(ortho, BitMatrix(ortho.a.T)) == BitMatrix.identity(k):
-            if bitlinalg.rank(bitlinalg.stack(ortho, c.generator)) == c.n:
-                return WiretapCode(c, gprime=ortho, h=ortho, label=label)
-    if k > table_cap:
-        raise ValueError(
-            f"no direct-syndrome basis and k={k} exceeds the {table_cap}-bit lookup-table cap"
-        )
-    gprime = bitlinalg.complete_basis(c.generator)
-    h = d.generator
-    table = np.zeros(2**k, dtype=np.int64)
-    smat = bitlinalg.mul(gprime, BitMatrix(h.a.T)).a.astype(np.uint64)  # k x k
-    for mi in range(2**k):
-        mbits = _int_to_bits(mi, k)
-        s = (mbits.astype(np.uint64) @ smat) & 1
-        table[_bits_to_int(s)] = mi
-    return WiretapCode(c, gprime=gprime, h=h, syndrome_table=table, label=label)
-
-
-def _int_to_bits(value: int, width: int) -> np.ndarray:
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def _bits_to_int(bits) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
+        return WiretapCode(c, gprime=ortho, h=ortho, label=label)
+    return WiretapCode(c, gprime=bitlinalg.complete_basis(c.generator), h=d.generator, label=label)
 
 
 def encode(w: WiretapCode, m, mprime) -> np.ndarray:
@@ -203,14 +173,11 @@ def encode(w: WiretapCode, m, mprime) -> np.ndarray:
 
 
 def decode(w: WiretapCode, y) -> np.ndarray:
-    """Recover the message from an error-free received word via its syndrome."""
+    """Recover the message from an error-free received word: y.decoder."""
     y = np.asarray(y, dtype=np.uint8)
     if y.shape != (w.n,):
         raise ValueError(f"received word must have {w.n} bits, got shape {y.shape}")
-    s = ((y.astype(np.uint64) @ w.h.a.T.astype(np.uint64)) & 1).astype(np.uint8)
-    if w.direct_syndrome:
-        return s
-    return _int_to_bits(int(w._syndrome_table[_bits_to_int(s)]), w.k)
+    return bitlinalg.mulvec(y, w.decoder)
 
 
 def leakage(w: WiretapCode, p: ErasurePattern) -> int:

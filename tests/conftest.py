@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's own linear-algebra
 paths: rank is measured by enumerating the row space, weight
 hierarchies by exhaustive subcode-support search over codeword tuples.
-Library results are checked against these, never against themselves.
+The sweep oracle is the plain loop over Eve locations that the
+vectorised sweep replaced.  Library results are checked against these,
+never against themselves.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from wiretapkit import codes
+from wiretapkit import channel, codes, sweep, wiretap
 
 
 def oracle_rank(rows) -> int:
@@ -96,6 +98,66 @@ def oracle_subset_rank_tallies(generator: np.ndarray) -> np.ndarray:
 
     dfs(0, 0, 0)
     return out
+
+
+def oracle_sweep_point(w, grid, regions, tau: float, interleave: bool = False) -> sweep.SweepPoint:
+    """One (code, threshold) point by a loop over Eve locations.
+
+    The per-Eve scoring loop the vectorised ``sweep.sweep`` replaced:
+    worst case charges mu* = min(n, e) for e readable active carriers;
+    interleaved scores block b as the carriers b, b + B, b + 2B, ... of
+    the active list (B = ceil(a / n)) and keeps the worst block.  A
+    later Eve replaces the current one only when strictly worse.
+    """
+    regions.validate_against(grid)
+    eve_idxs = regions.eve_location_indices(grid)
+    if not eve_idxs:
+        raise ValueError("no candidate Eve locations")
+    bob_idx = sweep.bob_reference_index(grid, regions)
+    active = np.nonzero(channel.erase_mask(grid.snr_db[bob_idx], tau))[0]
+    a = int(active.size)
+    min_pct = 100.0
+    worst_eve = eve_idxs[0]
+    for i in eve_idxs:
+        eve_read = channel.erase_mask(grid.snr_db[i], tau)[active]
+        if interleave:
+            pct = _oracle_interleaved_pct(w, eve_read)
+        else:
+            mu_star = min(w.n, int(eve_read.sum()))
+            pct = 100.0 * (w.k - wiretap.worst_case_leakage(w, mu_star)) / w.k
+        if pct < min_pct:
+            min_pct = pct
+            worst_eve = i
+    return sweep.SweepPoint(
+        code_label=w.label,
+        n=w.n,
+        k=w.k,
+        rate=w.k / w.n,
+        tau_db=tau,
+        active_carriers=a,
+        throughput=w.k * a / w.n if a > 0 else 0.0,
+        min_equivocation_pct=min_pct,
+        worst_eve_location=worst_eve,
+        bob_location=bob_idx,
+        reliable=a > 0,
+    )
+
+
+def _oracle_interleaved_pct(w, eve_read: np.ndarray) -> float:
+    a = eve_read.size
+    if a == 0:
+        return 100.0
+    nblocks = -(-a // w.n)
+    worst = 0
+    for b in range(nblocks):
+        mu = min(w.n, int(eve_read[b::nblocks].sum()))
+        worst = max(worst, wiretap.worst_case_leakage(w, mu))
+    return 100.0 * (w.k - worst) / w.k
+
+
+def oracle_sweep(code_list, grid, regions, taus, interleave: bool = False) -> list:
+    """Code-major, threshold-minor list of oracle points."""
+    return [oracle_sweep_point(w, grid, regions, t, interleave) for w in code_list for t in taus]
 
 
 def random_corpus(max_n: int, count: int, seed: int = 71) -> list[codes.LinearCode]:

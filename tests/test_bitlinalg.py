@@ -168,3 +168,21 @@ class TestRrefNullSpace:
 
     def test_full_rank_square_has_trivial_null_space(self):
         assert bitlinalg.null_space(BitMatrix.identity(4)).rows == 0
+
+
+class TestInverse:
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_inverts_or_reports_singular(self, n, seed):
+        m = BitMatrix(np.random.default_rng(seed).integers(0, 2, size=(n, n)))
+        if oracle_rank(m.a) < n:
+            with pytest.raises(ValueError, match="singular"):
+                bitlinalg.inverse(m)
+            return
+        inv = bitlinalg.inverse(m)
+        assert bitlinalg.mul(m, inv) == BitMatrix.identity(n)
+        assert bitlinalg.mul(inv, m) == BitMatrix.identity(n)
+
+    def test_not_square(self):
+        with pytest.raises(ValueError, match="square"):
+            bitlinalg.inverse(BitMatrix.zeros(2, 3))

@@ -35,6 +35,13 @@ def tiny_grid_file(tmp_path):
     return grid_path, regions_path
 
 
+def assert_one_line_error(res):
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert "Traceback" not in res.output
+    assert res.output.startswith("Error: ") and res.output.count("\n") == 1, res.output
+
+
 def manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
@@ -81,10 +88,8 @@ class TestEqmatrix:
 )
 def test_out_of_range_rm_spec_is_one_line_error(runner, tmp_path, args):
     res = runner.invoke(cli.main, [*args, "--out-dir", str(tmp_path)])
-    assert res.exit_code == 1
-    assert isinstance(res.exception, SystemExit), res.exception
-    assert "Traceback" not in res.output
-    assert res.output.startswith("Error: rm:") and res.output.count("\n") == 1, res.output
+    assert_one_line_error(res)
+    assert res.output.startswith("Error: rm:")
 
 
 class TestGhw:
@@ -241,6 +246,50 @@ class TestSweepAndSimulate:
             ],
         )
         assert res.exit_code != 0
+
+
+class TestSweepInputErrors:
+    @pytest.mark.parametrize(
+        "regions",
+        [
+            {"bob_region": "bob_office", "eve_regions": ["nowhere"]},
+            {"bob_region": "bob_office", "eve_regions": ["eve_west"], "excluded_regions": ["eve_west"]},
+        ],
+        ids=["unknown", "all_excluded"],
+    )
+    def test_eve_regions_without_locations(self, runner, tmp_path, regions):
+        regions_path = tmp_path / "regions.json"
+        regions_path.write_text(json.dumps(regions))
+        res = runner.invoke(
+            cli.main,
+            ["sweep", "--regions", str(regions_path), "--max-m", "2", "--out-dir", str(tmp_path)],
+        )
+        assert_one_line_error(res)
+
+    def test_empty_grid_file(self, runner, tmp_path, tiny_grid_file):
+        _, regions_path = tiny_grid_file
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        res = runner.invoke(
+            cli.main,
+            ["sweep", "--grid", str(empty), "--regions", str(regions_path), "--out-dir", str(tmp_path)],
+        )
+        assert_one_line_error(res)
+        assert "empty grid file" in res.output
+
+    @pytest.mark.parametrize("taus", ["nan", "25,inf", "-inf"])
+    def test_non_finite_taus(self, runner, tmp_path, tiny_grid_file, taus):
+        grid_path, regions_path = tiny_grid_file
+        res = runner.invoke(
+            cli.main,
+            [
+                "sweep", "--grid", str(grid_path), "--regions", str(regions_path),
+                "--taus", taus, "--out-dir", str(tmp_path),
+            ],
+        )
+        assert_one_line_error(res)
+        assert "finite" in res.output
+        assert not (tmp_path / "frontier.csv").exists()
 
 
 class TestManifest:

@@ -161,6 +161,10 @@ class TestWeiDuality:
         c = codes.random_code(n, dim, np.random.default_rng(seed))
         self.assert_partition(n, codes.ghw_exact(c).weights, codes.ghw_exact(codes.dual(c)).weights)
 
+    def test_exact_above_twenty(self):
+        c = codes.random_code(22, 11, np.random.default_rng(22))
+        self.assert_partition(22, codes.ghw_exact(c).weights, codes.ghw_exact(codes.dual(c)).weights)
+
     def test_monomial_reed_muller(self):
         for m in range(1, 8):
             for u in range(m + 1):
@@ -187,9 +191,9 @@ class TestGHW:
         assert codes.ghw_exact(full).weights == (1, 2)
 
     def test_exact_cap(self):
-        c = codes.random_code(22, 3, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            codes.ghw_exact(c, cap=20)
+        c = codes.random_code(codes.SUBSET_RANK_CAP + 1, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="subset-rank cap"):
+            codes.ghw_exact(c)
 
     def test_exact_matches_subcode_oracle(self, small_corpus):
         checked = 0
@@ -206,7 +210,7 @@ class TestGHW:
                 continue
             words = codes.enumerate_codewords(c)
             nonzero = words[words.any(axis=1)]
-            assert codes.ghw_exact(c, cap=16).weights[0] == int(nonzero.sum(axis=1).min())
+            assert codes.ghw_exact(c).weights[0] == int(nonzero.sum(axis=1).min())
 
 
 class TestGHWReedMuller:

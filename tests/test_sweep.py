@@ -1,13 +1,18 @@
 """Tests for the code/threshold sweep, selection, and Monte Carlo check."""
 
 import csv
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretapkit import channel, codes, sweep, wiretap
 from wiretapkit.channel import ChannelGrid, Location, RegionMap
+
+from conftest import oracle_sweep
 
 
 def two_location_grid(bob_snrs, eve_snrs):
@@ -70,6 +75,15 @@ class TestEvaluate:
         lonely = RegionMap(bob_region="bob_office", eve_regions=frozenset({"ghost_room"}))
         with pytest.raises(ValueError):
             sweep.evaluate(rate34, analog_grid, lonely, 25.0)
+
+    def test_fully_excluded_eve_region_errors(self, analog_grid, rate34):
+        excluded = RegionMap(
+            bob_region="bob_office",
+            eve_regions=frozenset({"eve_room"}),
+            excluded_regions=frozenset({"eve_room"}),
+        )
+        with pytest.raises(ValueError, match="no candidate Eve locations"):
+            sweep.sweep([rate34], analog_grid, excluded, [25.0, 27.0])
 
     def test_interleave_never_worse_than_worst_case(self, analog_grid, rate34):
         for tau in (25.0, 26.0, 27.0):
@@ -154,11 +168,78 @@ class TestSweepAndSelect:
             sweep.select_best([])
 
 
+@st.composite
+def small_scenarios(draw):
+    """A grid with one Bob location reading ``a`` carriers at 30 dB, one
+    excluded hallway cell that reads everything, and 1-5 Eve cells over
+    two rooms, optionally ending in a copy of the first Eve (a tie)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = draw(st.integers(0, 64))
+    bob = np.full(64, 10.0)
+    bob[rng.permutation(64)[:a]] = 30.0
+    eves = rng.choice([10.0, 20.0, 25.0, 30.0], size=(draw(st.integers(1, 5)), 64))
+    if draw(st.booleans()):
+        eves = np.vstack([eves, eves[:1]])
+    rooms = [("eve_room", "eve_annex")[i % 2] for i in range(len(eves))]
+    locations = [Location(x=0.0, y=0.0, region="hallway"), Location(x=1.0, y=0.0, region="bob_office")]
+    locations += [Location(x=2.0 + i, y=0.0, region=r) for i, r in enumerate(rooms)]
+    grid = ChannelGrid(
+        locations=tuple(locations),
+        snr_db=np.vstack([np.full(64, 40.0), bob, eves]),
+        tx=(0.0, 0.0),
+    )
+    regions = RegionMap(
+        bob_region="bob_office",
+        eve_regions=frozenset(rooms),
+        excluded_regions=frozenset({"hallway"}),
+    )
+    return grid, regions
+
+
+class TestSweepMatchesOracle:
+    """The one-pass sweep equals the per-Eve loop in tests/conftest.py."""
+
+    TAUS = [20.0, 25.0, 30.0, 31.0]  # 31 dB leaves Bob no active carrier
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        return sweep.default_code_family(max_m=4)
+
+    @given(small_scenarios())
+    @settings(max_examples=60, deadline=None)
+    def test_random_small_grids(self, family, scenario):
+        grid, regions = scenario
+        for interleave in (False, True):
+            got = sweep.sweep(family, grid, regions, self.TAUS, interleave=interleave)
+            assert got == oracle_sweep(family, grid, regions, self.TAUS, interleave)
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["bundled", "perturbed"])
+    def test_full_family_frontier(self, perturbed):
+        env = channel.default_environment()
+        seed = channel.DEFAULT_GRID_SEED
+        if perturbed:
+            walls = tuple(dataclasses.replace(w, loss_db=9.5) for w in env.walls)
+            env = dataclasses.replace(env, tx=(2.6, 0.5), ref_snr_db=32.4, walls=walls)
+            seed = 11
+        grid = channel.synth_grid(env, seed=seed)
+        fam = sweep.default_code_family(max_m=5)
+        taus = [25.0, 26.0, 27.0, 28.0, 29.0, 30.0, 31.0]
+        for interleave in (False, True):
+            got = sweep.sweep(fam, grid, env.region_map, taus, interleave=interleave)
+            want = oracle_sweep(fam, grid, env.region_map, taus, interleave)
+            assert sweep.frontier_csv(got) == sweep.frontier_csv(want)
+            assert got == want
+
+
 class TestDefaultFamily:
     def test_contents(self):
         fam = sweep.default_code_family(max_m=5)
         labels = {w.label for w in fam}
         assert "RM(1,2)|C" in labels and "RM(1,2)|Cperp" in labels
+        # every distinct non-degenerate RM base up to m = 5 is built, the
+        # k = 26 and k = 31 codes included
+        assert len(fam) == 14
+        assert {"RM(1,5)|C", "RM(4,5)|Cperp"} <= labels
         # full-space and zero-dimension bases are excluded
         assert all(0 < w.n - w.k < w.n for w in fam)
         # no duplicate base codes
@@ -166,10 +247,13 @@ class TestDefaultFamily:
 
     def test_all_members_round_trip(self):
         rng = np.random.default_rng(2)
-        for w in sweep.default_code_family(max_m=4):
-            m = rng.integers(0, 2, size=w.k, dtype=np.uint8)
-            mp = rng.integers(0, 2, size=w.n - w.k, dtype=np.uint8)
-            assert np.array_equal(wiretap.decode(w, wiretap.encode(w, m, mp)), m)
+        fam = sweep.default_code_family(max_m=5)
+        assert {26, 31} <= {w.k for w in fam}
+        for w in fam:
+            for _ in range(8):
+                m = rng.integers(0, 2, size=w.k, dtype=np.uint8)
+                mp = rng.integers(0, 2, size=w.n - w.k, dtype=np.uint8)
+                assert np.array_equal(wiretap.decode(w, wiretap.encode(w, m, mp)), m), w.label
 
 
 class TestSimulateMC:

@@ -22,6 +22,13 @@ EXPECTED_COUNTS = np.array(
 )
 
 
+def assert_round_trips(w, rng, draws: int = 16):
+    for _ in range(draws):
+        m = rng.integers(0, 2, size=w.k, dtype=np.uint8)
+        mp = rng.integers(0, 2, size=w.n - w.k, dtype=np.uint8)
+        assert np.array_equal(wiretap.decode(w, wiretap.encode(w, m, mp)), m)
+
+
 @pytest.fixture(scope="module")
 def demo():
     return wiretap.example_code()
@@ -32,14 +39,14 @@ class TestBuild:
         assert demo.base_code.generator.to_strings() == ["0111", "1110"]
         assert demo.gprime.to_strings() == ["1101", "1011"]
         assert demo.h == demo.gprime
-        assert demo.direct_syndrome and demo.k == 2
+        assert demo.decoder == BitMatrix(demo.h.a.T) and demo.k == 2
 
     def test_rm02_base_gives_rate_three_quarters(self):
         w = wiretap.build(codes.reed_muller(0, 2))
         assert (w.n, w.k) == (4, 3)
         # even-weight dual: H rows all orthogonal to themselves, so no
-        # direct-syndrome basis exists and the lookup path must engage
-        assert not w.direct_syndrome
+        # basis with H.H^T = I exists and G' is a standard-basis completion
+        assert w.gprime.to_strings() == ["1000", "0100", "0010"] and w.gprime != w.h
         assert not (w.h.a.sum(axis=1) % 2).any()
 
     def test_degenerate_base_rejected(self):
@@ -47,15 +54,38 @@ class TestBuild:
         with pytest.raises(ValueError):
             wiretap.build(full)
 
-    def test_table_cap(self):
-        base = codes.reed_muller(0, 5)  # k = 31, needs a 2^31 table
-        with pytest.raises(ValueError):
-            wiretap.build(base)
+    def test_rm05_base_k31_builds_and_decodes(self):
+        w = wiretap.build(codes.reed_muller(0, 5))
+        assert (w.n, w.k) == (32, 31)
+        assert_round_trips(w, np.random.default_rng(5))
+
+    def test_non_orthonormal_random_code_with_k_above_20(self):
+        # the all-ones row makes every dual codeword even, so no basis
+        # with H.H^T = I exists
+        rng = np.random.default_rng(30)
+        g = np.vstack([np.ones(30, dtype=np.uint8), rng.integers(0, 2, size=(4, 30), dtype=np.uint8)])
+        w = wiretap.build(LinearCode(n=30, dim=5, generator=BitMatrix(g)))
+        assert w.k == 25 and w.gprime != w.h
+        assert_round_trips(w, rng)
+        # G'' = M.G' xor R.G with M invertible gives G''.H^T = M, so the
+        # decoder must apply M^-1
+        while True:
+            mix = BitMatrix(rng.integers(0, 2, size=(25, 25), dtype=np.uint8))
+            if bitlinalg.rank(mix) == 25:
+                break
+        noise = BitMatrix(rng.integers(0, 2, size=(25, 5), dtype=np.uint8))
+        gpp = bitlinalg.mul(mix, w.gprime).a ^ bitlinalg.mul(noise, w.base_code.generator).a
+        mixed = wiretap.WiretapCode(w.base_code, gprime=BitMatrix(gpp), h=w.h)
+        assert mixed.decoder != BitMatrix(w.h.a.T)
+        assert_round_trips(mixed, rng)
 
     def test_invariants_validated(self, demo):
         bad_h = BitMatrix.from_strings(["1000", "0100"])
         with pytest.raises(ValueError):
             wiretap.WiretapCode(demo.base_code, gprime=demo.gprime, h=bad_h)
+        repeated_h = BitMatrix.from_strings(["1101", "1101"])
+        with pytest.raises(ValueError, match="full row rank"):
+            wiretap.WiretapCode(demo.base_code, gprime=demo.gprime, h=repeated_h)
 
     def test_label_override(self):
         w = wiretap.build(codes.reed_muller(1, 2), label="custom")
@@ -91,10 +121,8 @@ class TestEncodeDecode:
                 continue
             w = wiretap.build(c)
             seen = set()
-            for mi in range(2**w.k):
-                m = wiretap._int_to_bits(mi, w.k)
-                for j in range(2 ** (w.n - w.k)):
-                    mp = wiretap._int_to_bits(j, w.n - w.k)
+            for m in itertools.product([0, 1], repeat=w.k):
+                for mp in itertools.product([0, 1], repeat=w.n - w.k):
                     x = wiretap.encode(w, m, mp)
                     seen.add(tuple(int(b) for b in x))
                     assert np.array_equal(wiretap.decode(w, x), m)
