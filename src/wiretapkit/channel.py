@@ -26,16 +26,15 @@ class SoundingCapture:
     iq: np.ndarray
     sample_rate: float = 20e6
     periods: int = 32
-    carrier_count: int = CARRIERS
 
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        need = self.periods * 2 * self.carrier_count
+        need = self.periods * FFT_LENGTH
         if self.iq.size < need:
             raise ValueError(
                 f"capture has {self.iq.size} samples, need >= {need} "
-                f"({self.periods} periods of {2 * self.carrier_count})"
+                f"({self.periods} periods of {FFT_LENGTH})"
             )
 
 
@@ -113,23 +112,19 @@ class RegionMap:
 # PSD / SNR estimation
 
 
-def welch_psd(cap: SoundingCapture, fft_length: int = FFT_LENGTH) -> np.ndarray:
+def welch_psd(cap: SoundingCapture) -> np.ndarray:
     """Averaged periodogram over non-overlapping rectangular segments.
 
-    Segment length equals one sounding period (fft_length samples), so
+    Segment length equals one sounding period (FFT_LENGTH samples), so
     subcarriers stay centered on even FFT bins and odd bins hold only
-    noise.  Returns fft_length nonnegative powers.
+    noise.  Returns FFT_LENGTH nonnegative powers.
     """
-    if fft_length != 2 * cap.carrier_count:
-        raise ValueError(
-            f"fft_length {fft_length} must be twice the carrier count {cap.carrier_count}"
-        )
-    nseg = cap.iq.size // fft_length
+    nseg = cap.iq.size // FFT_LENGTH
     if nseg < 1:
-        raise ValueError(f"capture too short: {cap.iq.size} samples < {fft_length}")
-    segs = cap.iq[: nseg * fft_length].reshape(nseg, fft_length)
+        raise ValueError(f"capture too short: {cap.iq.size} samples < {FFT_LENGTH}")
+    segs = cap.iq[: nseg * FFT_LENGTH].reshape(nseg, FFT_LENGTH)
     spectra = np.fft.fft(segs, axis=1)
-    return (np.abs(spectra) ** 2).mean(axis=0) / fft_length
+    return (np.abs(spectra) ** 2).mean(axis=0) / FFT_LENGTH
 
 
 def snr_estimate(cap: SoundingCapture) -> np.ndarray:
@@ -179,6 +174,8 @@ def synth_capture(
 
 def erase_mask(snrs, tau: float) -> np.ndarray:
     """True where the symbol is received: SNR >= tau (boundary included)."""
+    if not math.isfinite(tau):
+        raise ValueError(f"threshold tau must be finite, got {tau}")
     return np.asarray(snrs, dtype=float) >= tau
 
 
@@ -258,6 +255,14 @@ class EnvironmentConfig:
     regions: tuple[RegionRect, ...] = ()
     fading: FadingModel = field(default_factory=FadingModel)
     region_map: RegionMap | None = None
+
+    def __post_init__(self):
+        if not (0 <= self.width < math.inf and 0 <= self.height < math.inf
+                and 0 < self.grid_spacing < math.inf):
+            raise ValueError(
+                "floor plan needs finite width and height >= 0 and a finite grid spacing > 0, "
+                f"got {self.width}, {self.height}, {self.grid_spacing}"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnvironmentConfig":
@@ -342,8 +347,6 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     """
     nx = int(math.floor(cfg.width / cfg.grid_spacing)) + 1
     ny = int(math.floor(cfg.height / cfg.grid_spacing)) + 1
-    if nx < 1 or ny < 1:
-        raise ValueError("empty floor plan")
     locations: list[Location] = []
     rows: list[np.ndarray] = []
     for iy in range(ny):
@@ -423,15 +426,18 @@ def load_capture(iq_path, sidecar_path) -> SoundingCapture:
     """Raw capture: interleaved little-endian float32 I,Q + JSON sidecar."""
     with open(sidecar_path) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError("sidecar must be a JSON object")
+    if meta.get("carriers", CARRIERS) != CARRIERS:
+        raise ValueError(f"sidecar lists {meta['carriers']} carriers; captures have {CARRIERS}")
     raw = np.fromfile(iq_path, dtype="<f4")
     if raw.size % 2:
-        raise ValueError(f"{iq_path}: odd sample count {raw.size}, expected interleaved I,Q pairs")
+        raise ValueError(f"odd sample count {raw.size}, expected interleaved I,Q pairs")
     iq = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
     return SoundingCapture(
         iq=iq,
         sample_rate=float(meta.get("sample_rate_hz", 20e6)),
         periods=int(meta.get("periods", 32)),
-        carrier_count=int(meta.get("carriers", CARRIERS)),
     )
 
 
@@ -445,7 +451,7 @@ def save_capture(cap: SoundingCapture, iq_path, sidecar_path, center_freq_hz: fl
             {
                 "sample_rate_hz": cap.sample_rate,
                 "periods": cap.periods,
-                "carriers": cap.carrier_count,
+                "carriers": CARRIERS,
                 "center_freq_hz": center_freq_hz,
             },
             fh,

@@ -3,14 +3,15 @@
 Every subcommand that emits files also writes a ``manifest.json`` next
 to them recording the command, options, input digests, seed and package
 version, so any output can be reproduced from the manifest alone.
-Numeric output uses 6 significant digits.
+Numeric output uses 6 significant digits.  The library raises
+``ValueError`` for every input it rejects; the command group turns that,
+and any ``OSError``, into a one-line ``Error:`` message.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from pathlib import Path
 
@@ -46,24 +47,26 @@ def _write_manifest(out: Path, command: str, options: dict, inputs: dict[str, st
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _read(path: str, parse, *more: str):
+    """``parse(path, *more)``, with any error from the files' content naming them."""
+    names = ", ".join((path, *more))
+    try:
+        return parse(path, *more)
+    except KeyError as exc:
+        raise click.ClickException(f"{names}: missing key {exc}") from None
+    except (OSError, ValueError, TypeError) as exc:
+        raise click.ClickException(f"{names}: {exc}") from None
+
+
 def _load_grid(grid_path: str | None) -> channel.ChannelGrid:
     if grid_path is None:
         return channel.default_grid()
-    try:
-        return channel.grid_from_csv(Path(grid_path).read_text())
-    except (OSError, ValueError) as exc:
-        raise click.ClickException(f"{grid_path}: {exc}") from None
+    return _read(grid_path, lambda p: channel.grid_from_csv(Path(p).read_text()))
 
 
 def _load_regions(regions_path: str | None, grid_path: str | None) -> channel.RegionMap:
     if regions_path is not None:
-        try:
-            with open(regions_path) as fh:
-                return channel.RegionMap.from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
-            raise click.ClickException(
-                f"{regions_path}: {exc} (expected JSON with bob_region, eve_regions)"
-            ) from None
+        return _read(regions_path, lambda p: channel.RegionMap.from_dict(json.loads(Path(p).read_text())))
     if grid_path is None:
         rm = channel.default_environment().region_map
         assert rm is not None
@@ -71,31 +74,39 @@ def _load_regions(regions_path: str | None, grid_path: str | None) -> channel.Re
     raise click.ClickException("--regions is required when --grid names a custom file")
 
 
+def _code(spec: str) -> codes.LinearCode:
+    """Parse a code spec: 'table1' (the built-in n=4 base code) or 'rm:U,M'."""
+    if spec == "table1":
+        return wiretap.example_code().base_code
+    if not spec.startswith("rm:"):
+        raise click.ClickException(f"unknown code spec {spec!r}; use table1 or rm:U,M")
+    try:
+        u, m = (int(v) for v in spec[3:].split(","))
+        return codes.reed_muller(u, m)
+    except ValueError as exc:
+        raise click.ClickException(f"{spec}: {exc}") from None
+
+
 def _resolve_code(spec: str, orientation: str) -> wiretap.WiretapCode:
-    """Parse a code spec: 'table1' or 'rm:U,M', oriented as C or Cperp."""
+    """The wiretap code whose base is the spec's code (C) or its dual (Cperp)."""
     if spec == "table1":
         return wiretap.example_code()
-    if spec.startswith("rm:"):
+    rm = _code(spec)
+    base = codes.dual(rm) if orientation == "Cperp" else rm
+    return wiretap.build(base, label=f"{rm.label}|{orientation}")
+
+
+class _Main(click.Group):
+    """Command group that reports library input errors as one-line errors."""
+
+    def invoke(self, ctx):
         try:
-            u, m = (int(v) for v in spec[3:].split(","))
-        except ValueError:
-            raise click.ClickException(f"bad code spec {spec!r}; expected rm:U,M") from None
-        try:
-            base = codes.reed_muller(u, m)
-        except ValueError as exc:
-            raise click.ClickException(f"{spec}: {exc}") from None
-        if orientation == "Cperp":
-            base = codes.dual(base)
-        if not 0 < base.dim < base.n:
-            raise click.ClickException(f"{spec} as {orientation} is degenerate (dim={base.dim})")
-        try:
-            return wiretap.build(base, label=f"RM({u},{m})|{orientation}")
-        except ValueError as exc:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from None
-    raise click.ClickException(f"unknown code spec {spec!r}; use table1 or rm:U,M")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Wiretap-code selection and secrecy mapping from channel soundings."""
 
@@ -110,11 +121,8 @@ def main():
 def sound(iq_file, sidecar, x, y, region, out_dir):
     """Estimate per-subcarrier SNR from a raw I/Q capture; emit one grid row."""
     out = _out_dir(out_dir)
-    try:
-        cap = channel.load_capture(iq_file, sidecar)
-        snrs = channel.snr_estimate(cap)
-    except ValueError as exc:
-        raise click.ClickException(f"{iq_file}: {exc}") from None
+    cap = _read(iq_file, channel.load_capture, sidecar)
+    snrs = channel.snr_estimate(cap)
     grid = channel.ChannelGrid(
         locations=(channel.Location(x=x, y=y, region=region),),
         snr_db=snrs[None, :],
@@ -139,7 +147,7 @@ def synth(config_path, seed, out_dir):
     """Generate a deterministic synthetic SNR grid."""
     out = _out_dir(out_dir)
     cfg = (
-        channel.EnvironmentConfig.from_json_file(config_path)
+        _read(config_path, channel.EnvironmentConfig.from_json_file)
         if config_path
         else channel.default_environment()
     )
@@ -157,9 +165,10 @@ def synth(config_path, seed, out_dir):
 def _map_command(name: str, grid_path, out_dir, svg, values, options, extra_inputs=None):
     out = _out_dir(out_dir)
     grid = _load_grid(grid_path)
-    (out / f"{name}_map.csv").write_text(channel.heatmap_csv(grid, values(grid)))
+    vals = values(grid)
+    (out / f"{name}_map.csv").write_text(channel.heatmap_csv(grid, vals))
     if svg:
-        (out / f"{name}_map.svg").write_text(channel.heatmap_svg(grid, values(grid)))
+        (out / f"{name}_map.svg").write_text(channel.heatmap_svg(grid, vals))
     inputs = {"grid": grid_path or ""}
     inputs.update(extra_inputs or {})
     _write_manifest(out, name, options, inputs)
@@ -231,11 +240,7 @@ def secrecy(grid_path, regions_path, svg, out_dir):
 def eqmatrix(code_spec, orientation, out_dir):
     """Exact equivocation matrix of a wiretap code, as CSV."""
     out = _out_dir(out_dir)
-    w = _resolve_code(code_spec, orientation)
-    try:
-        mat = wiretap.equivocation_matrix(w)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    mat = wiretap.equivocation_matrix(_resolve_code(code_spec, orientation))
     path = out / "eqmatrix.csv"
     path.write_text(mat.to_csv())
     _write_manifest(out, "eqmatrix", {"code": code_spec, "orientation": orientation}, {})
@@ -249,23 +254,9 @@ def eqmatrix(code_spec, orientation, out_dir):
 def ghw(code_spec, out_dir):
     """Generalized Hamming weight profile of a code."""
     out = _out_dir(out_dir)
-    if code_spec.startswith("rm:"):
-        try:
-            u, m = (int(v) for v in code_spec[3:].split(","))
-        except ValueError:
-            raise click.ClickException(f"bad code spec {code_spec!r}") from None
-        try:
-            profile = codes.ghw_reed_muller(u, m)
-        except ValueError as exc:
-            raise click.ClickException(f"{code_spec}: {exc}") from None
-        label = f"RM({u},{m})"
-    elif code_spec == "table1":
-        c = wiretap.example_code().base_code
-        profile = codes.ghw_exact(c)
-        label = c.label
-    else:
-        raise click.ClickException(f"unknown code spec {code_spec!r}")
-    payload = {"code": label, "weights": list(profile.weights), "source": profile.source}
+    c = _code(code_spec)
+    profile = codes.ghw_of(c)
+    payload = {"code": c.label, "weights": list(profile.weights), "source": profile.source}
     (out / "ghw.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _write_manifest(out, "ghw", {"code": code_spec}, {})
     click.echo(json.dumps(payload))
@@ -291,13 +282,8 @@ def sweep_cmd(grid_path, regions_path, taus, max_m, interleave, require_full_equ
         tau_list = [float(t) for t in taus.split(",") if t]
     except ValueError:
         raise click.ClickException(f"bad --taus {taus!r}; expected comma-separated dB values") from None
-    if not all(math.isfinite(t) for t in tau_list):
-        raise click.ClickException(f"bad --taus {taus!r}; thresholds must be finite")
     family = sweepmod.default_code_family(max_m=max_m)
-    try:
-        points = sweepmod.sweep(family, grid, regions, tau_list, interleave=interleave)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    points = sweepmod.sweep(family, grid, regions, tau_list, interleave=interleave)
     (out / "frontier.csv").write_text(sweepmod.frontier_csv(points))
     if svg:
         (out / "frontier.svg").write_text(sweepmod.frontier_svg(points))
@@ -352,10 +338,7 @@ def simulate(grid_path, regions_path, code_spec, orientation, tau, trials, seed,
     grid = _load_grid(grid_path)
     regions = _load_regions(regions_path, grid_path)
     w = _resolve_code(code_spec, orientation)
-    try:
-        report = sweepmod.simulate_mc(w, grid, regions, tau, trials=trials, seed=seed)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None
+    report = sweepmod.simulate_mc(w, grid, regions, tau, trials=trials, seed=seed)
     (out / "simulate.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     _write_manifest(
         out,

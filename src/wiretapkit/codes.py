@@ -26,6 +26,9 @@ GHW_CLOSED_FORM_THRESHOLD = 20
 # (32 MB at n = 24) and works through it in chunks of this many subsets.
 SUBSET_RANK_CAP = 24
 _TALLY_CHUNK = 1 << 12
+# Largest Reed-Muller degree m (n = 2^m) anything here builds: at m = 9
+# the sweep's candidate family takes about 8 s, at m = 10 about a minute.
+RM_MAX_DEGREE = 9
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,14 @@ def _monomials(u: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _check_rm_params(order: int, degree: int) -> None:
+    """Refuse (order, degree) outside 0 <= order <= degree <= RM_MAX_DEGREE."""
+    if not 1 <= degree <= RM_MAX_DEGREE:
+        raise ValueError(f"degree must lie in [1, {RM_MAX_DEGREE}], got {degree}")
+    if not 0 <= order <= degree:
+        raise ValueError(f"order must satisfy 0 <= order <= degree, got ({order}, {degree})")
+
+
 def reed_muller(order: int, degree: int) -> LinearCode:
     """The Reed-Muller code RM(order, degree): n = 2^degree,
     dim = sum_{i<=order} C(degree, i).
@@ -127,11 +138,8 @@ def reed_muller(order: int, degree: int) -> LinearCode:
     Generator rows are evaluation vectors of monomials in graded
     lexicographic order, so the matrix is deterministic.
     """
+    _check_rm_params(order, degree)
     u, m = order, degree
-    if m < 1:
-        raise ValueError(f"degree must be >= 1, got {m}")
-    if not 0 <= u <= m:
-        raise ValueError(f"order must satisfy 0 <= order <= degree, got ({u}, {m})")
     rows = [_monomial_row(m, s) for s in _monomials(u, m)]
     gen = BitMatrix(np.array(rows, dtype=np.uint8))
     return LinearCode(
@@ -273,9 +281,8 @@ def ghw_reed_muller(order: int, degree: int, method: str = "auto") -> GHWProfile
     (2^degree <= 20) and the monomial construction above it; "exact" and
     "monomial" force a path.  The profile's ``source`` records which ran.
     """
+    _check_rm_params(order, degree)
     u, m = order, degree
-    if m < 1 or not 0 <= u <= m:
-        raise ValueError(f"invalid Reed-Muller parameters ({u}, {m})")
     if method == "auto":
         method = "exact" if 2**m <= GHW_CLOSED_FORM_THRESHOLD else "monomial"
     if method == "exact":

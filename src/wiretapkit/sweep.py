@@ -157,7 +157,6 @@ def simulate_mc(
     tau: float,
     trials: int,
     seed: int,
-    oracle_cap: int = wiretap.DEFAULT_ORACLE_CAP,
 ) -> dict:
     """Monte Carlo end-to-end check at the worst Eve location.
 
@@ -166,8 +165,6 @@ def simulate_mc(
     exact) and to Eve through her threshold erasures; trial leakage is
     k minus the entropy of the brute-force posterior.
     """
-    if w.n > oracle_cap:
-        raise ValueError(f"blocklength {w.n} exceeds oracle cap {oracle_cap}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     point = evaluate(w, grid, regions, tau)
@@ -217,8 +214,11 @@ def default_code_family(max_m: int = 5) -> list[WiretapCode]:
     For each RM(u, m) with 0 < u <= m <= max_m the code is tried both as
     the base code C and (via its dual) as C-perp, since either role is a
     legitimate reading of an RM-labelled coset code.  Degenerate bases
-    and duplicates (RM duals are RM codes) are dropped.
+    and duplicates (RM duals are RM codes) are dropped.  ``max_m`` above
+    ``codes.RM_MAX_DEGREE`` is refused before anything is built.
     """
+    if max_m > codes.RM_MAX_DEGREE:
+        raise ValueError(f"max_m {max_m} exceeds the Reed-Muller degree bound {codes.RM_MAX_DEGREE}")
     family: list[WiretapCode] = []
     seen: set[tuple[int, bytes]] = set()
     for m in range(1, max_m + 1):

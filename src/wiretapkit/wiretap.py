@@ -21,8 +21,8 @@ from . import bitlinalg, codes
 from .bitlinalg import BitMatrix
 from .codes import GHWProfile, LinearCode
 
-DEFAULT_PATTERN_CAP = 24
-DEFAULT_ORACLE_CAP = 16
+# The coset codebook holds all 2^n words: 1 MB of uint8 at n = 16.
+CODEBOOK_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,7 @@ def leakage(w: WiretapCode, p: ErasurePattern) -> int:
     return p.mu - bitlinalg.rank(g_r)
 
 
-def posterior_oracle(
-    w: WiretapCode, z, cap: int = DEFAULT_ORACLE_CAP
-) -> dict[str, float]:
+def posterior_oracle(w: WiretapCode, z) -> dict[str, float]:
     """Brute-force message posterior given an erased observation.
 
     z is a string over {0, 1, ?} (or a sequence using None for
@@ -200,8 +198,6 @@ def posterior_oracle(
     revealed positions.  The entropy of the result is exactly
     k - leakage(pattern of z).
     """
-    if w.n > cap:
-        raise ValueError(f"blocklength {w.n} exceeds oracle cap {cap}")
     revealed, values = _parse_observation(z, w.n)
     words, owner = coset_codebook(w)
     match = np.all(words[:, revealed] == values[None, :], axis=1)
@@ -218,8 +214,10 @@ def coset_codebook(w: WiretapCode) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(words, owner)``: ``words`` is the (2^n, n) uint8 array of
     m.G' xor m'.G over all (m, m'), and ``owner[i]`` is the index of the
     message behind row i, whose k-bit binary expansion (leftmost bit
-    first) is m.
+    first) is m.  Refuses n above ``CODEBOOK_CAP``.
     """
+    if w.n > CODEBOOK_CAP:
+        raise ValueError(f"blocklength {w.n} exceeds codebook cap {CODEBOOK_CAP} (2^{w.n} words)")
     msgs = codes.enumerate_codewords(
         LinearCode(n=w.n, dim=w.k, generator=w.gprime, label="gprime"), cap=w.k
     )
@@ -247,17 +245,13 @@ def _parse_observation(z, n: int) -> tuple[list[int], np.ndarray]:
     return revealed, values
 
 
-def equivocation_matrix(w: WiretapCode, cap: int = DEFAULT_PATTERN_CAP) -> EquivocationMatrix:
+def equivocation_matrix(w: WiretapCode) -> EquivocationMatrix:
     """Tally leakage over every erasure pattern of every weight.
 
     counts[k - leakage, mu] accumulates one entry per mu-subset of
-    positions; column mu sums to C(n, mu).
+    positions; column mu sums to C(n, mu).  The subset-rank tally bounds
+    n (``codes.SUBSET_RANK_CAP``).
     """
-    if w.n > cap:
-        raise ValueError(
-            f"blocklength {w.n} exceeds pattern cap {cap} "
-            f"(~{comb(w.n, w.n // 2)} patterns at the worst weight)"
-        )
     tallies = codes.subset_rank_tallies(w.base_code)
     counts = np.zeros((w.k + 1, w.n + 1), dtype=np.int64)
     for mu in range(w.n + 1):

@@ -39,7 +39,7 @@ class TestWelchPsd:
     def test_pure_tone_concentrates_on_its_bin(self):
         t = np.arange(4 * channel.FFT_LENGTH)
         iq = np.exp(2j * np.pi * 6 * t / channel.FFT_LENGTH)
-        cap = SoundingCapture(iq=iq, periods=4, carrier_count=CARRIERS)
+        cap = SoundingCapture(iq=iq, periods=4)
         psd = channel.welch_psd(cap)
         others = np.delete(psd, 6)
         assert psd[6] > 0
@@ -54,11 +54,6 @@ class TestWelchPsd:
             SoundingCapture(iq=np.zeros(100, dtype=complex))
         with pytest.raises(ValueError):
             SoundingCapture(iq=np.zeros(32 * 128, dtype=complex), sample_rate=0.0)
-
-    def test_fft_length_must_match(self):
-        cap = SoundingCapture(iq=np.zeros(32 * 128, dtype=complex))
-        with pytest.raises(ValueError):
-            channel.welch_psd(cap, fft_length=64)
 
 
 class TestSnrEstimate:
@@ -245,6 +240,13 @@ class TestFileFormats:
         back = channel.load_capture(iq_path, sidecar)
         assert back.periods == cap.periods
         assert np.allclose(back.iq, cap.iq, atol=1e-5)
+
+    def test_capture_rejects_other_carrier_counts(self, tmp_path):
+        iq_path, sidecar = tmp_path / "cap.iq", tmp_path / "cap.json"
+        channel.save_capture(channel.synth_capture(20.0, seed=4), iq_path, sidecar)
+        sidecar.write_text(json.dumps({"carriers": 32}))
+        with pytest.raises(ValueError, match="32 carriers; captures have 64"):
+            channel.load_capture(iq_path, sidecar)
 
     def test_capture_odd_sample_count(self, tmp_path):
         bad = tmp_path / "bad.iq"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wiretapkit import channel, cli
+from wiretapkit import channel, cli, codes
 from wiretapkit.channel import ChannelGrid, FadingModel, Location
 
 
@@ -84,12 +84,78 @@ class TestEqmatrix:
         ["eqmatrix", "--code", "rm:9,3"],
         ["ghw", "--code", "rm:4,3"],
         ["simulate", "--code", "rm:9,3"],
+        ["ghw", "--code", "rm:1,40"],
     ],
 )
-def test_out_of_range_rm_spec_is_one_line_error(runner, tmp_path, args):
+def test_out_of_range_rm_spec_is_one_line_error(runner, tmp_path, monkeypatch, args):
+    def build_row(*_):
+        raise AssertionError("a Reed-Muller generator row was built")
+
+    monkeypatch.setattr(codes, "_monomial_row", build_row)
     res = runner.invoke(cli.main, [*args, "--out-dir", str(tmp_path)])
     assert_one_line_error(res)
     assert res.output.startswith("Error: rm:")
+
+
+class TestOneLineErrors:
+    """Inputs the library rejects end in one ``Error:`` line, exit code 1."""
+
+    def test_secrecy_unknown_bob_region(self, runner, tmp_path, tiny_grid_file):
+        grid_path, _ = tiny_grid_file
+        regions_path = tmp_path / "nowhere.json"
+        regions_path.write_text(json.dumps({"bob_region": "nowhere", "eve_regions": ["lobby"]}))
+        res = runner.invoke(
+            cli.main,
+            ["secrecy", "--grid", str(grid_path), "--regions", str(regions_path),
+             "--out-dir", str(tmp_path)],
+        )
+        assert_one_line_error(res)
+        assert "'nowhere'" in res.output
+
+    @pytest.mark.parametrize("command", ["heatmap", "simulate"])
+    def test_nan_tau(self, runner, tmp_path, tiny_grid_file, command):
+        grid_path, regions_path = tiny_grid_file
+        args = ["--grid", str(grid_path), "--tau", "nan", "--out-dir", str(tmp_path)]
+        if command == "simulate":
+            args += ["--regions", str(regions_path), "--trials", "5"]
+        res = runner.invoke(cli.main, [command, *args])
+        assert_one_line_error(res)
+        assert "finite" in res.output
+        assert not (tmp_path / "reliable_map.csv").exists()
+
+    def test_synth_config_missing_key(self, runner, tmp_path):
+        config = tmp_path / "env.json"
+        config.write_text(json.dumps({"width_m": 6}))
+        res = runner.invoke(
+            cli.main, ["synth", "--config", str(config), "--out-dir", str(tmp_path)]
+        )
+        assert_one_line_error(res)
+        assert res.output == f"Error: {config}: missing key 'height_m'\n"
+
+    def test_sound_32_carrier_sidecar(self, runner, tmp_path):
+        iq_path, sidecar = tmp_path / "c.iq", tmp_path / "c.json"
+        channel.save_capture(channel.synth_capture(25.0, seed=3), iq_path, sidecar)
+        sidecar.write_text(json.dumps({"carriers": 32}))
+        res = runner.invoke(
+            cli.main,
+            ["sound", str(iq_path), "--sidecar", str(sidecar), "--out-dir", str(tmp_path)],
+        )
+        assert_one_line_error(res)
+        assert "64" in res.output
+
+    def test_sweep_max_m_above_bound(self, runner, tmp_path, monkeypatch):
+        def build(*_):
+            raise AssertionError("a Reed-Muller code was built")
+
+        monkeypatch.setattr(codes, "reed_muller", build)
+        res = runner.invoke(cli.main, ["sweep", "--max-m", "40", "--out-dir", str(tmp_path)])
+        assert_one_line_error(res)
+        assert f"bound {codes.RM_MAX_DEGREE}" in res.output
+
+    def test_eqmatrix_above_subset_rank_cap(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["eqmatrix", "--code", "rm:1,5", "--out-dir", str(tmp_path)])
+        assert_one_line_error(res)
+        assert "subset-rank cap" in res.output
 
 
 class TestGhw:
@@ -99,6 +165,12 @@ class TestGhw:
         payload = json.loads((tmp_path / "ghw.json").read_text())
         assert payload["weights"] == [8, 12, 14, 15, 16]
         assert payload["source"] == "exact"
+
+    def test_table1(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["ghw", "--code", "table1", "--out-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads((tmp_path / "ghw.json").read_text())
+        assert payload == {"code": "demo(4,2)", "weights": [2, 4], "source": "exact"}
 
     def test_large_code_uses_monomial_path(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["ghw", "--code", "rm:1,5", "--out-dir", str(tmp_path)])

@@ -1,0 +1,162 @@
+"""Fuzz the command line: no argument mix may end in a traceback.
+
+Hypothesis draws a command and its arguments from good and bad values:
+code specs, thresholds (nan, inf, garbage), degree bounds, trial counts,
+and missing, empty or malformed grid, regions, config and capture files.
+Every run must exit 0 (success), 1 (one-line ``Error:``) or 2 (usage
+error) within the per-example deadline.
+"""
+
+import json
+from datetime import timedelta
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wiretapkit import channel, cli, codes
+from wiretapkit.channel import ChannelGrid, Location
+
+GOOD_GRID = "grid.csv"
+MISSING = "missing.json"
+
+# name -> file content; the first entry of each table is well formed
+GRID_FILES = {
+    GOOD_GRID: None,  # written by the fixture
+    "empty.csv": "",
+    "garbage.csv": "nope\n",
+    "header_only.csv": "x,y,region," + ",".join(f"snr_{i:02d}" for i in range(64)) + "\n",
+    "short_row.csv": "x,y,region," + ",".join(f"snr_{i:02d}" for i in range(64)) + "\n0,0,a,1\n",
+    "nan_row.csv": "x,y,region," + ",".join(f"snr_{i:02d}" for i in range(64)) + "\n0,0,a"
+    + ",nan" * 64 + "\n",
+}
+REGIONS_FILES = {
+    "regions.json": {"bob_region": "office", "eve_regions": ["lobby"]},
+    "bob_nowhere.json": {"bob_region": "nowhere", "eve_regions": ["lobby"]},
+    "eve_nowhere.json": {"bob_region": "office", "eve_regions": ["nowhere"]},
+    "all_excluded.json": {"bob_region": "office", "eve_regions": ["lobby"],
+                          "excluded_regions": ["lobby"]},
+    "bob_is_eve.json": {"bob_region": "office", "eve_regions": ["office"]},
+    "no_bob.json": {"eve_regions": ["lobby"]},
+    "list_bob.json": {"bob_region": ["office"], "eve_regions": ["lobby"]},
+    "array.json": [],
+    "null.json": "null",
+    "empty.json": "",
+    "truncated.json": "{",
+}
+CONFIG_FILES = {
+    "env.json": {"width_m": 0.5, "height_m": 0.3, "tx": {"x": 0.1, "y": 0.1}, "ref_snr_db": 30},
+    "width_only.json": {"width_m": 6},
+    "width_text.json": {"width_m": "six", "height_m": 4, "tx": {"x": 0, "y": 0}, "ref_snr_db": 30},
+    "width_inf.json": '{"width_m": Infinity, "height_m": 4, "tx": {"x": 0, "y": 0}, "ref_snr_db": 30}',
+    "width_nan.json": '{"width_m": NaN, "height_m": 4, "tx": {"x": 0, "y": 0}, "ref_snr_db": 30}',
+    "negative.json": {"width_m": -1, "height_m": 4, "tx": {"x": 0, "y": 0}, "ref_snr_db": 30},
+    "bad_fading.json": {"width_m": 0.5, "height_m": 0.3, "tx": {"x": 0, "y": 0},
+                        "ref_snr_db": 30, "fading": {"bogus": 1}},
+    "array.json": [],
+    "empty.json": "",
+    "truncated.json": "{",
+}
+SIDECARS = {
+    "cap.json": None,  # written by the fixture
+    "carriers32.json": {"carriers": 32},
+    "periods_text.json": {"periods": "many"},
+    "rate_zero.json": {"sample_rate_hz": 0},
+    "rate_null.json": {"sample_rate_hz": None},
+    "array.json": [],
+    "truncated.json": "{",
+}
+
+
+def _write(path, content):
+    if isinstance(content, str):
+        path.write_text(content)
+    else:
+        path.write_text(json.dumps(content))
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """The tiny two-location grid and every good or bad input file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for sub, table in (("grid", GRID_FILES), ("regions", REGIONS_FILES),
+                       ("config", CONFIG_FILES), ("sidecar", SIDECARS)):
+        (root / sub).mkdir()
+        for name, content in table.items():
+            if content is not None:
+                _write(root / sub / name, content)
+    grid = ChannelGrid(
+        locations=(Location(x=0.0, y=0.0, region="office"), Location(x=1.0, y=0.0, region="lobby")),
+        snr_db=np.array([np.full(64, 30.0), np.full(64, 22.0)]),
+        tx=(0.0, 0.0),
+    )
+    (root / "grid" / GOOD_GRID).write_text(channel.grid_to_csv(grid))
+    channel.save_capture(channel.synth_capture(25.0, seed=3), root / "cap.iq", root / "sidecar" / "cap.json")
+    np.zeros(33, dtype="<f4").tofile(root / "odd.iq")
+    return root
+
+
+CODE_SPECS = st.sampled_from([
+    "table1", "rm:1,3", "rm:2,4", "rm:0,2", "rm:1,5",
+    "rm:9,3", "rm:1,40", "rm:1,0", "rm:-1,3", "rm:1,1",
+    "rm:", "rm:a,b", "rm:1,2,3", "bogus", "",
+])
+TAU_TEXT = st.sampled_from(["nan", "inf", "-inf", "-nan", "abc", "", "1e400"]) | st.floats().map(repr)
+TAUS_TEXT = TAU_TEXT | st.lists(TAU_TEXT, min_size=1, max_size=3).map(",".join)
+MAX_M = st.sampled_from([-1, 0, 1, 2, 3, codes.RM_MAX_DEGREE + 1, 40])
+TRIALS = st.sampled_from([-1, 0, 1, 5])
+
+
+def _pick(sub, table):
+    """The well-formed file about half the time, else any file or a missing one."""
+    names = [f"{sub}/{name}" for name in table]
+    return st.just(names[0]) | st.sampled_from([*names, f"{sub}/{MISSING}"])
+
+
+@st.composite
+def invocations(draw):
+    """One command line over the fixture's files (paths relative to its root)."""
+    grid = ["--grid", draw(_pick("grid", GRID_FILES))]
+    regions = ["--regions", draw(_pick("regions", REGIONS_FILES))]
+    orient = ["--orientation", draw(st.sampled_from(["C", "Cperp"]))]
+    command = draw(st.sampled_from([
+        "demo", "eqmatrix", "ghw", "synth", "heatmap", "capacity", "secrecy",
+        "sweep", "simulate", "sound",
+    ]))
+    if command == "eqmatrix":
+        return [command, "--code", draw(CODE_SPECS), *orient]
+    if command == "ghw":
+        return [command, "--code", draw(CODE_SPECS)]
+    if command == "synth":
+        return [command, "--config", draw(_pick("config", CONFIG_FILES))]
+    if command == "heatmap":
+        return [command, *grid, "--tau", draw(TAU_TEXT), *draw(st.sampled_from([[], ["--svg"]]))]
+    if command == "capacity":
+        return [command, *grid, "--svg"]
+    if command == "secrecy":
+        return [command, *grid, *regions, "--svg"]
+    if command == "sweep":
+        return [command, *grid, *regions, "--taus", draw(TAUS_TEXT),
+                "--max-m", str(draw(MAX_M)), *draw(st.sampled_from([[], ["--interleave"]]))]
+    if command == "simulate":
+        return [command, *grid, *regions, "--code", draw(CODE_SPECS), *orient,
+                "--tau", draw(TAU_TEXT), "--trials", str(draw(TRIALS))]
+    if command == "sound":
+        iq = draw(st.just("cap.iq") | st.sampled_from(["odd.iq", MISSING]))
+        return [command, iq, "--sidecar", draw(_pick("sidecar", SIDECARS))]
+    return [command]
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10), derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(args=invocations())
+def test_no_traceback(files, monkeypatch, args):
+    monkeypatch.chdir(files)
+    res = CliRunner().invoke(cli.main, [*args, "--out-dir", "out"])
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        f"{args}: {res.exception!r}"
+    )
+    assert "Traceback" not in res.output

@@ -175,7 +175,7 @@ class TestPosteriorOracle:
 
     def test_cap_and_length_errors(self, demo):
         with pytest.raises(ValueError):
-            wiretap.posterior_oracle(demo, "???", cap=16)
+            wiretap.posterior_oracle(demo, "???")
         big = wiretap.build(codes.reed_muller(2, 5))
         with pytest.raises(ValueError):
             wiretap.posterior_oracle(big, "?" * 32)
@@ -223,8 +223,8 @@ class TestEquivocationMatrix:
 
     def test_cap_refusal_mentions_size(self):
         w = wiretap.build(codes.reed_muller(2, 5))
-        with pytest.raises(ValueError, match="exceeds pattern cap"):
-            wiretap.equivocation_matrix(w, cap=24)
+        with pytest.raises(ValueError, match="subset-rank cap"):
+            wiretap.equivocation_matrix(w)
 
 
 class TestWorstCaseLeakage:
