@@ -107,11 +107,16 @@ def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 
 def mulvec(a: Sequence[int], b: BitMatrix) -> np.ndarray:
-    """Row vector times matrix; returns a uint8 array of length b.cols."""
-    v = np.asarray(a, dtype=np.uint64)
-    if v.ndim != 1 or v.shape[0] != b.rows:
+    """Row vector times matrix; returns a uint8 array of length b.cols.
+
+    A 2-D ``a`` is a stack of row vectors and gives one product per row.
+    The product runs in float64, which goes through BLAS and stays exact
+    for bit inputs: each entry sums at most ``b.rows`` ones, far below 2^53.
+    """
+    v = np.asarray(a, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] != b.rows:
         raise ValueError(f"vector length {v.shape} does not match {b.rows} rows")
-    return ((v @ b.a.astype(np.uint64)) & 1).astype(np.uint8)
+    return ((v @ b.a.astype(np.float64)) % 2).astype(np.uint8)
 
 
 def column_select(m: BitMatrix, indices: Sequence[int]) -> BitMatrix:

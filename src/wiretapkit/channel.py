@@ -17,6 +17,8 @@ import numpy as np
 
 CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
+# synth_grid spends about 0.1 ms per location: 7-10 s at the cap on 2 vCPUs.
+MAX_GRID_LOCATIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -263,6 +265,20 @@ class EnvironmentConfig:
                 "floor plan needs finite width and height >= 0 and a finite grid spacing > 0, "
                 f"got {self.width}, {self.height}, {self.grid_spacing}"
             )
+        nx, ny = self.lattice
+        if nx * ny > MAX_GRID_LOCATIONS:
+            raise ValueError(
+                f"grid spacing {self.grid_spacing} gives {nx} x {ny} locations, "
+                f"above the cap of {MAX_GRID_LOCATIONS}"
+            )
+
+    @property
+    def lattice(self) -> tuple[int, int]:
+        """Grid points along x and along y."""
+        return (
+            int(math.floor(self.width / self.grid_spacing)) + 1,
+            int(math.floor(self.height / self.grid_spacing)) + 1,
+        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnvironmentConfig":
@@ -345,8 +361,7 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     path loss - accumulated wall losses on the direct ray + a seeded
     frequency-selective fading draw.
     """
-    nx = int(math.floor(cfg.width / cfg.grid_spacing)) + 1
-    ny = int(math.floor(cfg.height / cfg.grid_spacing)) + 1
+    nx, ny = cfg.lattice
     locations: list[Location] = []
     rows: list[np.ndarray] = []
     for iy in range(ny):

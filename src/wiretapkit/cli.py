@@ -89,11 +89,9 @@ def _code(spec: str) -> codes.LinearCode:
 
 def _resolve_code(spec: str, orientation: str) -> wiretap.WiretapCode:
     """The wiretap code whose base is the spec's code (C) or its dual (Cperp)."""
-    if spec == "table1":
-        return wiretap.example_code()
-    rm = _code(spec)
-    base = codes.dual(rm) if orientation == "Cperp" else rm
-    return wiretap.build(base, label=f"{rm.label}|{orientation}")
+    c = _code(spec)
+    base = codes.dual(c) if orientation == "Cperp" else c
+    return wiretap.build(base, label=f"{c.label}|{orientation}")
 
 
 class _Main(click.Group):

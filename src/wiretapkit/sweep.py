@@ -61,10 +61,29 @@ def evaluate(
     return sweep([w], grid, regions, [tau], interleave=interleave)[0]
 
 
-def _block_counts(read: np.ndarray, blocks: int) -> np.ndarray:
-    """Readable carriers per Eve (rows) and block (columns) when active
-    carrier j feeds block j mod ``blocks``."""
-    padded = np.pad(read, ((0, 0), (0, -read.shape[1] % blocks)))
+def _revealed_bits(read: np.ndarray, n: int, interleave: bool) -> np.ndarray:
+    """Bits of an n-bit block Eve reads, per Eve (rows) and block (columns).
+
+    ``read`` is her (Eve x active carrier) read mask.  A block on c
+    carriers puts bit i on its carrier i mod c, so its carrier p carries
+    ceil((n - p) / c) bits over ceil(n / c) channel uses.  Worst case:
+    one block on all a carriers; with n = q*a + r, r carriers carry q + 1
+    bits and the rest q, and Eve's e carriers are charged as the
+    heaviest.  Interleaved: B = max(1, ceil(a / n)) blocks, block b on
+    the carriers b, b + B, ..., each Eve charged her concrete bits; the
+    weighted mask is zero-padded to a multiple of B carriers and summed
+    per block in one reshape.
+    """
+    a = read.shape[1]
+    if not interleave:
+        q, r = divmod(n, max(a, 1))
+        e = read.sum(axis=1, keepdims=True)
+        return np.minimum(e, r) * (q + 1) + np.maximum(e - r, 0) * q
+    blocks = max(1, -(-a // n))
+    j = np.arange(a)
+    carriers = -(-(a - np.arange(blocks)) // blocks)
+    bits = -(-(n - j // blocks) // carriers[j % blocks])
+    padded = np.pad(read * bits, ((0, 0), (0, -a % blocks)))
     return padded.reshape(read.shape[0], -1, blocks).sum(axis=1)
 
 
@@ -78,18 +97,19 @@ def sweep(
     """Score every code at every threshold, code-major then threshold-minor.
 
     Only subcarriers reliable at Bob's reference location are active.
-    For each Eve location, e counts her readable active carriers; the
-    default worst-case rule charges a whole block with mu* = min(n, e)
-    revealed bits, assuming the least favorable alignment of codeword
-    bits onto her carriers.  ``interleave`` instead scores a concrete
-    round-robin map: active carrier j feeds block j mod B, with
-    B = ceil(a / n) blocks over a active carriers, and the worst block
-    counts.  A point's equivocation is set by the first Eve location,
-    in grid order, that leaks the most.
+    For each Eve location, a block is charged the bits she reads (see
+    :func:`_revealed_bits`): the default worst-case rule assumes the
+    least favorable alignment of codeword bits onto her readable
+    carriers, counting every channel use when n exceeds the a active
+    carriers; ``interleave`` instead scores a concrete round-robin map
+    of B = max(1, ceil(a / n)) blocks, and the worst block counts.  A
+    point's equivocation is set by the first Eve location, in grid
+    order, that leaks the most.
 
-    The regions are checked once and every threshold's (Eve x active
-    carrier) read mask is built once; a code's leakage at each mu comes
-    from a lookup table over its dual weight hierarchy.
+    The regions are checked once, every threshold's (Eve x active
+    carrier) read mask is built once and each blocklength's revealed
+    bits once per threshold; a code's leakage at each mu comes from a
+    lookup table over its dual weight hierarchy.
     """
     if not code_list or not taus:
         raise ValueError("need at least one code and one threshold")
@@ -107,12 +127,11 @@ def sweep(
         active = np.nonzero(channel.erase_mask(grid.snr_db[bob_idx], tau))[0]
         a = int(active.size)
         read = channel.erase_mask(eve_snr[:, active], tau)
-        counts: dict[int, np.ndarray] = {}
+        revealed: dict[int, np.ndarray] = {}
         for w, table, points in zip(code_list, leak_tables, per_code):
-            blocks = max(1, -(-a // w.n)) if interleave else 1
-            if blocks not in counts:
-                counts[blocks] = _block_counts(read, blocks)
-            per_eve = table[np.minimum(counts[blocks], w.n)].max(axis=1)
+            if w.n not in revealed:
+                revealed[w.n] = _revealed_bits(read, w.n, interleave)
+            per_eve = table[revealed[w.n]].max(axis=1)
             worst = int(np.argmax(per_eve))
             points.append(
                 SweepPoint(
@@ -150,6 +169,10 @@ def select_best(points: list[SweepPoint], require_full_equivocation: bool = True
     return min(pool, key=lambda p: (-p.throughput, p.n, p.tau_db, p.code_label))
 
 
+# Trials drawn, encoded and decoded together; memory stays flat at any trial count.
+MC_CHUNK = 1024
+
+
 def simulate_mc(
     w: WiretapCode,
     grid: ChannelGrid,
@@ -160,51 +183,42 @@ def simulate_mc(
 ) -> dict:
     """Monte Carlo end-to-end check at the worst Eve location.
 
-    Each trial encodes a uniform (m, m') draw, hands the block to Bob
-    over the first n active carriers (error-free, so decoding must be
-    exact) and to Eve through her threshold erasures; trial leakage is
-    k minus the entropy of the brute-force posterior.
+    The block is laid out on the a active carriers at Bob's reference
+    location: bit i goes on carrier ``active[i % a]`` in channel use
+    i // a, so any blocklength fits; only a = 0 is refused.  Bob reads
+    every active carrier, so each trial encodes a uniform (m, m') draw
+    and must decode it exactly; trials run in chunks of ``MC_CHUNK``.
+    Eve's threshold erasures reveal the fixed positions R of the bits
+    on her readable carriers.  Her posterior is then uniform over an
+    affine set of messages whose size depends on R alone, so every
+    trial leaks exactly |R| - rank(G_R) bits (``wiretap.leakage``); the
+    bound is the worst case over all patterns of |R| positions.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     point = evaluate(w, grid, regions, tau)
     active = np.nonzero(channel.erase_mask(grid.snr_db[point.bob_location], tau))[0]
-    if active.size < w.n:
-        raise ValueError(
-            f"only {active.size} active carriers at tau={tau}; need {w.n} for one block"
-        )
-    block_carriers = active[: w.n]
-    eve_read = channel.erase_mask(grid.snr_db[point.worst_eve_location], tau)[block_carriers]
-
-    # Enumerate the codebook once; the per-trial posterior is then a
-    # vectorized match on Eve's revealed positions, equivalent to
-    # wiretap.posterior_oracle but without re-enumerating every trial.
-    words, owner = wiretap.coset_codebook(w)
-    rev = np.nonzero(eve_read)[0]
+    if active.size == 0:
+        raise ValueError(f"no active carriers at tau={tau}; a block needs at least one")
+    eve_read = channel.erase_mask(grid.snr_db[point.worst_eve_location], tau)[active]
+    revealed = tuple(int(i) for i in np.nonzero(eve_read[np.arange(w.n) % active.size])[0])
+    leak = float(wiretap.leakage(w, wiretap.ErasurePattern(revealed)))
 
     bob_errors = 0
-    leaks = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        m = rng.integers(0, 2, size=w.k, dtype=np.uint8)
-        mprime = rng.integers(0, 2, size=w.n - w.k, dtype=np.uint8)
-        x = wiretap.encode(w, m, mprime)
-        if not np.array_equal(wiretap.decode(w, x), m):
-            bob_errors += 1
-        if rev.size:
-            match = np.all(words[:, rev] == x[rev][None, :], axis=1)
-            hits = np.bincount(owner[match], minlength=2**w.k)
-        else:
-            hits = np.full(2**w.k, 2 ** (w.n - w.k))
-        probs = hits[hits > 0] / hits.sum()
-        leaks[t] = w.k + float((probs * np.log2(probs)).sum())
+    for chunk, start in enumerate(range(0, trials, MC_CHUNK)):
+        size = min(MC_CHUNK, trials - start)
+        rng = np.random.default_rng([seed, chunk])
+        m = rng.integers(0, 2, size=(size, w.k), dtype=np.uint8)
+        mprime = rng.integers(0, 2, size=(size, w.n - w.k), dtype=np.uint8)
+        decoded = wiretap.decode(w, wiretap.encode(w, m, mprime))
+        bob_errors += int(np.any(decoded != m, axis=1).sum())
     return {
         "bob_error_rate": bob_errors / trials,
-        "eve_leakage_bits_mean": round(float(leaks.mean()), 9),
-        "eve_leakage_bits_max": round(float(leaks.max()), 9),
+        "eve_leakage_bits_mean": leak,
+        "eve_leakage_bits_max": leak,
         "trials": trials,
         "eve_location": int(point.worst_eve_location),
-        "worst_case_bound": wiretap.worst_case_leakage(w, min(w.n, int(eve_read.sum()))),
+        "worst_case_bound": wiretap.worst_case_leakage(w, len(revealed)),
     }
 
 

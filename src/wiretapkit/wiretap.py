@@ -21,9 +21,6 @@ from . import bitlinalg, codes
 from .bitlinalg import BitMatrix
 from .codes import GHWProfile, LinearCode
 
-# The coset codebook holds all 2^n words: 1 MB of uint8 at n = 16.
-CODEBOOK_CAP = 16
-
 
 @dataclass(frozen=True)
 class ErasurePattern:
@@ -162,20 +159,27 @@ def build(c: LinearCode, label: str | None = None) -> WiretapCode:
 
 
 def encode(w: WiretapCode, m, mprime) -> np.ndarray:
-    """x = m.G' xor m'.G: the coset of C selected by m, element by m'."""
+    """x = m.G' xor m'.G: the coset of C selected by m, element by m'.
+
+    m and m' are single words, or (trials, bits) arrays that encode one
+    word per row.
+    """
     m = np.asarray(m, dtype=np.uint8)
     mprime = np.asarray(mprime, dtype=np.uint8)
-    if m.shape != (w.k,):
+    if m.ndim not in (1, 2) or m.shape[-1] != w.k:
         raise ValueError(f"message must have {w.k} bits, got shape {m.shape}")
-    if mprime.shape != (w.n - w.k,):
+    if mprime.shape != m.shape[:-1] + (w.n - w.k,):
         raise ValueError(f"auxiliary word must have {w.n - w.k} bits, got shape {mprime.shape}")
     return bitlinalg.mulvec(m, w.gprime) ^ bitlinalg.mulvec(mprime, w.base_code.generator)
 
 
 def decode(w: WiretapCode, y) -> np.ndarray:
-    """Recover the message from an error-free received word: y.decoder."""
+    """Recover the message from an error-free received word: y.decoder.
+
+    y is one word or a (trials, n) array of words, one per row.
+    """
     y = np.asarray(y, dtype=np.uint8)
-    if y.shape != (w.n,):
+    if y.ndim not in (1, 2) or y.shape[-1] != w.n:
         raise ValueError(f"received word must have {w.n} bits, got shape {y.shape}")
     return bitlinalg.mulvec(y, w.decoder)
 
@@ -187,62 +191,6 @@ def leakage(w: WiretapCode, p: ErasurePattern) -> int:
             raise ValueError(f"revealed position {i} out of range for n={w.n}")
     g_r = bitlinalg.column_select(w.base_code.generator, p.revealed)
     return p.mu - bitlinalg.rank(g_r)
-
-
-def posterior_oracle(w: WiretapCode, z) -> dict[str, float]:
-    """Brute-force message posterior given an erased observation.
-
-    z is a string over {0, 1, ?} (or a sequence using None for
-    erasures).  Assuming uniform (m, m'), each message's probability is
-    proportional to how many of its coset's words match z on the
-    revealed positions.  The entropy of the result is exactly
-    k - leakage(pattern of z).
-    """
-    revealed, values = _parse_observation(z, w.n)
-    words, owner = coset_codebook(w)
-    match = np.all(words[:, revealed] == values[None, :], axis=1)
-    hits = np.bincount(owner[match], minlength=2**w.k)
-    total = int(hits.sum())
-    if total == 0:
-        raise ValueError("observation is inconsistent with every codeword")
-    return {format(mi, f"0{w.k}b"): int(h) / total for mi, h in enumerate(hits) if h}
-
-
-def coset_codebook(w: WiretapCode) -> tuple[np.ndarray, np.ndarray]:
-    """Every transmittable word and the message that selects it.
-
-    Returns ``(words, owner)``: ``words`` is the (2^n, n) uint8 array of
-    m.G' xor m'.G over all (m, m'), and ``owner[i]`` is the index of the
-    message behind row i, whose k-bit binary expansion (leftmost bit
-    first) is m.  Refuses n above ``CODEBOOK_CAP``.
-    """
-    if w.n > CODEBOOK_CAP:
-        raise ValueError(f"blocklength {w.n} exceeds codebook cap {CODEBOOK_CAP} (2^{w.n} words)")
-    msgs = codes.enumerate_codewords(
-        LinearCode(n=w.n, dim=w.k, generator=w.gprime, label="gprime"), cap=w.k
-    )
-    cosets = codes.enumerate_codewords(w.base_code, cap=w.base_code.dim)
-    words = (msgs[:, None, :] ^ cosets[None, :, :]).reshape(-1, w.n)
-    owner = np.repeat(np.arange(2**w.k), 2 ** (w.n - w.k))
-    return words, owner
-
-
-def posterior_entropy(dist: dict[str, float]) -> float:
-    """Shannon entropy in bits of a posterior returned by the oracle."""
-    probs = np.array([p for p in dist.values() if p > 0])
-    return float(-(probs * np.log2(probs)).sum())
-
-
-def _parse_observation(z, n: int) -> tuple[list[int], np.ndarray]:
-    if isinstance(z, str):
-        symbols = [None if ch == "?" else int(ch) for ch in z]
-    else:
-        symbols = [None if v is None else int(v) for v in z]
-    if len(symbols) != n:
-        raise ValueError(f"observation must have {n} symbols, got {len(symbols)}")
-    revealed = [i for i, v in enumerate(symbols) if v is not None]
-    values = np.array([symbols[i] for i in revealed], dtype=np.uint8)
-    return revealed, values
 
 
 def equivocation_matrix(w: WiretapCode) -> EquivocationMatrix:

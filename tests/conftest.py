@@ -2,10 +2,11 @@
 
 The oracles here deliberately avoid the package's own linear-algebra
 paths: rank is measured by enumerating the row space, weight
-hierarchies by exhaustive subcode-support search over codeword tuples.
-The sweep oracle is the plain loop over Eve locations that the
-vectorised sweep replaced.  Library results are checked against these,
-never against themselves.
+hierarchies by exhaustive subcode-support search over codeword tuples,
+and Eve's message posterior by matching her observation against all
+2^n coset words.  The sweep oracle is the plain loop over Eve locations
+that the vectorised sweep replaced.  Library results are checked
+against these, never against themselves.
 """
 
 import itertools
@@ -103,11 +104,13 @@ def oracle_subset_rank_tallies(generator: np.ndarray) -> np.ndarray:
 def oracle_sweep_point(w, grid, regions, tau: float, interleave: bool = False) -> sweep.SweepPoint:
     """One (code, threshold) point by a loop over Eve locations.
 
-    The per-Eve scoring loop the vectorised ``sweep.sweep`` replaced:
-    worst case charges mu* = min(n, e) for e readable active carriers;
+    The per-Eve scoring loop the vectorised ``sweep.sweep`` replaced,
+    with each bit of a block placed on a carrier one at a time (see
+    ``_oracle_carrier_bits``).  Worst case charges Eve's e readable
+    carriers as the e heaviest of one block on all a active carriers;
     interleaved scores block b as the carriers b, b + B, b + 2B, ... of
-    the active list (B = ceil(a / n)) and keeps the worst block.  A
-    later Eve replaces the current one only when strictly worse.
+    the active list (B = max(1, ceil(a / n))) and keeps the worst block.
+    A later Eve replaces the current one only when strictly worse.
     """
     regions.validate_against(grid)
     eve_idxs = regions.eve_location_indices(grid)
@@ -123,7 +126,8 @@ def oracle_sweep_point(w, grid, regions, tau: float, interleave: bool = False) -
         if interleave:
             pct = _oracle_interleaved_pct(w, eve_read)
         else:
-            mu_star = min(w.n, int(eve_read.sum()))
+            heaviest = sorted(_oracle_carrier_bits(w.n, a), reverse=True) if a else []
+            mu_star = sum(heaviest[: int(eve_read.sum())])
             pct = 100.0 * (w.k - wiretap.worst_case_leakage(w, mu_star)) / w.k
         if pct < min_pct:
             min_pct = pct
@@ -143,6 +147,14 @@ def oracle_sweep_point(w, grid, regions, tau: float, interleave: bool = False) -
     )
 
 
+def _oracle_carrier_bits(n: int, carriers: int) -> list[int]:
+    """Bits per carrier when bit i of an n-bit block goes on carrier i mod c."""
+    bits = [0] * carriers
+    for i in range(n):
+        bits[i % carriers] += 1
+    return bits
+
+
 def _oracle_interleaved_pct(w, eve_read: np.ndarray) -> float:
     a = eve_read.size
     if a == 0:
@@ -150,7 +162,9 @@ def _oracle_interleaved_pct(w, eve_read: np.ndarray) -> float:
     nblocks = -(-a // w.n)
     worst = 0
     for b in range(nblocks):
-        mu = min(w.n, int(eve_read[b::nblocks].sum()))
+        block_read = eve_read[b::nblocks]
+        bits = _oracle_carrier_bits(w.n, block_read.size)
+        mu = sum(c for c, r in zip(bits, block_read) if r)
         worst = max(worst, wiretap.worst_case_leakage(w, mu))
     return 100.0 * (w.k - worst) / w.k
 
@@ -158,6 +172,66 @@ def _oracle_interleaved_pct(w, eve_read: np.ndarray) -> float:
 def oracle_sweep(code_list, grid, regions, taus, interleave: bool = False) -> list:
     """Code-major, threshold-minor list of oracle points."""
     return [oracle_sweep_point(w, grid, regions, t, interleave) for w in code_list for t in taus]
+
+
+# The coset codebook holds all 2^n words: 1 MB of uint8 at n = 16.
+CODEBOOK_CAP = 16
+
+
+def posterior_oracle(w, z) -> dict[str, float]:
+    """Brute-force message posterior given an erased observation.
+
+    z is a string over {0, 1, ?} (or a sequence using None for
+    erasures).  Assuming uniform (m, m'), each message's probability is
+    proportional to how many of its coset's words match z on the
+    revealed positions.  The entropy of the result is exactly
+    k - leakage(pattern of z).
+    """
+    revealed, values = _parse_observation(z, w.n)
+    words, owner = coset_codebook(w)
+    match = np.all(words[:, revealed] == values[None, :], axis=1)
+    hits = np.bincount(owner[match], minlength=2**w.k)
+    total = int(hits.sum())
+    if total == 0:
+        raise ValueError("observation is inconsistent with every codeword")
+    return {format(mi, f"0{w.k}b"): int(h) / total for mi, h in enumerate(hits) if h}
+
+
+def coset_codebook(w) -> tuple[np.ndarray, np.ndarray]:
+    """Every transmittable word and the message that selects it.
+
+    Returns ``(words, owner)``: ``words`` is the (2^n, n) uint8 array of
+    m.G' xor m'.G over all (m, m'), and ``owner[i]`` is the index of the
+    message behind row i, whose k-bit binary expansion (leftmost bit
+    first) is m.  Refuses n above ``CODEBOOK_CAP``.
+    """
+    if w.n > CODEBOOK_CAP:
+        raise ValueError(f"blocklength {w.n} exceeds codebook cap {CODEBOOK_CAP} (2^{w.n} words)")
+    msgs = codes.enumerate_codewords(
+        codes.LinearCode(n=w.n, dim=w.k, generator=w.gprime, label="gprime"), cap=w.k
+    )
+    cosets = codes.enumerate_codewords(w.base_code, cap=w.base_code.dim)
+    words = (msgs[:, None, :] ^ cosets[None, :, :]).reshape(-1, w.n)
+    owner = np.repeat(np.arange(2**w.k), 2 ** (w.n - w.k))
+    return words, owner
+
+
+def posterior_entropy(dist: dict[str, float]) -> float:
+    """Shannon entropy in bits of a posterior returned by the oracle."""
+    probs = np.array([p for p in dist.values() if p > 0])
+    return float(-(probs * np.log2(probs)).sum())
+
+
+def _parse_observation(z, n: int) -> tuple[list[int], np.ndarray]:
+    if isinstance(z, str):
+        symbols = [None if ch == "?" else int(ch) for ch in z]
+    else:
+        symbols = [None if v is None else int(v) for v in z]
+    if len(symbols) != n:
+        raise ValueError(f"observation must have {n} symbols, got {len(symbols)}")
+    revealed = [i for i, v in enumerate(symbols) if v is not None]
+    values = np.array([symbols[i] for i in revealed], dtype=np.uint8)
+    return revealed, values
 
 
 def random_corpus(max_n: int, count: int, seed: int = 71) -> list[codes.LinearCode]:

@@ -16,7 +16,7 @@ import pytest
 from wiretapkit import channel, codes, sweep, wiretap
 from wiretapkit.channel import ChannelGrid, Location, RegionMap
 
-from conftest import oracle_leakage
+from conftest import oracle_leakage, posterior_entropy, posterior_oracle
 
 GOLDEN = Path(__file__).parent / "data" / "golden_frontier.csv"
 
@@ -101,7 +101,7 @@ def test_criterion_3_oracle_equivalence(capsys, small_corpus):
             for revealed in itertools.combinations(range(w.n), mu):
                 rset = set(revealed)
                 z = "".join(str(int(b)) if i in rset else "?" for i, b in enumerate(x))
-                entropy = wiretap.posterior_entropy(wiretap.posterior_oracle(w, z))
+                entropy = posterior_entropy(posterior_oracle(w, z))
                 leak = wiretap.leakage(w, wiretap.ErasurePattern(revealed=revealed))
                 assert abs(entropy - round(entropy)) < 1e-9, (c.label, revealed)
                 assert round(entropy) == w.k - leak, (c.label, revealed)

@@ -1,6 +1,8 @@
 """Command-line interface tests via click's test runner."""
 
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +133,18 @@ class TestOneLineErrors:
         )
         assert_one_line_error(res)
         assert res.output == f"Error: {config}: missing key 'height_m'\n"
+
+    def test_synth_grid_above_location_cap(self, runner, tmp_path):
+        env = json.loads((Path(channel.__file__).parent / "data" / "default_env.json").read_text())
+        env["grid_spacing_m"] = 0.001  # 6,001 x 4,001 locations
+        config = tmp_path / "env.json"
+        config.write_text(json.dumps(env))
+        start = time.perf_counter()
+        res = runner.invoke(cli.main, ["synth", "--config", str(config), "--out-dir", str(tmp_path)])
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_error(res)
+        assert f"cap of {channel.MAX_GRID_LOCATIONS}" in res.output
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_sound_32_carrier_sidecar(self, runner, tmp_path):
         iq_path, sidecar = tmp_path / "c.iq", tmp_path / "c.json"
@@ -307,6 +321,44 @@ class TestSweepAndSimulate:
         report = json.loads((tmp_path / "simulate.json").read_text())
         assert report["bob_error_rate"] == 0.0
         assert report["trials"] == 20
+
+    def test_simulate_sweep_best_point(self, runner, tmp_path):
+        # RM(4,5)|Cperp at 29 dB, the bundled sweep's best point (n = 32)
+        res = runner.invoke(
+            cli.main,
+            ["simulate", "--code", "rm:4,5", "--orientation", "Cperp", "--tau", "29",
+             "--out-dir", str(tmp_path)],
+        )
+        assert res.exit_code == 0, res.output
+        report = json.loads((tmp_path / "simulate.json").read_text())
+        assert report["bob_error_rate"] == 0.0
+        assert report["eve_leakage_bits_max"] <= report["worst_case_bound"]
+
+    def test_table1_honours_orientation(self, runner, tmp_path):
+        # Eve reads bits 1 and 2: parallel columns of the table1 base code
+        # C (one bit leaks), independent columns of its dual (none leaks)
+        eve = np.full(64, 10.0)
+        eve[1:3] = 30.0
+        grid = ChannelGrid(
+            locations=(Location(x=0.0, y=0.0, region="office"), Location(x=1.0, y=0.0, region="lobby")),
+            snr_db=np.array([np.full(64, 30.0), eve]),
+            tx=(0.0, 0.0),
+        )
+        grid_path = tmp_path / "grid.csv"
+        grid_path.write_text(channel.grid_to_csv(grid))
+        regions_path = tmp_path / "regions.json"
+        regions_path.write_text(json.dumps({"bob_region": "office", "eve_regions": ["lobby"]}))
+        leaks = {}
+        for orientation in ("C", "Cperp"):
+            res = runner.invoke(
+                cli.main,
+                ["simulate", "--grid", str(grid_path), "--regions", str(regions_path),
+                 "--code", "table1", "--orientation", orientation, "--tau", "25",
+                 "--trials", "10", "--out-dir", str(tmp_path / orientation)],
+            )
+            assert res.exit_code == 0, res.output
+            leaks[orientation] = json.loads(res.output)["eve_leakage_bits_max"]
+        assert leaks == {"C": 1.0, "Cperp": 0.0}
 
     def test_bad_taus(self, runner, tmp_path, tiny_grid_file):
         grid_path, regions_path = tiny_grid_file

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from wiretapkit import channel, codes, sweep, wiretap
 from wiretapkit.channel import ChannelGrid, Location, RegionMap
 
-from conftest import oracle_sweep
+from conftest import (
+    oracle_leakage,
+    oracle_sweep,
+    posterior_entropy,
+    posterior_oracle,
+    random_corpus,
+    rm_family_codes,
+)
 
 
 def two_location_grid(bob_snrs, eve_snrs):
@@ -302,11 +309,67 @@ class TestSimulateMC:
         grid = two_location_grid(np.full(64, 30.0), np.full(64, 10.0))
         with pytest.raises(ValueError):
             sweep.simulate_mc(rate34, grid, REGIONS, 25.0, trials=0, seed=1)
-        big = wiretap.build(codes.reed_muller(2, 5))
-        with pytest.raises(ValueError):
-            sweep.simulate_mc(big, grid, REGIONS, 25.0, trials=1, seed=1)
-        with pytest.raises(ValueError):
+        # no active carrier at 45 dB, so no block can be sent
+        with pytest.raises(ValueError, match="no active carriers"):
             sweep.simulate_mc(rate34, grid, REGIONS, 45.0, trials=1, seed=1)
+        # RM(2,5) puts 32 bits on 20 carriers in two channel uses; Eve
+        # reads carriers 0-7, which carry bits 0-7 and 20-27
+        big = wiretap.build(codes.reed_muller(2, 5))
+        bob = np.full(64, 10.0)
+        bob[:20] = 30.0
+        eve = np.full(64, 10.0)
+        eve[:8] = 30.0
+        grid = two_location_grid(bob, eve)
+        rep = sweep.simulate_mc(big, grid, REGIONS, 25.0, trials=3000, seed=1)
+        revealed = [*range(8), *range(20, 28)]
+        assert rep["trials"] == 3000 and rep["bob_error_rate"] == 0.0
+        assert rep["eve_leakage_bits_max"] == oracle_leakage(big.base_code.generator.a, revealed) == 3
+        assert rep["worst_case_bound"] == wiretap.worst_case_leakage(big, 16) == 5
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    return channel.default_grid(), channel.default_environment().region_map
+
+
+class TestSimulateMatchesOracles:
+    """simulate_mc's exact leakage against the codebook posterior and the sweep."""
+
+    @pytest.mark.parametrize("tau", [20.0, 22.0, 26.0, 29.0])
+    def test_leakage_equals_posterior_oracle(self, bundled, tau):
+        grid, regions = bundled
+        bases = random_corpus(max_n=12, count=12, seed=73) + rm_family_codes(max_m=3)
+        rng = np.random.default_rng(int(tau))
+        leaks = set()
+        for c in bases:
+            w = wiretap.build(c)
+            rep = sweep.simulate_mc(w, grid, regions, tau, trials=16, seed=0)
+            bob = grid.snr_db[sweep.bob_reference_index(grid, regions)]
+            active = np.nonzero(channel.erase_mask(bob, tau))[0]
+            read = channel.erase_mask(grid.snr_db[rep["eve_location"]], tau)
+            x = wiretap.encode(w, rng.integers(0, 2, w.k), rng.integers(0, 2, w.n - w.k))
+            z = "".join(str(b) if read[active[i % active.size]] else "?" for i, b in enumerate(x))
+            leak = w.k - posterior_entropy(posterior_oracle(w, z))
+            assert rep["eve_leakage_bits_mean"] == pytest.approx(leak, abs=1e-9), (c.label, tau)
+            assert rep["eve_leakage_bits_max"] == rep["eve_leakage_bits_mean"]
+            leaks.add((round(leak) > 0, round(leak) < w.k))
+        if tau < 25.0:  # Eve reads part of the block for some code
+            assert (True, True) in leaks
+
+    def test_bound_equals_sweep_leakage_at_n128(self, bundled):
+        grid, regions = bundled
+        family = [w for w in sweep.default_code_family(max_m=7) if w.n == 128]
+        points = sweep.sweep(family, grid, regions, [19.0])
+        assert {p.active_carriers for p in points} == {64}  # two channel uses per block
+        for w, p in zip(family, points):
+            rep = sweep.simulate_mc(w, grid, regions, 19.0, trials=8, seed=0)
+            assert rep["eve_location"] == p.worst_eve_location
+            assert rep["worst_case_bound"] == round(w.k * (100.0 - p.min_equivocation_pct) / 100.0)
+            assert rep["eve_leakage_bits_max"] <= rep["worst_case_bound"]
+            assert rep["bob_error_rate"] == 0.0
+        # Eve reads 58 of 64 carriers, 116 of 128 bits: 3 of RM(1,7)|Cperp's 8 bits leak
+        cperp = next(p for p in points if p.code_label == "RM(1,7)|Cperp")
+        assert cperp.min_equivocation_pct == 62.5
 
 
 class TestFrontierOutput:

@@ -11,7 +11,7 @@ from wiretapkit.bitlinalg import BitMatrix
 from wiretapkit.codes import LinearCode
 from wiretapkit.wiretap import ErasurePattern
 
-from conftest import oracle_leakage
+from conftest import oracle_leakage, posterior_entropy, posterior_oracle
 
 EXPECTED_COUNTS = np.array(
     [
@@ -156,33 +156,33 @@ class TestLeakage:
 
 class TestPosteriorOracle:
     def test_half_the_messages_ruled_out(self, demo):
-        assert wiretap.posterior_oracle(demo, "?00?") == {"00": 0.5, "11": 0.5}
+        assert posterior_oracle(demo, "?00?") == {"00": 0.5, "11": 0.5}
 
     def test_nothing_revealed_is_uniform(self, demo):
-        post = wiretap.posterior_oracle(demo, "????")
+        post = posterior_oracle(demo, "????")
         assert post == {"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}
 
     def test_full_word_is_certain(self, demo):
-        assert wiretap.posterior_oracle(demo, "1011") == {"01": 1.0}
+        assert posterior_oracle(demo, "1011") == {"01": 1.0}
 
     def test_sequence_form_with_none(self, demo):
-        assert wiretap.posterior_oracle(demo, [None, 0, 0, None]) == {"00": 0.5, "11": 0.5}
+        assert posterior_oracle(demo, [None, 0, 0, None]) == {"00": 0.5, "11": 0.5}
 
     def test_every_full_observation_is_consistent(self):
         # the coset map is a bijection onto F2^n, so any full word decodes
         w = wiretap.build(codes.reed_muller(0, 2))
-        assert wiretap.posterior_oracle(w, "1000") == {"100": 1.0}
+        assert posterior_oracle(w, "1000") == {"100": 1.0}
 
     def test_cap_and_length_errors(self, demo):
         with pytest.raises(ValueError):
-            wiretap.posterior_oracle(demo, "???")
+            posterior_oracle(demo, "???")
         big = wiretap.build(codes.reed_muller(2, 5))
         with pytest.raises(ValueError):
-            wiretap.posterior_oracle(big, "?" * 32)
+            posterior_oracle(big, "?" * 32)
 
     def test_entropy(self):
-        assert wiretap.posterior_entropy({"00": 0.5, "11": 0.5}) == 1.0
-        assert wiretap.posterior_entropy({"01": 1.0}) == 0.0
+        assert posterior_entropy({"00": 0.5, "11": 0.5}) == 1.0
+        assert posterior_entropy({"01": 1.0}) == 0.0
 
 
 class TestEquivocationMatrix:
