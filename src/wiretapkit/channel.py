@@ -17,7 +17,9 @@ import numpy as np
 
 CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
-# synth_grid spends about 0.1 ms per location: 7-10 s at the cap on 2 vCPUs.
+# At the cap on 2 shared vCPUs, synth_grid takes 2.2-3.4 s and 116 MB peak RSS,
+# most of it one seeded RNG per location; the synth command, which also writes
+# the CSV, takes 7.6-12 s.
 MAX_GRID_LOCATIONS = 100_000
 
 
@@ -186,26 +188,34 @@ def reliable_count(snrs, tau: float) -> int:
     return int(erase_mask(snrs, tau).sum())
 
 
-def capacity_sum(snrs) -> float:
+def capacity_sum(snrs) -> float | np.ndarray:
     """Total Gaussian capacity over parallel subcarriers, bits/channel use.
 
-    C = 1/2 * sum log2(1 + SNR_linear); -inf dB contributes zero.
+    C = 1/2 * sum log2(1 + SNR_linear); -inf dB contributes zero.  Sums
+    over the last axis: a float for one location's row, an array for a
+    stack of rows.
     """
     db = np.asarray(snrs, dtype=float)
     lin = np.where(np.isneginf(db), 0.0, 10.0 ** (db / 10.0))
-    return float(0.5 * np.log2(1.0 + lin).sum())
+    total = 0.5 * np.log2(1.0 + lin).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
-def secrecy_capacity(bob_snrs, eve_snrs) -> float:
-    """Sum of positive per-subcarrier capacity advantages of Bob over Eve."""
+def secrecy_capacity(bob_snrs, eve_snrs) -> float | np.ndarray:
+    """Sum of positive per-subcarrier capacity advantages of Bob over Eve.
+
+    Sums over the last axis, as :func:`capacity_sum` does; Bob's row is
+    broadcast against a stack of Eve rows.
+    """
     b = np.asarray(bob_snrs, dtype=float)
     e = np.asarray(eve_snrs, dtype=float)
-    if b.shape != e.shape:
+    if b.shape[-1:] != e.shape[-1:]:
         raise ValueError(f"shape mismatch: {b.shape} vs {e.shape}")
     lb = np.where(np.isneginf(b), 0.0, 10.0 ** (b / 10.0))
     le = np.where(np.isneginf(e), 0.0, 10.0 ** (e / 10.0))
     diff = 0.5 * (np.log2(1.0 + lb) - np.log2(1.0 + le))
-    return float(np.maximum(diff, 0.0).sum())
+    total = np.maximum(diff, 0.0).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +239,9 @@ class RegionRect:
     y_min: float
     y_max: float
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x < self.x_max and self.y_min <= y < self.y_max
+    def contains(self, x, y):
+        """Whether (x, y) lies in the half-open rectangle; elementwise on arrays."""
+        return (self.x_min <= x) & (x < self.x_max) & (self.y_min <= y) & (y < self.y_max)
 
 
 @dataclass(frozen=True)
@@ -306,52 +317,77 @@ class EnvironmentConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    """Proper/improper intersection test via orientation signs."""
+# Locations whose fading is drawn and transformed together.  The
+# (locations, 64, taps) complex intermediate takes 4 KB per location at
+# 4 taps: 512 KB per chunk, against 400 MB for a whole grid at the cap.
+# perfbench's peak RSS stays below the per-location loop's at 128 on both
+# workloads; at 256 it rose 0.3 MB on ``analysis``.
+FADING_CHUNK = 128
 
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return (v > 1e-12) - (v < -1e-12)
 
-    def on_seg(a, b, c):
-        return (
-            min(a[0], b[0]) - 1e-12 <= c[0] <= max(a[0], b[0]) + 1e-12
-            and min(a[1], b[1]) - 1e-12 <= c[1] <= max(a[1], b[1]) + 1e-12
+def _orient(a, b, c):
+    """Turn direction a -> b -> c as -1, 0 or 1, zero within 1e-12 (arrays broadcast)."""
+    v = np.subtract((b[0] - a[0]) * (c[1] - a[1]), (b[1] - a[1]) * (c[0] - a[0]))
+    return (v > 1e-12).astype(np.int8) - (v < -1e-12).astype(np.int8)
+
+
+def _on_segment(a, b, c):
+    """Whether c lies in the bounding box of segment ab, within 1e-12."""
+    return (
+        (np.minimum(a[0], b[0]) - 1e-12 <= c[0]) & (c[0] <= np.maximum(a[0], b[0]) + 1e-12)
+        & (np.minimum(a[1], b[1]) - 1e-12 <= c[1]) & (c[1] <= np.maximum(a[1], b[1]) + 1e-12)
+    )
+
+
+def _wall_loss(cfg: EnvironmentConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Summed loss of the walls the ray from the transmitter to each location meets.
+
+    A ray and a wall meet when they cross properly or when an endpoint of
+    one lies on the other (orientation signs); walls add in config order.
+    """
+    loss = np.zeros(x.shape)
+    tx, p = cfg.tx, (x, y)
+    for w in cfg.walls:
+        q1, q2 = (w.x1, w.y1), (w.x2, w.y2)
+        o1, o2 = _orient(tx, p, q1), _orient(tx, p, q2)
+        o3, o4 = _orient(q1, q2, tx), _orient(q1, q2, p)
+        meets = (
+            ((o1 != o2) & (o3 != o4))
+            | ((o1 == 0) & _on_segment(tx, p, q1))
+            | ((o2 == 0) & _on_segment(tx, p, q2))
+            | ((o3 == 0) & _on_segment(q1, q2, tx))
+            | ((o4 == 0) & _on_segment(q1, q2, p))
         )
-
-    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_seg(p1, p2, q1):
-        return True
-    if o2 == 0 and on_seg(p1, p2, q2):
-        return True
-    if o3 == 0 and on_seg(q1, q2, p1):
-        return True
-    if o4 == 0 and on_seg(q1, q2, p2):
-        return True
-    return False
+        loss[meets] += w.loss_db
+    return loss
 
 
-def _fading_db(cfg: FadingModel, seed: int, loc_index: int) -> np.ndarray:
-    """Frequency-selective fading in dB from a seeded multipath draw.
+def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
+    """Write frequency-selective fading in dB into each row of a zeroed ``out``.
 
-    A short complex tap profile with exponentially decaying power gives
-    |H(f)|^2 across the 64 subcarriers; per-location seeds keep the grid
-    deterministic under any evaluation order.
+    Row i draws a short complex tap profile with exponentially decaying
+    power from ``default_rng([seed, i])`` and takes |H(f)|^2 across the
+    64 subcarriers, so each row depends on its own index alone.  Rows
+    are transformed ``FADING_CHUNK`` at a time.
     """
     if not cfg.enabled:
-        return np.zeros(CARRIERS)
-    rng = np.random.default_rng([seed, loc_index])
+        return
     powers = np.exp(-np.arange(cfg.taps) / cfg.delay_spread)
     powers /= powers.sum()
-    taps = (rng.standard_normal(cfg.taps) + 1j * rng.standard_normal(cfg.taps)) * np.sqrt(powers / 2)
+    amp = np.sqrt(powers / 2)
     k = np.arange(CARRIERS)
-    freq = taps[None, :] * np.exp(-2j * np.pi * k[:, None] * np.arange(cfg.taps)[None, :] / CARRIERS)
-    h = np.abs(freq.sum(axis=1))
-    h = np.maximum(h, 1e-6)
-    return cfg.sigma_scale * 20.0 * np.log10(h)
+    phase = np.exp(-2j * np.pi * k[:, None] * np.arange(cfg.taps)[None, :] / CARRIERS)
+    draws = np.empty((FADING_CHUNK, 2 * cfg.taps))
+    for start in range(0, out.shape[0], FADING_CHUNK):
+        block = out[start:start + FADING_CHUNK]
+        z = draws[: block.shape[0]]
+        for j, row in enumerate(z):
+            np.random.default_rng([seed, start + j]).standard_normal(out=row)
+        taps = (z[:, : cfg.taps] + 1j * z[:, cfg.taps:]) * amp
+        np.abs((taps[:, None, :] * phase[None]).sum(axis=-1), out=block)
+        np.maximum(block, 1e-6, out=block)
+        np.log10(block, out=block)
+        block *= cfg.sigma_scale * 20.0
 
 
 def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
@@ -359,32 +395,40 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
 
     Per-subcarrier SNR = reference SNR + power offset - log-distance
     path loss - accumulated wall losses on the direct ray + a seeded
-    frequency-selective fading draw.
+    frequency-selective fading draw.  Locations run x-fastest; location
+    i draws its fading from the seed pair (seed, i), so the grid does
+    not depend on evaluation order.  Walls and fading are computed as
+    array passes over all locations (fading in chunks of
+    ``FADING_CHUNK``), bit-exact with the per-location loop kept in the
+    tests as the oracle.
     """
     nx, ny = cfg.lattice
-    locations: list[Location] = []
-    rows: list[np.ndarray] = []
-    for iy in range(ny):
-        for ix in range(nx):
-            x = ix * cfg.grid_spacing
-            y = iy * cfg.grid_spacing
-            label = next((r.label for r in cfg.regions if r.contains(x, y)), "open")
-            d = math.hypot(x - cfg.tx[0], y - cfg.tx[1])
-            path_loss = 10.0 * cfg.path_loss_exponent * math.log10(
-                max(d, cfg.ref_distance) / cfg.ref_distance
-            )
-            wall_loss = sum(
-                w.loss_db
-                for w in cfg.walls
-                if _segments_cross(cfg.tx, (x, y), (w.x1, w.y1), (w.x2, w.y2))
-            )
-            base = cfg.ref_snr_db + cfg.tx_power_offset_db - path_loss - wall_loss
-            idx = len(locations)
-            rows.append(base + _fading_db(cfg.fading, seed, idx))
-            locations.append(Location(x=x, y=y, region=label))
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    x = ix * cfg.grid_spacing
+    y = iy * cfg.grid_spacing
+    xs, ys = x.tolist(), y.tolist()
+    # The first region that contains a location labels it, else "open".
+    region = np.full(x.shape, len(cfg.regions))
+    for j, r in reversed(list(enumerate(cfg.regions))):
+        region[r.contains(x, y)] = j
+    labels = [r.label for r in cfg.regions] + ["open"]
+    # math.hypot and math.log10, not numpy's: these differ in the last bit.
+    tx_x, tx_y = cfg.tx
+    path_loss = np.array([
+        10.0 * cfg.path_loss_exponent * math.log10(
+            max(math.hypot(px - tx_x, py - tx_y), cfg.ref_distance) / cfg.ref_distance
+        )
+        for px, py in zip(xs, ys)
+    ])
+    base = cfg.ref_snr_db + cfg.tx_power_offset_db - path_loss - _wall_loss(cfg, x, y)
+    snr_db = np.zeros((x.size, CARRIERS))
+    _fading_into(cfg.fading, seed, snr_db)
+    snr_db += base[:, None]
     return ChannelGrid(
-        locations=tuple(locations),
-        snr_db=np.array(rows, dtype=float),
+        locations=tuple(
+            Location(x=px, y=py, region=labels[j]) for px, py, j in zip(xs, ys, region.tolist())
+        ),
+        snr_db=snr_db,
         tx=cfg.tx,
         grid_spacing=cfg.grid_spacing,
     )

@@ -201,7 +201,7 @@ def capacity(grid_path, svg, out_dir):
         grid_path,
         out_dir,
         svg,
-        lambda g: [channel.capacity_sum(row) for row in g.snr_db],
+        lambda g: channel.capacity_sum(g.snr_db),
         {"grid": grid_path or "builtin"},
     )
 
@@ -217,7 +217,7 @@ def secrecy(grid_path, regions_path, svg, out_dir):
 
     def values(g):
         bob = g.snr_db[sweepmod.bob_reference_index(g, regions)]
-        return [channel.secrecy_capacity(bob, row) for row in g.snr_db]
+        return channel.secrecy_capacity(bob, g.snr_db)
 
     _map_command(
         "secrecy",

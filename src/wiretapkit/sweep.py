@@ -46,8 +46,7 @@ def bob_reference_index(grid: ChannelGrid, regions: RegionMap) -> int:
     idxs = grid.region_indices(regions.bob_region)
     if not idxs:
         raise ValueError(f"no grid locations in Bob region {regions.bob_region!r}")
-    caps = [channel.capacity_sum(grid.snr_db[i]) for i in idxs]
-    return idxs[int(np.argmax(caps))]
+    return idxs[int(np.argmax(channel.capacity_sum(grid.snr_db[idxs])))]
 
 
 def evaluate(

@@ -5,8 +5,9 @@ paths: rank is measured by enumerating the row space, weight
 hierarchies by exhaustive subcode-support search over codeword tuples,
 and Eve's message posterior by matching her observation against all
 2^n coset words.  The sweep oracle is the plain loop over Eve locations
-that the vectorised sweep replaced.  Library results are checked
-against these, never against themselves.
+that the vectorised sweep replaced, and the grid oracle the
+per-location loop that ``channel.synth_grid``'s array passes replaced.
+Library results are checked against these, never against themselves.
 """
 
 import itertools
@@ -172,6 +173,90 @@ def _oracle_interleaved_pct(w, eve_read: np.ndarray) -> float:
 def oracle_sweep(code_list, grid, regions, taus, interleave: bool = False) -> list:
     """Code-major, threshold-minor list of oracle points."""
     return [oracle_sweep_point(w, grid, regions, t, interleave) for w in code_list for t in taus]
+
+
+def _segments_cross(p1, p2, q1, q2) -> bool:
+    """Proper/improper intersection test via orientation signs."""
+
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return (v > 1e-12) - (v < -1e-12)
+
+    def on_seg(a, b, c):
+        return (
+            min(a[0], b[0]) - 1e-12 <= c[0] <= max(a[0], b[0]) + 1e-12
+            and min(a[1], b[1]) - 1e-12 <= c[1] <= max(a[1], b[1]) + 1e-12
+        )
+
+    o1, o2 = orient(p1, p2, q1), orient(p1, p2, q2)
+    o3, o4 = orient(q1, q2, p1), orient(q1, q2, p2)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and on_seg(p1, p2, q1):
+        return True
+    if o2 == 0 and on_seg(p1, p2, q2):
+        return True
+    if o3 == 0 and on_seg(q1, q2, p1):
+        return True
+    if o4 == 0 and on_seg(q1, q2, p2):
+        return True
+    return False
+
+
+def _fading_db(cfg: channel.FadingModel, seed: int, loc_index: int) -> np.ndarray:
+    """Frequency-selective fading in dB from a seeded multipath draw.
+
+    A short complex tap profile with exponentially decaying power gives
+    |H(f)|^2 across the 64 subcarriers; per-location seeds keep the grid
+    deterministic under any evaluation order.
+    """
+    if not cfg.enabled:
+        return np.zeros(channel.CARRIERS)
+    rng = np.random.default_rng([seed, loc_index])
+    powers = np.exp(-np.arange(cfg.taps) / cfg.delay_spread)
+    powers /= powers.sum()
+    taps = (rng.standard_normal(cfg.taps) + 1j * rng.standard_normal(cfg.taps)) * np.sqrt(powers / 2)
+    k = np.arange(channel.CARRIERS)
+    freq = taps[None, :] * np.exp(-2j * np.pi * k[:, None] * np.arange(cfg.taps)[None, :] / channel.CARRIERS)
+    h = np.abs(freq.sum(axis=1))
+    h = np.maximum(h, 1e-6)
+    return cfg.sigma_scale * 20.0 * np.log10(h)
+
+
+def oracle_synth_grid(cfg, seed: int) -> channel.ChannelGrid:
+    """Synthetic SNR grid by a loop over locations, one RNG per location.
+
+    The per-location loop the array passes of ``channel.synth_grid``
+    replaced: Python scalar wall tests, path loss and one fading draw and
+    transform per location.
+    """
+    nx, ny = cfg.lattice
+    locations: list[channel.Location] = []
+    rows: list[np.ndarray] = []
+    for iy in range(ny):
+        for ix in range(nx):
+            x = ix * cfg.grid_spacing
+            y = iy * cfg.grid_spacing
+            label = next((r.label for r in cfg.regions if r.contains(x, y)), "open")
+            d = math.hypot(x - cfg.tx[0], y - cfg.tx[1])
+            path_loss = 10.0 * cfg.path_loss_exponent * math.log10(
+                max(d, cfg.ref_distance) / cfg.ref_distance
+            )
+            wall_loss = sum(
+                w.loss_db
+                for w in cfg.walls
+                if _segments_cross(cfg.tx, (x, y), (w.x1, w.y1), (w.x2, w.y2))
+            )
+            base = cfg.ref_snr_db + cfg.tx_power_offset_db - path_loss - wall_loss
+            idx = len(locations)
+            rows.append(base + _fading_db(cfg.fading, seed, idx))
+            locations.append(channel.Location(x=x, y=y, region=label))
+    return channel.ChannelGrid(
+        locations=tuple(locations),
+        snr_db=np.array(rows, dtype=float),
+        tx=cfg.tx,
+        grid_spacing=cfg.grid_spacing,
+    )
 
 
 # The coset codebook holds all 2^n words: 1 MB of uint8 at n = 16.

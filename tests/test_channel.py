@@ -1,5 +1,6 @@
 """Tests for SNR estimation, the synthetic grid, and capacity math."""
 
+import dataclasses
 import json
 import math
 
@@ -18,6 +19,8 @@ from wiretapkit.channel import (
     SoundingCapture,
     Wall,
 )
+
+from conftest import oracle_synth_grid
 
 
 def flat_env(**overrides):
@@ -127,6 +130,22 @@ class TestErasureAndCapacity:
         with pytest.raises(ValueError):
             channel.secrecy_capacity(np.zeros(64), np.zeros(32))
 
+    def test_array_calls_equal_per_row_calls(self):
+        rng = np.random.default_rng(3)
+        rows = rng.uniform(-10, 40, size=(40, 64))
+        rows[rng.random(rows.shape) < 0.2] = -np.inf
+        rows[5] = -np.inf
+        bob = rows[11]
+        caps = channel.capacity_sum(rows)
+        secrecy = channel.secrecy_capacity(bob, rows)
+        assert caps.shape == secrecy.shape == (40,)
+        assert caps.tolist() == [channel.capacity_sum(r) for r in rows]
+        assert secrecy.tolist() == [channel.secrecy_capacity(bob, r) for r in rows]
+        assert type(channel.capacity_sum(bob)) is float
+        assert type(channel.secrecy_capacity(bob, rows[0])) is float
+        with pytest.raises(ValueError, match="shape mismatch"):
+            channel.secrecy_capacity(bob, rows[:, :32])
+
     def test_secrecy_bounded_by_capacity(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -180,6 +199,64 @@ class TestSynthGrid:
         assert grid.region_labels() == {"hallway", "eve_west", "bob_office", "eve_east"}
         again = channel.default_grid()
         assert np.array_equal(grid.snr_db, again.snr_db)
+
+
+def _oracle_cases():
+    """(id, environment, seed) for the grid oracle comparison."""
+    env = channel.default_environment()
+    rng = np.random.default_rng(17)
+    cases = []
+    # The bundled plan with the transmitter moved along the hallway and new
+    # wall losses, reference SNR and fading seed, as the benchmark perturbs it.
+    for i in range(3):
+        walls = tuple(dataclasses.replace(w, loss_db=float(rng.uniform(9.0, 11.0))) for w in env.walls)
+        tx = (float(rng.uniform(1.8, 2.8)), env.tx[1])
+        cfg = dataclasses.replace(env, tx=tx, ref_snr_db=float(rng.uniform(31.5, 32.5)), walls=walls)
+        cases.append((f"perturbed{i}", cfg, int(rng.integers(2**31))))
+    # The transmitter inside the vertical wall and in line with the
+    # horizontal one: rays along walls reach the on-segment branches of
+    # the crossing test.
+    collinear = flat_env(
+        width=3.0, height=2.0, tx=(1.0, 1.0), fading=FadingModel(),
+        walls=(Wall(1.0, 0.5, 1.0, 1.5, 7.0), Wall(0.0, 1.0, 0.5, 1.0, 3.0)),
+    )
+    chunks = flat_env(
+        width=2.0, height=1.5, grid_spacing=0.1, tx=(0.7, 0.3), walls=env.walls,
+        fading=FadingModel(taps=6, delay_spread=2.0, sigma_scale=0.7),
+    )
+    cases += [
+        ("tx_on_wall_endpoint", dataclasses.replace(env, tx=(2.05, 1.0)), 3),
+        ("tx_1e-10_off_wall", dataclasses.replace(env, tx=(1.0, 1.0 + 1e-10)), 11),
+        ("tx_on_lattice_point", dataclasses.replace(env, tx=(20 * env.grid_spacing, 5 * env.grid_spacing)), 4),
+        ("ray_along_wall", collinear, 5),
+        ("fading_off", dataclasses.replace(env, fading=FadingModel(enabled=False)), 6),
+        ("no_walls_no_regions", dataclasses.replace(env, walls=(), regions=()), 7),
+        ("width_zero", dataclasses.replace(env, width=0.0), 8),
+        ("spacing_0.07", dataclasses.replace(env, grid_spacing=0.07), 9),
+        ("chunk_remainder", chunks, 10),
+    ]
+    return cases
+
+
+class TestSynthGridMatchesOracle:
+    """The array passes give exactly the grid of the per-location loop."""
+
+    def test_default_grid(self):
+        got = channel.default_grid()
+        want = oracle_synth_grid(channel.default_environment(), channel.DEFAULT_GRID_SEED)
+        assert got.locations == want.locations
+        assert np.array_equal(got.snr_db, want.snr_db)
+
+    @pytest.mark.parametrize("cfg, seed", [c[1:] for c in _oracle_cases()], ids=[c[0] for c in _oracle_cases()])
+    def test_equal(self, cfg, seed):
+        got = channel.synth_grid(cfg, seed)
+        want = oracle_synth_grid(cfg, seed)
+        assert got.locations == want.locations
+        assert np.array_equal(got.snr_db, want.snr_db)
+
+    def test_cases_cover_a_partial_chunk(self):
+        nx, ny = dict((c[0], c[1]) for c in _oracle_cases())["chunk_remainder"].lattice
+        assert nx * ny > channel.FADING_CHUNK and nx * ny % channel.FADING_CHUNK
 
 
 class TestRegionMap:

@@ -110,6 +110,31 @@ class TestEvaluate:
         )
         assert sweep.bob_reference_index(grid, REGIONS) == 1
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bob_reference_matches_per_row_argmax(self, seed):
+        """One array call picks what a per-row capacity argmax picks.
+
+        Grids hold finite SNRs only, so rows that carry nothing sit at
+        -300 dB (capacity exactly 0, as for -inf).  Bob's best row is
+        repeated at a later Bob location, and the lower index must win.
+        """
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(8, 40))
+        snr = rng.uniform(-10.0, 40.0, size=(count, 64))
+        bob = sorted(rng.choice(count, size=int(rng.integers(4, count)), replace=False).tolist())
+        labels = ["bob_office" if i in bob else "eve_room" for i in range(count)]
+        snr[bob[0]] = -300.0
+        snr[bob[1], ::2] = -300.0
+        snr[bob[2]] = snr[bob[-1]] = rng.uniform(40.0, 50.0, size=64)
+        grid = ChannelGrid(
+            locations=tuple(Location(x=float(i), y=0.0, region=r) for i, r in enumerate(labels)),
+            snr_db=snr,
+            tx=(0.0, 0.0),
+        )
+        caps = [channel.capacity_sum(snr[i]) for i in bob]
+        assert caps[0] == 0.0 and caps.count(max(caps)) == 2
+        assert sweep.bob_reference_index(grid, REGIONS) == bob[caps.index(max(caps))] == bob[2]
+
 
 class TestSweepAndSelect:
     def test_single_point_equals_evaluate(self, analog_grid, rate34):
