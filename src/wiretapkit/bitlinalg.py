@@ -77,15 +77,25 @@ class BitMatrix:
         return f"BitMatrix({self.to_strings()!r})"
 
 
-def rank(m: BitMatrix) -> int:
-    """Dimension of the row space over GF(2).  Empty matrices have rank 0.
+def _pack(a: np.ndarray) -> list[int]:
+    """Rows as n-bit Python integers, column 0 the highest bit."""
+    pad = -a.shape[1] % 8
+    return [int.from_bytes(r.tobytes(), "big") >> pad for r in np.packbits(a, axis=1)]
 
-    Gaussian elimination on rows packed into Python integers, so any
-    matrix size works.
-    """
+
+def _unpack(rows: list[int], n: int) -> np.ndarray:
+    """Inverse of :func:`_pack`: a (len(rows), n) uint8 array."""
+    pad = -n % 8
+    width = (n + pad) // 8
+    buf = b"".join((v << pad).to_bytes(width, "big") for v in rows)
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), width), axis=1, count=n)
+
+
+def _echelon(a: np.ndarray) -> dict[int, int]:
+    """Forward elimination on packed rows: a basis of the row space keyed
+    by each row's leading bit, no two rows sharing one."""
     basis: dict[int, int] = {}
-    for packed in np.packbits(m.a, axis=1):
-        v = int.from_bytes(packed.tobytes(), "big")
+    for v in _pack(a):
         while v:
             p = v.bit_length() - 1
             if p in basis:
@@ -93,7 +103,12 @@ def rank(m: BitMatrix) -> int:
             else:
                 basis[p] = v
                 break
-    return len(basis)
+    return basis
+
+
+def rank(m: BitMatrix) -> int:
+    """Dimension of the row space over GF(2).  Empty matrices have rank 0."""
+    return len(_echelon(m.a))
 
 
 def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -143,54 +158,37 @@ def complete_basis(g: BitMatrix) -> BitMatrix:
     """Extend a full-row-rank matrix to a basis of the full space.
 
     Returns an (n - r) x n matrix whose rows, stacked over g, span
-    GF(2)^n.  Deterministic rule: try standard-basis rows e_0, e_1, ...
-    in order and keep each one that raises the rank.
+    GF(2)^n.  Deterministic rule: the rows e_i, in order, that the greedy
+    choice of e_0, e_1, ... keeps because each raises the rank.  e_i
+    raises it exactly when no vector of g's row space has its last 1 in
+    column i, i.e. when no echelon row of g with its columns reversed
+    leads at column i (bit i of a reversed packed row).
     """
     r, n = g.rows, g.cols
-    if rank(g) != r:
+    leads = _echelon(g.a[:, ::-1])
+    if len(leads) != r:
         raise ValueError("input rows are not linearly independent")
     if r >= n:
         raise ValueError(f"nothing to complete: rank {r} already spans GF(2)^{n}")
-    chosen = []
-    current = g
-    cur_rank = r
-    for i in range(n):
-        e = np.zeros((1, n), dtype=np.uint8)
-        e[0, i] = 1
-        candidate = BitMatrix(np.vstack([current.a, e]))
-        if rank(candidate) > cur_rank:
-            chosen.append(e[0])
-            current = candidate
-            cur_rank += 1
-        if cur_rank == n:
-            break
-    return BitMatrix(np.array(chosen, dtype=np.uint8))
+    return BitMatrix(np.eye(n, dtype=np.uint8)[[i for i in range(n) if i not in leads]])
 
 
 def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
-    """Reduced row-echelon form over GF(2) and the pivot column list."""
-    a = m.a.copy()
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    prow = 0
-    for col in range(ncols):
-        hit = -1
-        for r in range(prow, nrows):
-            if a[r, col]:
-                hit = r
-                break
-        if hit < 0:
-            continue
-        if hit != prow:
-            a[[prow, hit]] = a[[hit, prow]]
-        for r in range(nrows):
-            if r != prow and a[r, col]:
-                a[r] ^= a[prow]
-        pivots.append(col)
-        prow += 1
-        if prow == nrows:
-            break
-    return BitMatrix(a[: len(pivots)] if pivots else np.zeros((0, ncols), dtype=np.uint8)), pivots
+    """Reduced row-echelon form over GF(2) and the pivot column list.
+
+    The forward pass of :func:`rank`, then back-substitution: each row,
+    from the rightmost pivot leftwards, is cleared out of the rows that
+    lead further left.
+    """
+    basis = _echelon(m.a)
+    leads = sorted(basis)
+    for i, p in enumerate(leads):
+        row = basis[p]
+        for q in leads[i + 1:]:
+            if basis[q] >> p & 1:
+                basis[q] ^= row
+    leads.reverse()
+    return BitMatrix(_unpack([basis[p] for p in leads], m.cols)), [m.cols - 1 - p for p in leads]
 
 
 def inverse(m: BitMatrix) -> BitMatrix:
@@ -205,17 +203,35 @@ def inverse(m: BitMatrix) -> BitMatrix:
 
 
 def null_space(m: BitMatrix) -> BitMatrix:
-    """Basis of {v : m . v^T = 0}, as rows; (n - rank) x n."""
+    """Basis of {v : m . v^T = 0}, as rows; (n - rank) x n.
+
+    One row per free column f, in order: 1 at f and, at each pivot
+    column, the RREF entry in column f of that pivot's row.
+    """
     red, pivots = rref(m)
-    n = m.cols
-    free = [c for c in range(n) if c not in pivots]
-    rows = []
-    for f in free:
-        v = np.zeros(n, dtype=np.uint8)
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            v[p] = red.a[i, f]
-        rows.append(v)
-    if not rows:
-        return BitMatrix(np.zeros((0, n), dtype=np.uint8))
-    return BitMatrix(np.array(rows, dtype=np.uint8))
+    free = sorted(set(range(m.cols)) - set(pivots))
+    out = np.zeros((len(free), m.cols), dtype=np.uint8)
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = red.a[:, free].T
+    return BitMatrix(out)
+
+
+def orthonormal_basis(m: BitMatrix) -> BitMatrix | None:
+    """A basis H of m's row space with H.H^T = I, if one exists.
+
+    Gram-Schmidt over GF(2) on packed rows: repeatedly peel off a row of
+    odd weight and project it out of the rest.  Fails (returns None)
+    exactly when the form is alternating on the row space, i.e. every
+    vector in it has even weight.  Rows of the result are sorted by
+    decreasing binary value for determinism.
+    """
+    work = _pack(m.a)
+    out: list[int] = []
+    while work:
+        pick = next((i for i, v in enumerate(work) if v.bit_count() & 1), None)
+        if pick is None:
+            return None
+        u = work.pop(pick)
+        out.append(u)
+        work = [v ^ u if (v & u).bit_count() & 1 else v for v in work]
+    return BitMatrix(_unpack(sorted(out, reverse=True), m.cols))

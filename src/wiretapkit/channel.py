@@ -276,6 +276,20 @@ class EnvironmentConfig:
                 "floor plan needs finite width and height >= 0 and a finite grid spacing > 0, "
                 f"got {self.width}, {self.height}, {self.grid_spacing}"
             )
+        if not 0 < self.ref_distance < math.inf:
+            raise ValueError(f"ref_distance must be finite and > 0, got {self.ref_distance}")
+        finite = {"tx.x": self.tx[0], "tx.y": self.tx[1], "ref_snr_db": self.ref_snr_db,
+                  "tx_power_offset_db": self.tx_power_offset_db,
+                  "path_loss_exponent": self.path_loss_exponent}
+        for i, w in enumerate(self.walls):
+            finite.update({f"walls[{i}].{f}": getattr(w, f) for f in ("x1", "y1", "x2", "y2", "loss_db")})
+        for name, value in finite.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.fading.taps < 1:
+            raise ValueError(f"fading taps must be >= 1, got {self.fading.taps}")
+        if not self.fading.delay_spread > 0:
+            raise ValueError(f"fading delay_spread must be > 0, got {self.fading.delay_spread}")
         nx, ny = self.lattice
         if nx * ny > MAX_GRID_LOCATIONS:
             raise ValueError(
@@ -442,16 +456,22 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def grid_to_csv(grid: ChannelGrid) -> str:
-    """One row per location: x, y, region, then the 64 SNR values in dB."""
-    buf = io.StringIO()
-    buf.write("x,y,region," + ",".join(f"snr_{i:02d}" for i in range(CARRIERS)) + "\n")
+def write_grid_csv(grid: ChannelGrid, fh) -> None:
+    """Write one row per location to a text file as it is formatted:
+    x, y, region, then the 64 SNR values in dB."""
+    fh.write("x,y,region," + ",".join(f"snr_{i:02d}" for i in range(CARRIERS)) + "\n")
     for loc, snrs in zip(grid.locations, grid.snr_db):
-        buf.write(
+        fh.write(
             f"{_fmt(loc.x)},{_fmt(loc.y)},{loc.region},"
             + ",".join(_fmt(v) for v in snrs)
             + "\n"
         )
+
+
+def grid_to_csv(grid: ChannelGrid) -> str:
+    """The text :func:`write_grid_csv` writes, as one string."""
+    buf = io.StringIO()
+    write_grid_csv(grid, buf)
     return buf.getvalue()
 
 

@@ -126,7 +126,8 @@ def sound(iq_file, sidecar, x, y, region, out_dir):
         snr_db=snrs[None, :],
         tx=(0.0, 0.0),
     )
-    (out / "snr_row.csv").write_text(channel.grid_to_csv(grid))
+    with open(out / "snr_row.csv", "w") as fh:
+        channel.write_grid_csv(grid, fh)
     _write_manifest(
         out,
         "sound",
@@ -150,7 +151,8 @@ def synth(config_path, seed, out_dir):
         else channel.default_environment()
     )
     grid = channel.synth_grid(cfg, seed=seed)
-    (out / "grid.csv").write_text(channel.grid_to_csv(grid))
+    with open(out / "grid.csv", "w") as fh:
+        channel.write_grid_csv(grid, fh)
     _write_manifest(
         out,
         "synth",

@@ -19,15 +19,12 @@ from . import bitlinalg
 from .bitlinalg import BitMatrix
 
 DEFAULT_ENUM_CAP = 24
-# Above this blocklength the Reed-Muller weight hierarchy comes from the
-# monomial-support construction instead of exhaustive subset search.
-GHW_CLOSED_FORM_THRESHOLD = 20
 # The subset-rank tally holds one uint16 count per coordinate subset
 # (32 MB at n = 24) and works through it in chunks of this many subsets.
 SUBSET_RANK_CAP = 24
 _TALLY_CHUNK = 1 << 12
 # Largest Reed-Muller degree m (n = 2^m) anything here builds: at m = 9
-# the sweep's candidate family takes about 8 s, at m = 10 about a minute.
+# the sweep's candidate family takes 3-4 s, at m = 10 about 40 s.
 RM_MAX_DEGREE = 9
 
 
@@ -217,25 +214,16 @@ def subset_rank_tallies(c: LinearCode) -> np.ndarray:
     return out.reshape(n + 1, n + 1)
 
 
-def min_rank_by_subset_size(c: LinearCode) -> np.ndarray:
-    """For t = 0..n, the minimum GF(2) rank over all t-column submatrices."""
-    tallies = subset_rank_tallies(c)
-    out = np.zeros(c.n + 1, dtype=np.int64)
-    for t in range(c.n + 1):
-        nz = np.nonzero(tallies[t])[0]
-        out[t] = nz[0] if nz.size else 0
-    return out
-
-
 def ghw_exact(c: LinearCode) -> GHWProfile:
     """Weight hierarchy by exhaustive search over coordinate subsets.
 
     Uses the identity: the largest subcode supported inside a coordinate
     set S has dimension dim - rank(G restricted to the complement of S),
     so d_r is the smallest |S| for which that dimension reaches r.  The
-    subset-rank tally bounds n (``SUBSET_RANK_CAP``).
+    smallest rank at each subset size is the first nonzero column of the
+    subset-rank tally, which bounds n (``SUBSET_RANK_CAP``).
     """
-    minrank = min_rank_by_subset_size(c)
+    minrank = (subset_rank_tallies(c) > 0).argmax(axis=1)
     weights = []
     for r in range(1, c.dim + 1):
         for mu in range(1, c.n + 1):
@@ -274,22 +262,17 @@ def _ghw_rm_monomial(u: int, m: int) -> GHWProfile:
     return GHWProfile(weights=tuple(weights), source="monomial")
 
 
-def ghw_reed_muller(order: int, degree: int, method: str = "auto") -> GHWProfile:
+def ghw_reed_muller(order: int, degree: int) -> GHWProfile:
     """Weight hierarchy of RM(order, degree).
 
-    method "auto" runs the exhaustive search at desk scale
-    (2^degree <= 20) and the monomial construction above it; "exact" and
-    "monomial" force a path.  The profile's ``source`` records which ran.
+    The exhaustive search runs while 2^degree <= ``SUBSET_RANK_CAP`` and
+    the monomial construction above it; the profile's ``source`` records
+    which ran.
     """
     _check_rm_params(order, degree)
-    u, m = order, degree
-    if method == "auto":
-        method = "exact" if 2**m <= GHW_CLOSED_FORM_THRESHOLD else "monomial"
-    if method == "exact":
-        return ghw_exact(reed_muller(u, m))
-    if method == "monomial":
-        return _ghw_rm_monomial(u, m)
-    raise ValueError(f"unknown method {method!r}")
+    if 2**degree <= SUBSET_RANK_CAP:
+        return ghw_exact(reed_muller(order, degree))
+    return _ghw_rm_monomial(order, degree)
 
 
 def ghw_of(c: LinearCode) -> GHWProfile:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bitlinalg, channel, codes, wiretap
+from . import channel, codes, wiretap
 from .channel import ChannelGrid, RegionMap
 from .wiretap import WiretapCode
 
@@ -227,24 +227,21 @@ def default_code_family(max_m: int = 5) -> list[WiretapCode]:
     For each RM(u, m) with 0 < u <= m <= max_m the code is tried both as
     the base code C and (via its dual) as C-perp, since either role is a
     legitimate reading of an RM-labelled coset code.  Degenerate bases
-    and duplicates (RM duals are RM codes) are dropped.  ``max_m`` above
+    are dropped, and so are duplicates by their RM parameters: the dual
+    of RM(u, m) is RM(m - u - 1, m).  ``max_m`` above
     ``codes.RM_MAX_DEGREE`` is refused before anything is built.
     """
     if max_m > codes.RM_MAX_DEGREE:
         raise ValueError(f"max_m {max_m} exceeds the Reed-Muller degree bound {codes.RM_MAX_DEGREE}")
     family: list[WiretapCode] = []
-    seen: set[tuple[int, bytes]] = set()
+    seen: set[tuple[int, int] | None] = set()
     for m in range(1, max_m + 1):
         for u in range(1, m + 1):
             rm = codes.reed_muller(u, m)
             for suffix, base in (("C", rm), ("Cperp", codes.dual(rm))):
-                if not 0 < base.dim < base.n:
+                if not 0 < base.dim < base.n or base.rm_params in seen:
                     continue
-                canon, _ = bitlinalg.rref(base.generator)
-                key = (base.n, canon.a.tobytes())
-                if key in seen:
-                    continue
-                seen.add(key)
+                seen.add(base.rm_params)
                 family.append(wiretap.build(base, label=f"RM({u},{m})|{suffix}"))
     return family
 

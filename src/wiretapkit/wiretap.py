@@ -63,32 +63,6 @@ class EquivocationMatrix:
         return buf.getvalue()
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> int:
-    return int(np.bitwise_and(a, b).sum() & 1)
-
-
-def _orthonormal_dual_basis(d: BitMatrix) -> BitMatrix | None:
-    """A basis H of d's row space with H.H^T = I, if one exists.
-
-    Gram-Schmidt over GF(2): repeatedly peel off a vector of odd
-    self-overlap and project it out of the rest.  Fails (returns None)
-    exactly when the form is alternating on the row space, i.e. every
-    vector in it has even weight.  Rows of the result are sorted by
-    decreasing binary value for determinism.
-    """
-    work = [r.copy() for r in d.a]
-    out: list[np.ndarray] = []
-    while work:
-        pick = next((i for i, r in enumerate(work) if _dot(r, r)), None)
-        if pick is None:
-            return None
-        u = work.pop(pick)
-        out.append(u)
-        work = [r ^ u if _dot(r, u) else r for r in work]
-    out.sort(key=lambda r: -int("".join(str(int(b)) for b in r), 2))
-    return BitMatrix(np.array(out, dtype=np.uint8))
-
-
 class WiretapCode:
     """Coset wiretap code built on a base code C of dimension n - k.
 
@@ -152,7 +126,7 @@ def build(c: LinearCode, label: str | None = None) -> WiretapCode:
     if not 0 < c.dim < c.n:
         raise ValueError(f"base code must satisfy 0 < dim < n, got dim={c.dim}, n={c.n}")
     d = codes.dual(c)
-    ortho = _orthonormal_dual_basis(d.generator)
+    ortho = bitlinalg.orthonormal_basis(d.generator)
     if ortho is not None:
         return WiretapCode(c, gprime=ortho, h=ortho, label=label)
     return WiretapCode(c, gprime=bitlinalg.complete_basis(c.generator), h=d.generator, label=label)

@@ -7,7 +7,10 @@ and Eve's message posterior by matching her observation against all
 2^n coset words.  The sweep oracle is the plain loop over Eve locations
 that the vectorised sweep replaced, and the grid oracle the
 per-location loop that ``channel.synth_grid``'s array passes replaced.
-Library results are checked against these, never against themselves.
+The elimination oracles are the per-row numpy Gauss-Jordan, the greedy
+basis completion and the uint8 Gram-Schmidt that ``bitlinalg``'s
+packed-row elimination replaced.  Library results are checked against
+these, never against themselves.
 """
 
 import itertools
@@ -16,7 +19,8 @@ import math
 import numpy as np
 import pytest
 
-from wiretapkit import channel, codes, sweep, wiretap
+from wiretapkit import bitlinalg, channel, codes, sweep, wiretap
+from wiretapkit.bitlinalg import BitMatrix
 
 
 def oracle_rank(rows) -> int:
@@ -26,6 +30,123 @@ def oracle_rank(rows) -> int:
     for m in masks:
         space |= {v ^ m for v in space}
     return int(math.log2(len(space)))
+
+
+def oracle_rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
+    """Reduced row-echelon form and pivot columns by per-row numpy Gauss-Jordan."""
+    a = m.a.copy()
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    prow = 0
+    for col in range(ncols):
+        hit = -1
+        for r in range(prow, nrows):
+            if a[r, col]:
+                hit = r
+                break
+        if hit < 0:
+            continue
+        if hit != prow:
+            a[[prow, hit]] = a[[hit, prow]]
+        for r in range(nrows):
+            if r != prow and a[r, col]:
+                a[r] ^= a[prow]
+        pivots.append(col)
+        prow += 1
+        if prow == nrows:
+            break
+    return BitMatrix(a[: len(pivots)] if pivots else np.zeros((0, ncols), dtype=np.uint8)), pivots
+
+
+def oracle_inverse(m: BitMatrix) -> BitMatrix:
+    """Inverse by reducing [m | I] to [I | m^-1] with :func:`oracle_rref`."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError(f"only square matrices have inverses, got {m.rows}x{m.cols}")
+    red, pivots = oracle_rref(BitMatrix(np.hstack([m.a, BitMatrix.identity(n).a])))
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular over GF(2)")
+    return BitMatrix(red.a[:, n:])
+
+
+def oracle_null_space(m: BitMatrix) -> BitMatrix:
+    """Null-space basis read off :func:`oracle_rref`, one row per free column."""
+    red, pivots = oracle_rref(m)
+    n = m.cols
+    free = [c for c in range(n) if c not in pivots]
+    rows = []
+    for f in free:
+        v = np.zeros(n, dtype=np.uint8)
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            v[p] = red.a[i, f]
+        rows.append(v)
+    if not rows:
+        return BitMatrix(np.zeros((0, n), dtype=np.uint8))
+    return BitMatrix(np.array(rows, dtype=np.uint8))
+
+
+def oracle_complete_basis(g: BitMatrix) -> BitMatrix:
+    """Greedy completion: keep each e_0, e_1, ... that raises the rank.
+
+    One ``bitlinalg.rank`` call per candidate; the row-space oracle rank
+    would enumerate up to 2^n vectors here.
+    """
+    r, n = g.rows, g.cols
+    if bitlinalg.rank(g) != r:
+        raise ValueError("input rows are not linearly independent")
+    if r >= n:
+        raise ValueError(f"nothing to complete: rank {r} already spans GF(2)^{n}")
+    chosen = []
+    current = g
+    cur_rank = r
+    for i in range(n):
+        e = np.zeros((1, n), dtype=np.uint8)
+        e[0, i] = 1
+        candidate = BitMatrix(np.vstack([current.a, e]))
+        if bitlinalg.rank(candidate) > cur_rank:
+            chosen.append(e[0])
+            current = candidate
+            cur_rank += 1
+        if cur_rank == n:
+            break
+    return BitMatrix(np.array(chosen, dtype=np.uint8))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> int:
+    return int(np.bitwise_and(a, b).sum() & 1)
+
+
+def oracle_orthonormal_basis(d: BitMatrix) -> BitMatrix | None:
+    """Gram-Schmidt over GF(2) on uint8 rows, sorted through bit strings.
+
+    A basis H of d's row space with H.H^T = I, or None when every vector
+    in it has even weight.  For a 0-row d it returns a (1, 0) matrix
+    (``np.array([])`` is 1-D), so compare it on d with rows only.
+    """
+    work = [r.copy() for r in d.a]
+    out: list[np.ndarray] = []
+    while work:
+        pick = next((i for i, r in enumerate(work) if _dot(r, r)), None)
+        if pick is None:
+            return None
+        u = work.pop(pick)
+        out.append(u)
+        work = [r ^ u if _dot(r, u) else r for r in work]
+    out.sort(key=lambda r: -int("".join(str(int(b)) for b in r), 2))
+    return BitMatrix(np.array(out, dtype=np.uint8))
+
+
+def oracle_wiretap_matrices(c: codes.LinearCode) -> tuple[BitMatrix, BitMatrix, BitMatrix]:
+    """(G', H, decoder) of ``wiretap.build(c)``, every elimination by the oracles."""
+    h, _ = oracle_rref(oracle_null_space(c.generator))
+    gprime = oracle_orthonormal_basis(h)
+    if gprime is not None:
+        h = gprime
+    else:
+        gprime = oracle_complete_basis(c.generator)
+    ht = BitMatrix(h.a.T)
+    return gprime, h, bitlinalg.mul(ht, oracle_inverse(bitlinalg.mul(gprime, ht)))
 
 
 def oracle_leakage(generator: np.ndarray, revealed) -> int:

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from wiretapkit import bitlinalg
 from wiretapkit.bitlinalg import BitMatrix
 
-from conftest import oracle_rank
+from conftest import (
+    oracle_complete_basis,
+    oracle_inverse,
+    oracle_null_space,
+    oracle_orthonormal_basis,
+    oracle_rank,
+    oracle_rref,
+)
 
 bit_matrices = st.integers(1, 8).flatmap(
     lambda r: st.integers(1, 10).flatmap(
@@ -19,6 +26,31 @@ bit_matrices = st.integers(1, 8).flatmap(
         )
     )
 )
+
+
+
+@st.composite
+def shaped_matrices(draw, min_rows=0, square=False):
+    """Bit matrices with 0 rows, 0 columns or more than 64 columns among
+    the shapes; rows are drawn as mixes of fewer rows, so dependent rows
+    and low ranks come up often."""
+    rows = draw(st.integers(min_rows, 10))
+    cols = rows if square else draw(st.integers(0, 12) | st.integers(63, 90))
+    inner = draw(st.integers(0, rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    full = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
+    if draw(st.booleans()):
+        return BitMatrix(full)
+    mix = rng.integers(0, 2, size=(rows, inner), dtype=np.int64)
+    return BitMatrix((mix @ full[:inner].astype(np.int64) % 2).astype(np.uint8))
+
+
+def outcome(f, m):
+    """f(m), or the message of the ValueError it raises."""
+    try:
+        return f(m)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 class TestBitMatrix:
@@ -186,3 +218,35 @@ class TestInverse:
     def test_not_square(self):
         with pytest.raises(ValueError, match="square"):
             bitlinalg.inverse(BitMatrix.zeros(2, 3))
+
+
+class TestAgainstOracles:
+    """Element-for-element equality with the replaced eliminations."""
+
+    @given(shaped_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_rref_and_pivots(self, m):
+        assert bitlinalg.rref(m) == oracle_rref(m)
+
+    @given(shaped_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_null_space(self, m):
+        assert bitlinalg.null_space(m) == oracle_null_space(m)
+
+    @given(shaped_matrices(square=True))
+    @settings(max_examples=150, deadline=None)
+    def test_inverse(self, m):
+        assert outcome(bitlinalg.inverse, m) == outcome(oracle_inverse, m)
+
+    @given(shaped_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_complete_basis(self, m):
+        assert outcome(bitlinalg.complete_basis, m) == outcome(oracle_complete_basis, m)
+
+    @given(shaped_matrices(min_rows=1))
+    @settings(max_examples=200, deadline=None)
+    def test_orthonormal_basis(self, m):
+        assert bitlinalg.orthonormal_basis(m) == oracle_orthonormal_basis(m)
+
+    def test_orthonormal_basis_of_no_rows(self):
+        assert bitlinalg.orthonormal_basis(BitMatrix.zeros(0, 5)) == BitMatrix.zeros(0, 5)

@@ -1,6 +1,7 @@
 """Command-line interface tests via click's test runner."""
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -144,6 +145,37 @@ class TestOneLineErrors:
         assert time.perf_counter() - start < 1.0
         assert_one_line_error(res)
         assert f"cap of {channel.MAX_GRID_LOCATIONS}" in res.output
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("path", "value", "field"),
+        [
+            (("ref_distance_m",), 0, "ref_distance"),
+            (("ref_distance_m",), -1.0, "ref_distance"),
+            (("ref_distance_m",), math.inf, "ref_distance"),
+            (("walls", 0, "x1"), math.nan, "walls[0].x1"),
+            (("walls", 3, "y2"), math.inf, "walls[3].y2"),
+            (("walls", 1, "loss_db"), math.nan, "walls[1].loss_db"),
+            (("tx", "x"), math.nan, "tx.x"),
+            (("tx", "y"), -math.inf, "tx.y"),
+            (("ref_snr_db",), math.nan, "ref_snr_db"),
+            (("tx_power_offset_db",), math.inf, "tx_power_offset_db"),
+            (("path_loss_exponent",), math.nan, "path_loss_exponent"),
+            (("fading", "taps"), 0, "taps"),
+            (("fading", "delay_spread"), 0.0, "delay_spread"),
+        ],
+    )
+    def test_synth_config_bad_value_names_field(self, runner, tmp_path, path, value, field):
+        env = json.loads((Path(channel.__file__).parent / "data" / "default_env.json").read_text())
+        target = env
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        config = tmp_path / "env.json"
+        config.write_text(json.dumps(env))
+        res = runner.invoke(cli.main, ["synth", "--config", str(config), "--out-dir", str(tmp_path)])
+        assert_one_line_error(res)
+        assert field in res.output
         assert not (tmp_path / "grid.csv").exists()
 
     def test_sound_32_carrier_sidecar(self, runner, tmp_path):

@@ -4,10 +4,13 @@ Hypothesis draws a command and its arguments from good and bad values:
 code specs, thresholds (nan, inf, garbage), degree bounds, trial counts,
 and missing, empty or malformed grid, regions, config and capture files.
 Every run must exit 0 (success), 1 (one-line ``Error:``) or 2 (usage
-error) within the per-example deadline.
+error) within the per-example deadline.  Environment configs with one
+drawn value out of range (ref_distance_m <= 0, a non-finite transmitter
+or wall coordinate, taps < 1) must end in an ``Error:`` that names it.
 """
 
 import json
+import math
 from datetime import timedelta
 
 import numpy as np
@@ -55,6 +58,13 @@ CONFIG_FILES = {
     "negative.json": {"width_m": -1, "height_m": 4, "tx": {"x": 0, "y": 0}, "ref_snr_db": 30},
     "bad_fading.json": {"width_m": 0.5, "height_m": 0.3, "tx": {"x": 0, "y": 0},
                         "ref_snr_db": 30, "fading": {"bogus": 1}},
+    "ref_distance_zero.json": {"width_m": 0.5, "height_m": 0.3, "tx": {"x": 0.1, "y": 0.1},
+                               "ref_snr_db": 30, "ref_distance_m": 0},
+    "tx_nan.json": '{"width_m": 0.5, "height_m": 0.3, "tx": {"x": NaN, "y": 0.1}, "ref_snr_db": 30}',
+    "wall_nan.json": '{"width_m": 0.5, "height_m": 0.3, "tx": {"x": 0.1, "y": 0.1}, "ref_snr_db": 30, '
+                     '"walls": [{"x1": NaN, "y1": 0.2, "x2": 0.5, "y2": 0.2, "loss_db": 10}]}',
+    "taps_zero.json": {"width_m": 0.5, "height_m": 0.3, "tx": {"x": 0.1, "y": 0.1},
+                       "ref_snr_db": 30, "fading": {"taps": 0}},
     "array.json": [],
     "empty.json": "",
     "truncated.json": "{",
@@ -147,6 +157,46 @@ def invocations(draw):
         iq = draw(st.just("cap.iq") | st.sampled_from(["odd.iq", MISSING]))
         return [command, iq, "--sidecar", draw(_pick("sidecar", SIDECARS))]
     return [command]
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+BAD_REF_DISTANCE = st.sampled_from([0, -1]) | st.floats(max_value=0.0) | NON_FINITE
+
+
+@st.composite
+def refused_configs(draw):
+    """A small environment with one drawn value its config must refuse,
+    and the name the error has to give."""
+    env = {"width_m": 0.5, "height_m": 0.3, "tx": {"x": 0.1, "y": 0.1}, "ref_snr_db": 30,
+           "walls": [{"x1": 0.0, "y1": 0.2, "x2": 0.5, "y2": 0.2, "loss_db": 10}],
+           "fading": {"taps": 4}}
+    which = draw(st.sampled_from(["ref_distance", "tx", "wall", "taps"]))
+    if which == "ref_distance":
+        env["ref_distance_m"] = draw(BAD_REF_DISTANCE)
+        return env, "ref_distance"
+    if which == "tx":
+        axis = draw(st.sampled_from(["x", "y"]))
+        env["tx"][axis] = draw(NON_FINITE)
+        return env, f"tx.{axis}"
+    if which == "wall":
+        key = draw(st.sampled_from(["x1", "y1", "x2", "y2", "loss_db"]))
+        env["walls"][0][key] = draw(NON_FINITE)
+        return env, f"walls[0].{key}"
+    env["fading"]["taps"] = draw(st.integers(max_value=0))
+    return env, "taps"
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=10), derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=refused_configs())
+def test_config_refused_naming_field(files, monkeypatch, case):
+    env, field = case
+    monkeypatch.chdir(files)
+    _write(files / "config" / "drawn.json", env)
+    res = CliRunner().invoke(cli.main, ["synth", "--config", "config/drawn.json", "--out-dir", "out"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), (env, res.output, res.exception)
+    assert res.output.startswith("Error: ") and res.output.count("\n") == 1, res.output
+    assert field in res.output, (env, res.output)
 
 
 @settings(max_examples=150, deadline=timedelta(seconds=10), derandomize=True,

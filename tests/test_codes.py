@@ -168,8 +168,8 @@ class TestWeiDuality:
     def test_monomial_reed_muller(self):
         for m in range(1, 8):
             for u in range(m + 1):
-                dual_weights = () if u == m else codes.ghw_reed_muller(m - u - 1, m, "monomial").weights
-                self.assert_partition(2**m, codes.ghw_reed_muller(u, m, "monomial").weights, dual_weights)
+                dual_weights = () if u == m else codes._ghw_rm_monomial(m - u - 1, m).weights
+                self.assert_partition(2**m, codes._ghw_rm_monomial(u, m).weights, dual_weights)
 
 
 class TestGHW:
@@ -222,8 +222,8 @@ class TestGHWReedMuller:
     def test_monomial_equals_exact_at_desk_scale(self):
         for m in range(1, 5):
             for u in range(0, m + 1):
-                mono = codes.ghw_reed_muller(u, m, method="monomial")
-                exact = codes.ghw_reed_muller(u, m, method="exact")
+                mono = codes._ghw_rm_monomial(u, m)
+                exact = codes.ghw_exact(codes.reed_muller(u, m))
                 assert mono.weights == exact.weights, (u, m)
 
     def test_auto_source_switch(self):
@@ -233,10 +233,6 @@ class TestGHWReedMuller:
     def test_first_order_length32_hierarchy(self):
         # classical hierarchy of the (32, 6) first-order code
         assert codes.ghw_reed_muller(1, 5).weights == (16, 24, 28, 30, 31, 32)
-
-    def test_bad_method(self):
-        with pytest.raises(ValueError):
-            codes.ghw_reed_muller(1, 3, method="guess")
 
 
 class TestRandomCode:

@@ -14,7 +14,9 @@ from wiretapkit.channel import ChannelGrid, Location, RegionMap
 
 from conftest import (
     oracle_leakage,
+    oracle_rref,
     oracle_sweep,
+    oracle_wiretap_matrices,
     posterior_entropy,
     posterior_oracle,
     random_corpus,
@@ -286,6 +288,13 @@ class TestDefaultFamily:
                 m = rng.integers(0, 2, size=w.k, dtype=np.uint8)
                 mp = rng.integers(0, 2, size=w.n - w.k, dtype=np.uint8)
                 assert np.array_equal(wiretap.decode(w, wiretap.encode(w, m, mp)), m), w.label
+
+    def test_matches_oracle_eliminations(self):
+        fam = sweep.default_code_family(max_m=6)
+        for w in fam:
+            assert (w.gprime, w.h, w.decoder) == oracle_wiretap_matrices(w.base_code), w.label
+        # no code twice, even under another generator
+        assert len({oracle_rref(w.base_code.generator)[0] for w in fam}) == len(fam)
 
 
 class TestSimulateMC:
