@@ -112,13 +112,8 @@ def rank(m: BitMatrix) -> int:
 
 
 def mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product with XOR-accumulated dot products."""
-    if a.cols != b.rows:
-        raise ValueError(
-            f"dimension mismatch: {a.rows}x{a.cols} cannot multiply {b.rows}x{b.cols}"
-        )
-    prod = (a.a.astype(np.uint64) @ b.a.astype(np.uint64)) & 1
-    return BitMatrix(prod.astype(np.uint8))
+    """Matrix product over GF(2): each row of a times b, by :func:`mulvec`."""
+    return BitMatrix(mulvec(a.a, b))
 
 
 def mulvec(a: Sequence[int], b: BitMatrix) -> np.ndarray:
@@ -147,32 +142,6 @@ def column_select(m: BitMatrix, indices: Sequence[int]) -> BitMatrix:
     return BitMatrix(m.a[:, idx])
 
 
-def stack(top: BitMatrix, bottom: BitMatrix) -> BitMatrix:
-    """Vertical concatenation."""
-    if top.cols != bottom.cols:
-        raise ValueError(f"column mismatch: {top.cols} vs {bottom.cols}")
-    return BitMatrix(np.vstack([top.a, bottom.a]))
-
-
-def complete_basis(g: BitMatrix) -> BitMatrix:
-    """Extend a full-row-rank matrix to a basis of the full space.
-
-    Returns an (n - r) x n matrix whose rows, stacked over g, span
-    GF(2)^n.  Deterministic rule: the rows e_i, in order, that the greedy
-    choice of e_0, e_1, ... keeps because each raises the rank.  e_i
-    raises it exactly when no vector of g's row space has its last 1 in
-    column i, i.e. when no echelon row of g with its columns reversed
-    leads at column i (bit i of a reversed packed row).
-    """
-    r, n = g.rows, g.cols
-    leads = _echelon(g.a[:, ::-1])
-    if len(leads) != r:
-        raise ValueError("input rows are not linearly independent")
-    if r >= n:
-        raise ValueError(f"nothing to complete: rank {r} already spans GF(2)^{n}")
-    return BitMatrix(np.eye(n, dtype=np.uint8)[[i for i in range(n) if i not in leads]])
-
-
 def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     """Reduced row-echelon form over GF(2) and the pivot column list.
 
@@ -191,17 +160,6 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     return BitMatrix(_unpack([basis[p] for p in leads], m.cols)), [m.cols - 1 - p for p in leads]
 
 
-def inverse(m: BitMatrix) -> BitMatrix:
-    """Inverse of a square matrix over GF(2), by reducing [m | I] to [I | m^-1]."""
-    n = m.rows
-    if m.cols != n:
-        raise ValueError(f"only square matrices have inverses, got {m.rows}x{m.cols}")
-    red, pivots = rref(BitMatrix(np.hstack([m.a, BitMatrix.identity(n).a])))
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular over GF(2)")
-    return BitMatrix(red.a[:, n:])
-
-
 def null_space(m: BitMatrix) -> BitMatrix:
     """Basis of {v : m . v^T = 0}, as rows; (n - rank) x n.
 
@@ -214,24 +172,3 @@ def null_space(m: BitMatrix) -> BitMatrix:
     out[np.arange(len(free)), free] = 1
     out[:, pivots] = red.a[:, free].T
     return BitMatrix(out)
-
-
-def orthonormal_basis(m: BitMatrix) -> BitMatrix | None:
-    """A basis H of m's row space with H.H^T = I, if one exists.
-
-    Gram-Schmidt over GF(2) on packed rows: repeatedly peel off a row of
-    odd weight and project it out of the rest.  Fails (returns None)
-    exactly when the form is alternating on the row space, i.e. every
-    vector in it has even weight.  Rows of the result are sorted by
-    decreasing binary value for determinism.
-    """
-    work = _pack(m.a)
-    out: list[int] = []
-    while work:
-        pick = next((i for i, v in enumerate(work) if v.bit_count() & 1), None)
-        if pick is None:
-            return None
-        u = work.pop(pick)
-        out.append(u)
-        work = [v ^ u if (v & u).bit_count() & 1 else v for v in work]
-    return BitMatrix(_unpack(sorted(out, reverse=True), m.cols))

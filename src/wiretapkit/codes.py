@@ -24,7 +24,8 @@ DEFAULT_ENUM_CAP = 24
 SUBSET_RANK_CAP = 24
 _TALLY_CHUNK = 1 << 12
 # Largest Reed-Muller degree m (n = 2^m) anything here builds: at m = 9
-# the sweep's candidate family takes 3-4 s, at m = 10 about 40 s.
+# the sweep's candidate family takes 0.8 s and 2.7 s with its dual GHW
+# profiles, at m = 10 about 3 s and 17 s.
 RM_MAX_DEGREE = 9
 
 
@@ -120,22 +121,18 @@ def _monomials(u: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _check_rm_params(order: int, degree: int) -> None:
-    """Refuse (order, degree) outside 0 <= order <= degree <= RM_MAX_DEGREE."""
-    if not 1 <= degree <= RM_MAX_DEGREE:
-        raise ValueError(f"degree must lie in [1, {RM_MAX_DEGREE}], got {degree}")
-    if not 0 <= order <= degree:
-        raise ValueError(f"order must satisfy 0 <= order <= degree, got ({order}, {degree})")
-
-
 def reed_muller(order: int, degree: int) -> LinearCode:
     """The Reed-Muller code RM(order, degree): n = 2^degree,
     dim = sum_{i<=order} C(degree, i).
 
     Generator rows are evaluation vectors of monomials in graded
-    lexicographic order, so the matrix is deterministic.
+    lexicographic order, so the matrix is deterministic.  Refuses
+    (order, degree) outside 0 <= order <= degree <= RM_MAX_DEGREE.
     """
-    _check_rm_params(order, degree)
+    if not 1 <= degree <= RM_MAX_DEGREE:
+        raise ValueError(f"degree must lie in [1, {RM_MAX_DEGREE}], got {degree}")
+    if not 0 <= order <= degree:
+        raise ValueError(f"order must satisfy 0 <= order <= degree, got ({order}, {degree})")
     u, m = order, degree
     rows = [_monomial_row(m, s) for s in _monomials(u, m)]
     gen = BitMatrix(np.array(rows, dtype=np.uint8))
@@ -262,25 +259,17 @@ def _ghw_rm_monomial(u: int, m: int) -> GHWProfile:
     return GHWProfile(weights=tuple(weights), source="monomial")
 
 
-def ghw_reed_muller(order: int, degree: int) -> GHWProfile:
-    """Weight hierarchy of RM(order, degree).
-
-    The exhaustive search runs while 2^degree <= ``SUBSET_RANK_CAP`` and
-    the monomial construction above it; the profile's ``source`` records
-    which ran.
-    """
-    _check_rm_params(order, degree)
-    if 2**degree <= SUBSET_RANK_CAP:
-        return ghw_exact(reed_muller(order, degree))
-    return _ghw_rm_monomial(order, degree)
-
-
 def ghw_of(c: LinearCode) -> GHWProfile:
-    """Hierarchy of an arbitrary code: closed path for RM codes, exact else."""
+    """Hierarchy of an arbitrary code.
+
+    The exhaustive search runs while n <= ``SUBSET_RANK_CAP``; above it a
+    Reed-Muller code takes the monomial construction.  The profile's
+    ``source`` records which ran.
+    """
     if c.dim == 0:
         return GHWProfile(weights=())
-    if c.rm_params is not None:
-        return ghw_reed_muller(*c.rm_params)
+    if c.rm_params is not None and c.n > SUBSET_RANK_CAP:
+        return _ghw_rm_monomial(*c.rm_params)
     return ghw_exact(c)
 
 

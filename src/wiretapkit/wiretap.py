@@ -1,12 +1,12 @@
 """Coset wiretap encoder/decoder and exact equivocation analysis.
 
 A k-bit message selects a coset of an (n, n-k) linear code C; the
-auxiliary (n-k)-bit word picks the coset element uniformly.  Decoding is
-one product with a precomputed n x k matrix: the syndrome map followed
-by a k x k GF(2) inverse.  Leakage to an erasure-channel eavesdropper is
-always an integer number of bits and is catalogued per erasure pattern
-in the equivocation matrix, with the worst case per pattern weight given
-by the generalized Hamming weights of the dual code.
+auxiliary (n-k)-bit word picks the coset element uniformly.  The message
+part G' of the encoder satisfies G'.H^T = I, so decoding is one product
+with H^T: the syndrome is the message.  Leakage to an erasure-channel
+eavesdropper is always an integer number of bits and is catalogued per
+erasure pattern in the equivocation matrix, with the worst case per
+pattern weight given by the generalized Hamming weights of the dual code.
 """
 
 from __future__ import annotations
@@ -66,10 +66,10 @@ class EquivocationMatrix:
 class WiretapCode:
     """Coset wiretap code built on a base code C of dimension n - k.
 
-    ``gprime`` carries the message part of the encoder; ``h`` is the
-    parity-check matrix of C.  A received word y has syndrome
-    y.H^T = m.G'.H^T, so ``decoder`` = H^T.(G'.H^T)^-1 recovers the
-    message in one product; it equals H^T when G' = H and H.H^T = I.
+    ``gprime`` carries the message part of the encoder; ``h`` is a
+    parity-check matrix of C with G'.H^T = I.  A received word y has
+    syndrome y.H^T = m.G'.H^T = m, so ``decoder`` = H^T.  G'.H^T = I
+    also makes H full rank and G' a complement of C.
     """
 
     def __init__(
@@ -88,14 +88,12 @@ class WiretapCode:
         ht = BitMatrix(h.a.T)
         if np.any(bitlinalg.mul(base_code.generator, ht).a):
             raise ValueError("h is not a parity check of the base code")
-        if bitlinalg.rank(h) != k:
-            raise ValueError("h must have full row rank")
-        if bitlinalg.rank(bitlinalg.stack(gprime, base_code.generator)) != n:
-            raise ValueError("gprime stacked over the base generator must have rank n")
+        if bitlinalg.mul(gprime, ht) != BitMatrix.identity(k):
+            raise ValueError("gprime.h^T must be the identity")
         self.base_code = base_code
         self.gprime = gprime
         self.h = h
-        self.decoder = bitlinalg.mul(ht, bitlinalg.inverse(bitlinalg.mul(gprime, ht)))
+        self.decoder = ht
         self.n = n
         self.k = k
         self._label = label
@@ -119,17 +117,15 @@ class WiretapCode:
 def build(c: LinearCode, label: str | None = None) -> WiretapCode:
     """Construct the wiretap code with base code C = c.
 
-    Prefers a parity-check basis H with H.H^T = I and G' = H, under which
-    the syndrome is the message itself; when no such basis exists, G'
-    comes from a standard-basis completion and H is the dual's generator.
+    H is the dual's RREF generator and G' the identity rows at H's pivot
+    columns.  H is the identity on those columns, so G'.H^T = I and the
+    syndrome is the message itself.
     """
     if not 0 < c.dim < c.n:
         raise ValueError(f"base code must satisfy 0 < dim < n, got dim={c.dim}, n={c.n}")
-    d = codes.dual(c)
-    ortho = bitlinalg.orthonormal_basis(d.generator)
-    if ortho is not None:
-        return WiretapCode(c, gprime=ortho, h=ortho, label=label)
-    return WiretapCode(c, gprime=bitlinalg.complete_basis(c.generator), h=d.generator, label=label)
+    h = codes.dual(c).generator
+    gprime = BitMatrix(np.eye(c.n, dtype=np.uint8)[h.a.argmax(axis=1)])
+    return WiretapCode(c, gprime=gprime, h=h, label=label)
 
 
 def encode(w: WiretapCode, m, mprime) -> np.ndarray:
@@ -198,10 +194,11 @@ def worst_case_leakage(w: WiretapCode, mu: int) -> int:
 def example_code() -> WiretapCode:
     """The built-in rate-1/2, n=4 demonstration code.
 
-    Base code generated by [0111; 1110]; the construction lands on the
-    parity-check rows [1101; 1011], under which the decoded syndrome is
-    the message itself.
+    Base code generated by [0111; 1110] with the published
+    G' = H = [1101; 1011].  Those rows are orthonormal, so G'.H^T = I and
+    the decoded syndrome is the message itself.
     """
     g = BitMatrix.from_strings(["0111", "1110"])
+    h = BitMatrix.from_strings(["1101", "1011"])
     c = LinearCode(n=4, dim=2, generator=g, label="demo(4,2)")
-    return build(c)
+    return WiretapCode(c, gprime=h, h=h)

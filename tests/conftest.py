@@ -7,9 +7,10 @@ and Eve's message posterior by matching her observation against all
 2^n coset words.  The sweep oracle is the plain loop over Eve locations
 that the vectorised sweep replaced, and the grid oracle the
 per-location loop that ``channel.synth_grid``'s array passes replaced.
-The elimination oracles are the per-row numpy Gauss-Jordan, the greedy
-basis completion and the uint8 Gram-Schmidt that ``bitlinalg``'s
-packed-row elimination replaced.  Library results are checked against
+The elimination oracle is the per-row numpy Gauss-Jordan that
+``bitlinalg``'s packed-row elimination replaced, and the wiretap-matrix
+oracle the greedy basis completion and GF(2) inverse that
+``wiretap.build``'s pivot rows replaced.  Library results are checked against
 these, never against themselves.
 """
 
@@ -113,38 +114,12 @@ def oracle_complete_basis(g: BitMatrix) -> BitMatrix:
     return BitMatrix(np.array(chosen, dtype=np.uint8))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> int:
-    return int(np.bitwise_and(a, b).sum() & 1)
-
-
-def oracle_orthonormal_basis(d: BitMatrix) -> BitMatrix | None:
-    """Gram-Schmidt over GF(2) on uint8 rows, sorted through bit strings.
-
-    A basis H of d's row space with H.H^T = I, or None when every vector
-    in it has even weight.  For a 0-row d it returns a (1, 0) matrix
-    (``np.array([])`` is 1-D), so compare it on d with rows only.
-    """
-    work = [r.copy() for r in d.a]
-    out: list[np.ndarray] = []
-    while work:
-        pick = next((i for i, r in enumerate(work) if _dot(r, r)), None)
-        if pick is None:
-            return None
-        u = work.pop(pick)
-        out.append(u)
-        work = [r ^ u if _dot(r, u) else r for r in work]
-    out.sort(key=lambda r: -int("".join(str(int(b)) for b in r), 2))
-    return BitMatrix(np.array(out, dtype=np.uint8))
-
-
 def oracle_wiretap_matrices(c: codes.LinearCode) -> tuple[BitMatrix, BitMatrix, BitMatrix]:
-    """(G', H, decoder) of ``wiretap.build(c)``, every elimination by the oracles."""
+    """(G', H, decoder) of ``wiretap.build(c)`` by the general construction:
+    H the dual's RREF, G' the greedy completion of c's generator and
+    decoder = H^T.(G'.H^T)^-1, every elimination by the oracles."""
     h, _ = oracle_rref(oracle_null_space(c.generator))
-    gprime = oracle_orthonormal_basis(h)
-    if gprime is not None:
-        h = gprime
-    else:
-        gprime = oracle_complete_basis(c.generator)
+    gprime = oracle_complete_basis(c.generator)
     ht = BitMatrix(h.a.T)
     return gprime, h, bitlinalg.mul(ht, oracle_inverse(bitlinalg.mul(gprime, ht)))
 

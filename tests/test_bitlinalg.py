@@ -8,14 +8,7 @@ from hypothesis import strategies as st
 from wiretapkit import bitlinalg
 from wiretapkit.bitlinalg import BitMatrix
 
-from conftest import (
-    oracle_complete_basis,
-    oracle_inverse,
-    oracle_null_space,
-    oracle_orthonormal_basis,
-    oracle_rank,
-    oracle_rref,
-)
+from conftest import oracle_null_space, oracle_rank, oracle_rref
 
 bit_matrices = st.integers(1, 8).flatmap(
     lambda r: st.integers(1, 10).flatmap(
@@ -30,12 +23,12 @@ bit_matrices = st.integers(1, 8).flatmap(
 
 
 @st.composite
-def shaped_matrices(draw, min_rows=0, square=False):
+def shaped_matrices(draw):
     """Bit matrices with 0 rows, 0 columns or more than 64 columns among
     the shapes; rows are drawn as mixes of fewer rows, so dependent rows
     and low ranks come up often."""
-    rows = draw(st.integers(min_rows, 10))
-    cols = rows if square else draw(st.integers(0, 12) | st.integers(63, 90))
+    rows = draw(st.integers(0, 10))
+    cols = draw(st.integers(0, 12) | st.integers(63, 90))
     inner = draw(st.integers(0, rows))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     full = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
@@ -43,14 +36,6 @@ def shaped_matrices(draw, min_rows=0, square=False):
         return BitMatrix(full)
     mix = rng.integers(0, 2, size=(rows, inner), dtype=np.int64)
     return BitMatrix((mix @ full[:inner].astype(np.int64) % 2).astype(np.uint8))
-
-
-def outcome(f, m):
-    """f(m), or the message of the ValueError it raises."""
-    try:
-        return f(m)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
 
 
 class TestBitMatrix:
@@ -155,27 +140,6 @@ class TestColumnSelect:
             bitlinalg.column_select(BitMatrix.identity(3), [3])
 
 
-class TestCompleteBasis:
-    @given(bit_matrices)
-    @settings(max_examples=100, deadline=None)
-    def test_extends_to_full_space(self, rows):
-        m = BitMatrix(rows)
-        r = bitlinalg.rank(m)
-        if r != m.rows or r >= m.cols:
-            return
-        ext = bitlinalg.complete_basis(m)
-        assert ext.rows == m.cols - r
-        assert bitlinalg.rank(bitlinalg.stack(ext, m)) == m.cols
-
-    def test_rejects_dependent_rows(self):
-        with pytest.raises(ValueError):
-            bitlinalg.complete_basis(BitMatrix.from_strings(["11", "11"]))
-
-    def test_rejects_already_full(self):
-        with pytest.raises(ValueError):
-            bitlinalg.complete_basis(BitMatrix.identity(3))
-
-
 class TestRrefNullSpace:
     @given(bit_matrices)
     @settings(max_examples=150, deadline=None)
@@ -202,24 +166,6 @@ class TestRrefNullSpace:
         assert bitlinalg.null_space(BitMatrix.identity(4)).rows == 0
 
 
-class TestInverse:
-    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
-    @settings(max_examples=80, deadline=None)
-    def test_inverts_or_reports_singular(self, n, seed):
-        m = BitMatrix(np.random.default_rng(seed).integers(0, 2, size=(n, n)))
-        if oracle_rank(m.a) < n:
-            with pytest.raises(ValueError, match="singular"):
-                bitlinalg.inverse(m)
-            return
-        inv = bitlinalg.inverse(m)
-        assert bitlinalg.mul(m, inv) == BitMatrix.identity(n)
-        assert bitlinalg.mul(inv, m) == BitMatrix.identity(n)
-
-    def test_not_square(self):
-        with pytest.raises(ValueError, match="square"):
-            bitlinalg.inverse(BitMatrix.zeros(2, 3))
-
-
 class TestAgainstOracles:
     """Element-for-element equality with the replaced eliminations."""
 
@@ -232,21 +178,3 @@ class TestAgainstOracles:
     @settings(max_examples=200, deadline=None)
     def test_null_space(self, m):
         assert bitlinalg.null_space(m) == oracle_null_space(m)
-
-    @given(shaped_matrices(square=True))
-    @settings(max_examples=150, deadline=None)
-    def test_inverse(self, m):
-        assert outcome(bitlinalg.inverse, m) == outcome(oracle_inverse, m)
-
-    @given(shaped_matrices())
-    @settings(max_examples=200, deadline=None)
-    def test_complete_basis(self, m):
-        assert outcome(bitlinalg.complete_basis, m) == outcome(oracle_complete_basis, m)
-
-    @given(shaped_matrices(min_rows=1))
-    @settings(max_examples=200, deadline=None)
-    def test_orthonormal_basis(self, m):
-        assert bitlinalg.orthonormal_basis(m) == oracle_orthonormal_basis(m)
-
-    def test_orthonormal_basis_of_no_rows(self):
-        assert bitlinalg.orthonormal_basis(BitMatrix.zeros(0, 5)) == BitMatrix.zeros(0, 5)

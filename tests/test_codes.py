@@ -215,9 +215,9 @@ class TestGHW:
 
 class TestGHWReedMuller:
     def test_known_profiles(self):
-        assert codes.ghw_reed_muller(1, 2).weights == (2, 3, 4)
-        assert codes.ghw_reed_muller(0, 4).weights == (16,)
-        assert codes.ghw_reed_muller(3, 3).weights == tuple(range(1, 9))
+        assert codes.ghw_of(codes.reed_muller(1, 2)).weights == (2, 3, 4)
+        assert codes.ghw_of(codes.reed_muller(0, 4)).weights == (16,)
+        assert codes.ghw_of(codes.reed_muller(3, 3)).weights == tuple(range(1, 9))
 
     def test_monomial_equals_exact_at_desk_scale(self):
         for m in range(1, 5):
@@ -227,12 +227,12 @@ class TestGHWReedMuller:
                 assert mono.weights == exact.weights, (u, m)
 
     def test_auto_source_switch(self):
-        assert codes.ghw_reed_muller(1, 4).source == "exact"
-        assert codes.ghw_reed_muller(1, 5).source == "monomial"
+        assert codes.ghw_of(codes.reed_muller(1, 4)).source == "exact"
+        assert codes.ghw_of(codes.reed_muller(1, 5)).source == "monomial"
 
     def test_first_order_length32_hierarchy(self):
         # classical hierarchy of the (32, 6) first-order code
-        assert codes.ghw_reed_muller(1, 5).weights == (16, 24, 28, 30, 31, 32)
+        assert codes.ghw_of(codes.reed_muller(1, 5)).weights == (16, 24, 28, 30, 31, 32)
 
 
 class TestRandomCode:

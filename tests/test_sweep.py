@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiretapkit import channel, codes, sweep, wiretap
+from wiretapkit.bitlinalg import BitMatrix
 from wiretapkit.channel import ChannelGrid, Location, RegionMap
 
 from conftest import (
@@ -279,6 +280,12 @@ class TestDefaultFamily:
         # no duplicate base codes
         assert len(fam) == len({(w.n, w.base_code.generator) for w in fam})
 
+    def test_syndrome_is_message(self):
+        for w in sweep.default_code_family(max_m=7):
+            prod = w.gprime.a.astype(int) @ w.h.a.T.astype(int) % 2
+            assert np.array_equal(prod, np.eye(w.k)), w.label
+            assert w.decoder == BitMatrix(w.h.a.T), w.label
+
     def test_all_members_round_trip(self):
         rng = np.random.default_rng(2)
         fam = sweep.default_code_family(max_m=5)
@@ -291,8 +298,13 @@ class TestDefaultFamily:
 
     def test_matches_oracle_eliminations(self):
         fam = sweep.default_code_family(max_m=6)
-        for w in fam:
+        corpus = [wiretap.build(c) for c in random_corpus(max_n=40, count=60, seed=9)]
+        for w in fam + corpus:
             assert (w.gprime, w.h, w.decoder) == oracle_wiretap_matrices(w.base_code), w.label
+        # the corpus holds codes whose dual has an orthonormal basis: the
+        # Gram matrix H.H^T is invertible with an odd diagonal entry
+        grams = [BitMatrix(w.h.a.astype(int) @ w.h.a.T % 2) for w in corpus]
+        assert sum(g.a.diagonal().any() and len(oracle_rref(g)[1]) == g.rows for g in grams) >= 10
         # no code twice, even under another generator
         assert len({oracle_rref(w.base_code.generator)[0] for w in fam}) == len(fam)
 

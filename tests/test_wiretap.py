@@ -44,8 +44,8 @@ class TestBuild:
     def test_rm02_base_gives_rate_three_quarters(self):
         w = wiretap.build(codes.reed_muller(0, 2))
         assert (w.n, w.k) == (4, 3)
-        # even-weight dual: H rows all orthogonal to themselves, so no
-        # basis with H.H^T = I exists and G' is a standard-basis completion
+        # H is the dual's RREF [1001; 0101; 0011], so G' is the identity
+        # rows at its pivots
         assert w.gprime.to_strings() == ["1000", "0100", "0010"] and w.gprime != w.h
         assert not (w.h.a.sum(axis=1) % 2).any()
 
@@ -67,24 +67,23 @@ class TestBuild:
         w = wiretap.build(LinearCode(n=30, dim=5, generator=BitMatrix(g)))
         assert w.k == 25 and w.gprime != w.h
         assert_round_trips(w, rng)
-        # G'' = M.G' xor R.G with M invertible gives G''.H^T = M, so the
-        # decoder must apply M^-1
+        # G'' = M.G' xor R.G with M invertible still complements C, but
+        # G''.H^T = M != I, so its syndrome is not the message
         while True:
             mix = BitMatrix(rng.integers(0, 2, size=(25, 25), dtype=np.uint8))
-            if bitlinalg.rank(mix) == 25:
+            if bitlinalg.rank(mix) == 25 and mix != BitMatrix.identity(25):
                 break
         noise = BitMatrix(rng.integers(0, 2, size=(25, 5), dtype=np.uint8))
         gpp = bitlinalg.mul(mix, w.gprime).a ^ bitlinalg.mul(noise, w.base_code.generator).a
-        mixed = wiretap.WiretapCode(w.base_code, gprime=BitMatrix(gpp), h=w.h)
-        assert mixed.decoder != BitMatrix(w.h.a.T)
-        assert_round_trips(mixed, rng)
+        with pytest.raises(ValueError, match="identity"):
+            wiretap.WiretapCode(w.base_code, gprime=BitMatrix(gpp), h=w.h)
 
     def test_invariants_validated(self, demo):
         bad_h = BitMatrix.from_strings(["1000", "0100"])
         with pytest.raises(ValueError):
             wiretap.WiretapCode(demo.base_code, gprime=demo.gprime, h=bad_h)
         repeated_h = BitMatrix.from_strings(["1101", "1101"])
-        with pytest.raises(ValueError, match="full row rank"):
+        with pytest.raises(ValueError, match="identity"):
             wiretap.WiretapCode(demo.base_code, gprime=demo.gprime, h=repeated_h)
 
     def test_label_override(self):
