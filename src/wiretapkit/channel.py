@@ -17,9 +17,9 @@ import numpy as np
 
 CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
-# At the cap on 2 shared vCPUs, synth_grid takes 2.2-3.4 s and 116 MB peak RSS,
-# most of it one seeded RNG per location; the synth command, which also writes
-# the CSV, takes 7-8 s.
+# At the cap on 2 shared vCPUs, synth_grid takes 1.5-1.9 s and 116 MB peak RSS,
+# 1.1 s of it the seeded fading (0.7 s the per-location draws); the synth
+# command, which also writes the CSV, takes 3-4 s.
 MAX_GRID_LOCATIONS = 100_000
 
 
@@ -338,6 +338,17 @@ class EnvironmentConfig:
 # workloads; at 256 it rose 0.3 MB on ``analysis``.
 FADING_CHUNK = 128
 
+# default_rng([seed, i]) seeds PCG64 through numpy's SeedSequence: its hash
+# constants (numpy/random/bit_generator.pyx) and PCG64's 128-bit multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+
 
 def _orient(a, b, c):
     """Turn direction a -> b -> c as -1, 0 or 1, zero within 1e-12 (arrays broadcast)."""
@@ -376,13 +387,76 @@ def _wall_loss(cfg: EnvironmentConfig, x: np.ndarray, y: np.ndarray) -> np.ndarr
     return loss
 
 
+def _uint32_words(n: int) -> list[int]:
+    """n as SeedSequence reads an int: little-endian 32-bit words, [0] for 0."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _seed_words(seed: int, count: int) -> np.ndarray:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` as row i, i < count.
+
+    numpy's entropy mixing, run as uint32 array passes over every index
+    at once.  The hash constants step the same way for every index, so
+    they stay Python ints; uint32 array arithmetic wraps as the C code's.
+    """
+    entropy = [np.full(count, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    entropy.append(np.arange(count, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    zeros = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # Seeds of 2^96 and above bring more words than the pool holds.
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    hash_const = _INIT_B
+    state = np.empty((count, 2 * _POOL_SIZE), dtype="<u4")
+    for j in range(2 * _POOL_SIZE):
+        value = pool[j % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, j] = value ^ (value >> _XSHIFT)
+    return state.view("<u8")
+
+
+def _pcg64_start(words: list[int]) -> dict:
+    """PCG64's (state, inc) after seeding from one row of :func:`_seed_words`.
+
+    The first two words are initstate, the last two initseq (high word
+    first); the setseq rule sets inc = 2 initseq + 1 and
+    state = (inc + initstate) MULT + inc, all mod 2^128.
+    """
+    initstate = words[0] << 64 | words[1]
+    inc = (words[2] << 65 | words[3] << 1 | 1) & _MASK128
+    return {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+
+
 def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     """Write frequency-selective fading in dB into each row of a zeroed ``out``.
 
     Row i draws a short complex tap profile with exponentially decaying
-    power from ``default_rng([seed, i])`` and takes |H(f)|^2 across the
-    64 subcarriers, so each row depends on its own index alone.  Rows
-    are transformed ``FADING_CHUNK`` at a time.
+    power from the stream of ``default_rng([seed, i])`` and takes |H(f)|^2
+    across the 64 subcarriers, so each row depends on its own index
+    alone.  One reused Generator is set to the PCG64 state that
+    ``default_rng([seed, i])`` starts from, the seeding done for all rows
+    at once by :func:`_seed_words` and :func:`_pcg64_start`; building a
+    Generator per row cost about fifteen times the draw itself.  Rows
+    are drawn and transformed ``FADING_CHUNK`` at a time.
     """
     if not cfg.enabled:
         return
@@ -392,11 +466,17 @@ def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     k = np.arange(CARRIERS)
     phase = np.exp(-2j * np.pi * k[:, None] * np.arange(cfg.taps)[None, :] / CARRIERS)
     draws = np.empty((FADING_CHUNK, 2 * cfg.taps))
+    seeds = _seed_words(seed, out.shape[0])
+    rng = np.random.default_rng(0)
+    bit_generator = rng.bit_generator
+    start_state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     for start in range(0, out.shape[0], FADING_CHUNK):
         block = out[start:start + FADING_CHUNK]
         z = draws[: block.shape[0]]
-        for j, row in enumerate(z):
-            np.random.default_rng([seed, start + j]).standard_normal(out=row)
+        for row, words in zip(z, seeds[start:start + FADING_CHUNK].tolist()):
+            start_state["state"] = _pcg64_start(words)
+            bit_generator.state = start_state
+            rng.standard_normal(out=row)
         taps = (z[:, : cfg.taps] + 1j * z[:, cfg.taps:]) * amp
         np.abs((taps[:, None, :] * phase[None]).sum(axis=-1), out=block)
         np.maximum(block, 1e-6, out=block)
@@ -416,6 +496,8 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     ``FADING_CHUNK``), bit-exact with the per-location loop kept in the
     tests as the oracle.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     nx, ny = cfg.lattice
     iy, ix = np.divmod(np.arange(nx * ny), nx)
     x = ix * cfg.grid_spacing

@@ -69,7 +69,9 @@ class WiretapCode:
     ``gprime`` carries the message part of the encoder; ``h`` is a
     parity-check matrix of C with G'.H^T = I.  A received word y has
     syndrome y.H^T = m.G'.H^T = m, so ``decoder`` = H^T.  G'.H^T = I
-    also makes H full rank and G' a complement of C.
+    also makes H full rank and G' a complement of C.  ``dual_code``, if
+    given, is taken as C-perp for :meth:`dual_ghw`; otherwise that method
+    computes it.
     """
 
     def __init__(
@@ -78,6 +80,7 @@ class WiretapCode:
         gprime: BitMatrix,
         h: BitMatrix,
         label: str | None = None,
+        dual_code: LinearCode | None = None,
     ):
         n = base_code.n
         k = n - base_code.dim
@@ -97,6 +100,7 @@ class WiretapCode:
         self.n = n
         self.k = k
         self._label = label
+        self._dual_code = dual_code
         self._dual_ghw: GHWProfile | None = None
 
     @property
@@ -110,7 +114,8 @@ class WiretapCode:
     def dual_ghw(self) -> GHWProfile:
         """Weight hierarchy of the dual of the base code (cached)."""
         if self._dual_ghw is None:
-            self._dual_ghw = codes.ghw_of(codes.dual(self.base_code))
+            d = self._dual_code if self._dual_code is not None else codes.dual(self.base_code)
+            self._dual_ghw = codes.ghw_of(d)
         return self._dual_ghw
 
 
@@ -123,9 +128,10 @@ def build(c: LinearCode, label: str | None = None) -> WiretapCode:
     """
     if not 0 < c.dim < c.n:
         raise ValueError(f"base code must satisfy 0 < dim < n, got dim={c.dim}, n={c.n}")
-    h = codes.dual(c).generator
+    d = codes.dual(c)
+    h = d.generator
     gprime = BitMatrix(np.eye(c.n, dtype=np.uint8)[h.a.argmax(axis=1)])
-    return WiretapCode(c, gprime=gprime, h=h, label=label)
+    return WiretapCode(c, gprime=gprime, h=h, label=label, dual_code=d)
 
 
 def encode(w: WiretapCode, m, mprime) -> np.ndarray:

@@ -10,8 +10,10 @@ per-location loop that ``channel.synth_grid``'s array passes replaced.
 The elimination oracle is the per-row numpy Gauss-Jordan that
 ``bitlinalg``'s packed-row elimination replaced, and the wiretap-matrix
 oracle the greedy basis completion and GF(2) inverse that
-``wiretap.build``'s pivot rows replaced.  Library results are checked against
-these, never against themselves.
+``wiretap.build``'s pivot rows replaced.  The Reed-Muller monomial oracle
+is the frozenset greedy search that ``codes._ghw_rm_monomial``'s integer
+bitmasks replaced.  Library results are checked against these, never
+against themselves.
 """
 
 import itertools
@@ -166,6 +168,35 @@ def oracle_ghw(generator: np.ndarray) -> tuple[int, ...]:
             best = min(best, int(support.sum()))
         weights.append(best)
     return tuple(weights)
+
+
+def oracle_ghw_rm_monomial(u: int, m: int) -> codes.GHWProfile:
+    """Reed-Muller hierarchy from minimal-support monomial subcodes, as sets.
+
+    An r-dimensional span of monomials has support equal to the union of
+    their evaluation supports; RM codes attain every d_r on such spans
+    (they satisfy the chain condition), so a greedy minimal-growth
+    ordering of the monomials yields the full hierarchy.  Ties prefer
+    higher degree (smaller supports first), then graded-lex order.
+    """
+    npoints = 2**m
+    supports = []
+    for deg in range(u, -1, -1):
+        for s in itertools.combinations(range(m), deg):
+            mask = 0
+            for i in s:
+                mask |= 1 << (m - 1 - i)
+            pts = frozenset(p for p in range(npoints) if (p & mask) == mask)
+            supports.append(pts)
+    covered: set[int] = set()
+    remaining = list(range(len(supports)))
+    weights = []
+    while remaining:
+        best = min(remaining, key=lambda j: (len(supports[j] - covered), j))
+        covered |= supports[best]
+        remaining.remove(best)
+        weights.append(len(covered))
+    return codes.GHWProfile(weights=tuple(weights), source="monomial")
 
 
 def oracle_subset_rank_tallies(generator: np.ndarray) -> np.ndarray:

@@ -234,6 +234,10 @@ def _oracle_cases():
         ("width_zero", dataclasses.replace(env, width=0.0), 8),
         ("spacing_0.07", dataclasses.replace(env, grid_spacing=0.07), 9),
         ("chunk_remainder", chunks, 10),
+        # Seeds of two and of four or more 32-bit words: the last runs
+        # SeedSequence's loop over entropy beyond its 4-word pool.
+        ("seed_two_words", env, 2**40 + 7),
+        ("seed_above_2^96", chunks, 2**100 + 12345),
     ]
     return cases
 
@@ -257,6 +261,28 @@ class TestSynthGridMatchesOracle:
     def test_cases_cover_a_partial_chunk(self):
         nx, ny = dict((c[0], c[1]) for c in _oracle_cases())["chunk_remainder"].lattice
         assert nx * ny > channel.FADING_CHUNK and nx * ny % channel.FADING_CHUNK
+
+
+class TestSeeding:
+    """Each row starts PCG64 where ``default_rng([seed, i])`` starts it."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 1])
+    def test_matches_default_rng(self, seed):
+        words = channel._seed_words(seed, 100_000)
+        for i in (0, 1, 127, 128, 99_999):
+            want = np.random.default_rng([seed, i]).bit_generator.state
+            got = {"bit_generator": "PCG64", "state": channel._pcg64_start(words[i].tolist()),
+                   "has_uint32": 0, "uinteger": 0}
+            assert got == want, (seed, i)
+
+    @pytest.mark.parametrize("fading", [FadingModel(), FadingModel(enabled=False)], ids=["fading", "no_fading"])
+    def test_negative_seed_refused_before_drawing(self, fading, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew fading for a negative seed")
+
+        monkeypatch.setattr(channel, "_fading_into", no_draws)
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            channel.synth_grid(flat_env(fading=fading), seed=-1)
 
 
 class TestRegionMap:

@@ -147,6 +147,12 @@ class TestOneLineErrors:
         assert f"cap of {channel.MAX_GRID_LOCATIONS}" in res.output
         assert not (tmp_path / "grid.csv").exists()
 
+    def test_synth_negative_seed(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["synth", "--seed", "-1", "--out-dir", str(tmp_path)])
+        assert_one_line_error(res)
+        assert res.output == "Error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "grid.csv").exists()
+
     @pytest.mark.parametrize(
         ("path", "value", "field"),
         [

@@ -11,7 +11,13 @@ from wiretapkit import bitlinalg, codes
 from wiretapkit.bitlinalg import BitMatrix
 from wiretapkit.codes import GHWProfile, LinearCode
 
-from conftest import oracle_codeword_set, oracle_ghw, oracle_rank, oracle_subset_rank_tallies
+from conftest import (
+    oracle_codeword_set,
+    oracle_ghw,
+    oracle_ghw_rm_monomial,
+    oracle_rank,
+    oracle_subset_rank_tallies,
+)
 
 
 class TestLinearCode:
@@ -225,6 +231,11 @@ class TestGHWReedMuller:
                 mono = codes._ghw_rm_monomial(u, m)
                 exact = codes.ghw_exact(codes.reed_muller(u, m))
                 assert mono.weights == exact.weights, (u, m)
+
+    def test_monomial_bitmasks_equal_frozenset_oracle(self):
+        for m in range(1, 8):
+            for u in range(0, m + 1):
+                assert codes._ghw_rm_monomial(u, m) == oracle_ghw_rm_monomial(u, m), (u, m)
 
     def test_auto_source_switch(self):
         assert codes.ghw_of(codes.reed_muller(1, 4)).source == "exact"

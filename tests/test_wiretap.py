@@ -34,6 +34,20 @@ def demo():
     return wiretap.example_code()
 
 
+@pytest.fixture
+def dual_calls(monkeypatch):
+    """The arguments of every ``codes.dual`` call made during the test."""
+    calls = []
+    real_dual = codes.dual
+
+    def counting_dual(c):
+        calls.append(c)
+        return real_dual(c)
+
+    monkeypatch.setattr(codes, "dual", counting_dual)
+    return calls
+
+
 class TestBuild:
     def test_demo_reproduces_published_matrices(self, demo):
         assert demo.base_code.generator.to_strings() == ["0111", "1110"]
@@ -230,6 +244,20 @@ class TestWorstCaseLeakage:
     def test_demo_values(self, demo):
         assert [wiretap.worst_case_leakage(demo, mu) for mu in range(5)] == [0, 0, 1, 1, 2]
         assert demo.dual_ghw().weights == (2, 4)
+
+    @pytest.mark.parametrize("base", [codes.reed_muller(1, 4), codes.reed_muller(2, 6),
+                                      codes.random_code(10, 6, np.random.default_rng(3))],
+                             ids=["rm1_4", "rm2_6", "random10_6"])
+    def test_build_hands_its_dual_on(self, base, dual_calls):
+        profile = wiretap.build(base).dual_ghw()
+        assert sum(c is base for c in dual_calls) == 1
+        assert profile == codes.ghw_of(codes.dual(base))
+
+    def test_direct_code_computes_dual_lazily(self, demo, dual_calls):
+        fresh = wiretap.WiretapCode(demo.base_code, gprime=demo.gprime, h=demo.h)
+        assert dual_calls == []
+        assert fresh.dual_ghw().weights == (2, 4)
+        assert dual_calls[0] is demo.base_code
 
     def test_mu_range(self, demo):
         with pytest.raises(ValueError):
