@@ -16,8 +16,8 @@ class BitMatrix:
     """Immutable dense matrix over GF(2).
 
     Wraps a read-only uint8 array with entries in {0, 1}.  Construct
-    from any nested sequence of 0/1 values, or via :meth:`from_strings`,
-    :meth:`identity`, :meth:`zeros`.
+    from any nested sequence of 0/1 values, or via :meth:`from_strings`
+    or :meth:`identity`.
     """
 
     __slots__ = ("_a",)
@@ -42,10 +42,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(np.eye(n, dtype=np.uint8))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
-
     @property
     def a(self) -> np.ndarray:
         """Read-only uint8 view of the entries."""
@@ -58,9 +54,6 @@ class BitMatrix:
     @property
     def cols(self) -> int:
         return self._a.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self._a[i]
 
     def to_strings(self) -> list[str]:
         return ["".join(str(int(b)) for b in r) for r in self._a]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,8 +56,6 @@ class ChannelGrid:
 
     locations: tuple[Location, ...]
     snr_db: np.ndarray  # (len(locations), 64)
-    tx: tuple[float, float]
-    grid_spacing: float = 0.102
 
     def __post_init__(self):
         if self.snr_db.shape != (len(self.locations), CARRIERS):
@@ -98,11 +97,11 @@ class RegionMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegionMap":
-        return cls(
-            bob_region=d["bob_region"],
-            eve_regions=frozenset(d["eve_regions"]),
-            excluded_regions=frozenset(d.get("excluded_regions", [])),
-        )
+        bob, eve, excluded = d["bob_region"], d["eve_regions"], d.get("excluded_regions", [])
+        for key, labels in (("eve_regions", eve), ("excluded_regions", excluded)):
+            if isinstance(labels, str):
+                raise ValueError(f"{key} must be a list of region labels, got the string {labels!r}")
+        return cls(bob_region=bob, eve_regions=frozenset(eve), excluded_regions=frozenset(excluded))
 
     def to_dict(self) -> dict:
         return {
@@ -144,34 +143,6 @@ def snr_estimate(cap: SoundingCapture) -> np.ndarray:
         return 10.0 * np.log10(signal / noise)
 
 
-def synth_capture(
-    snr_db,
-    seed: int,
-    periods: int = 32,
-    sample_rate: float = 20e6,
-    noiseless: bool = False,
-) -> SoundingCapture:
-    """Synthetic 64-tone capture whose estimator-measured SNR targets snr_db.
-
-    Tone amplitudes are calibrated against unit-variance complex AWGN so
-    that the even-bin/odd-bin power ratio of ``snr_estimate`` equals the
-    configured SNR in expectation.
-    """
-    snr_db = np.broadcast_to(np.asarray(snr_db, dtype=float), (CARRIERS,))
-    rng = np.random.default_rng(seed)
-    t = np.arange(FFT_LENGTH)
-    amps = np.sqrt(10.0 ** (snr_db / 10.0) / FFT_LENGTH)
-    phases = rng.uniform(0, 2 * np.pi, size=CARRIERS)
-    period = np.zeros(FFT_LENGTH, dtype=complex)
-    for i in range(CARRIERS):
-        period += amps[i] * np.exp(1j * (2 * np.pi * (2 * i) * t / FFT_LENGTH + phases[i]))
-    iq = np.tile(period, periods)
-    if not noiseless:
-        noise = (rng.standard_normal(iq.size) + 1j * rng.standard_normal(iq.size)) / np.sqrt(2)
-        iq = iq + noise
-    return SoundingCapture(iq=iq, sample_rate=sample_rate, periods=periods)
-
-
 # ---------------------------------------------------------------------------
 # Erasure model and capacities
 
@@ -188,16 +159,15 @@ def reliable_count(snrs, tau: float) -> int:
     return int(erase_mask(snrs, tau).sum())
 
 
-def capacity_sum(snrs) -> float | np.ndarray:
-    """Total Gaussian capacity over parallel subcarriers, bits/channel use.
+def _carrier_capacity(db: np.ndarray) -> np.ndarray:
+    """Gaussian capacity 1/2 log2(1 + SNR_linear) of each subcarrier; -inf dB gives 0."""
+    return 0.5 * np.log2(1.0 + np.where(np.isneginf(db), 0.0, 10.0 ** (db / 10.0)))
 
-    C = 1/2 * sum log2(1 + SNR_linear); -inf dB contributes zero.  Sums
-    over the last axis: a float for one location's row, an array for a
-    stack of rows.
-    """
-    db = np.asarray(snrs, dtype=float)
-    lin = np.where(np.isneginf(db), 0.0, 10.0 ** (db / 10.0))
-    total = 0.5 * np.log2(1.0 + lin).sum(axis=-1)
+
+def capacity_sum(snrs) -> float | np.ndarray:
+    """Total Gaussian capacity over parallel subcarriers, bits/channel use, summed
+    over the last axis: a float for one location's row, an array for a stack of rows."""
+    total = _carrier_capacity(np.asarray(snrs, dtype=float)).sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
@@ -211,10 +181,7 @@ def secrecy_capacity(bob_snrs, eve_snrs) -> float | np.ndarray:
     e = np.asarray(eve_snrs, dtype=float)
     if b.shape[-1:] != e.shape[-1:]:
         raise ValueError(f"shape mismatch: {b.shape} vs {e.shape}")
-    lb = np.where(np.isneginf(b), 0.0, 10.0 ** (b / 10.0))
-    le = np.where(np.isneginf(e), 0.0, 10.0 ** (e / 10.0))
-    diff = 0.5 * (np.log2(1.0 + lb) - np.log2(1.0 + le))
-    total = np.maximum(diff, 0.0).sum(axis=-1)
+    total = np.maximum(_carrier_capacity(b) - _carrier_capacity(e), 0.0).sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
@@ -280,15 +247,20 @@ class EnvironmentConfig:
             raise ValueError(f"ref_distance must be finite and > 0, got {self.ref_distance}")
         finite = {"tx.x": self.tx[0], "tx.y": self.tx[1], "ref_snr_db": self.ref_snr_db,
                   "tx_power_offset_db": self.tx_power_offset_db,
-                  "path_loss_exponent": self.path_loss_exponent}
+                  "path_loss_exponent": self.path_loss_exponent,
+                  "fading sigma_scale": self.fading.sigma_scale}
         for i, w in enumerate(self.walls):
             finite.update({f"walls[{i}].{f}": getattr(w, f) for f in ("x1", "y1", "x2", "y2", "loss_db")})
         for name, value in finite.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.fading.taps < 1:
-            raise ValueError(f"fading taps must be >= 1, got {self.fading.taps}")
-        if not self.fading.delay_spread > 0:
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.fading.enabled, bool):
+            raise ValueError(f"fading enabled must be true or false, got {self.fading.enabled!r}")
+        # Taps t and t + CARRIERS give every subcarrier the same phase.
+        taps = self.fading.taps
+        if isinstance(taps, bool) or not isinstance(taps, int) or not 1 <= taps <= CARRIERS:
+            raise ValueError(f"fading taps must be an integer in [1, {CARRIERS}], got {taps!r}")
+        if not (isinstance(self.fading.delay_spread, numbers.Real) and self.fading.delay_spread > 0):
             raise ValueError(f"fading delay_spread must be > 0, got {self.fading.delay_spread}")
         nx, ny = self.lattice
         if nx * ny > MAX_GRID_LOCATIONS:
@@ -525,8 +497,6 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
             Location(x=px, y=py, region=labels[j]) for px, py, j in zip(xs, ys, region.tolist())
         ),
         snr_db=snr_db,
-        tx=cfg.tx,
-        grid_spacing=cfg.grid_spacing,
     )
 
 
@@ -547,14 +517,7 @@ def write_grid_csv(grid: ChannelGrid, fh) -> None:
         fh.write(f"{_fmt(loc.x)},{_fmt(loc.y)},{loc.region}," + snr_fmt % tuple(snrs.tolist()) + "\n")
 
 
-def grid_to_csv(grid: ChannelGrid) -> str:
-    """The text :func:`write_grid_csv` writes, as one string."""
-    buf = io.StringIO()
-    write_grid_csv(grid, buf)
-    return buf.getvalue()
-
-
-def grid_from_csv(text: str, tx: tuple[float, float] = (0.0, 0.0), grid_spacing: float = 0.102) -> ChannelGrid:
+def grid_from_csv(text: str) -> ChannelGrid:
     lines = text.strip().splitlines()
     if not lines:
         raise ValueError("empty grid file; expected a header x,y,region,snr_00..snr_63")
@@ -572,12 +535,7 @@ def grid_from_csv(text: str, tx: tuple[float, float] = (0.0, 0.0), grid_spacing:
             rows.append([float(v) for v in parts[3:]])
         except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}") from None
-    return ChannelGrid(
-        locations=tuple(locations),
-        snr_db=np.array(rows, dtype=float),
-        tx=tx,
-        grid_spacing=grid_spacing,
-    )
+    return ChannelGrid(locations=tuple(locations), snr_db=np.array(rows, dtype=float))
 
 
 def load_capture(iq_path, sidecar_path) -> SoundingCapture:
@@ -599,25 +557,6 @@ def load_capture(iq_path, sidecar_path) -> SoundingCapture:
     )
 
 
-def save_capture(cap: SoundingCapture, iq_path, sidecar_path, center_freq_hz: float = 1250e6) -> None:
-    inter = np.empty(2 * cap.iq.size, dtype="<f4")
-    inter[0::2] = cap.iq.real
-    inter[1::2] = cap.iq.imag
-    inter.tofile(iq_path)
-    with open(sidecar_path, "w") as fh:
-        json.dump(
-            {
-                "sample_rate_hz": cap.sample_rate,
-                "periods": cap.periods,
-                "carriers": CARRIERS,
-                "center_freq_hz": center_freq_hz,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Heatmap emission
 
@@ -635,6 +574,7 @@ def heatmap_csv(grid: ChannelGrid, values) -> str:
 
 
 _RAMP = [(13, 8, 135), (126, 3, 168), (204, 71, 120), (248, 149, 64), (240, 249, 33)]
+_CELL_PX = 6.0  # side of one heatmap cell, SVG user units
 
 
 def _ramp_color(t: float) -> str:
@@ -647,7 +587,7 @@ def _ramp_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def heatmap_svg(grid: ChannelGrid, values, cell_px: float = 6.0) -> str:
+def heatmap_svg(grid: ChannelGrid, values) -> str:
     """Fixed-ramp SVG rendering of a per-location scalar map (no metadata)."""
     values = np.asarray(values, dtype=float)
     lo, hi = float(values.min()), float(values.max())
@@ -656,16 +596,16 @@ def heatmap_svg(grid: ChannelGrid, values, cell_px: float = 6.0) -> str:
     ys = sorted({loc.y for loc in grid.locations})
     xi = {x: i for i, x in enumerate(xs)}
     yi = {y: i for i, y in enumerate(ys)}
-    w, h = len(xs) * cell_px, len(ys) * cell_px
+    w, h = len(xs) * _CELL_PX, len(ys) * _CELL_PX
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:g}" height="{h:g}" '
         f'viewBox="0 0 {w:g} {h:g}">'
     ]
     for loc, v in zip(grid.locations, values):
-        cx = xi[loc.x] * cell_px
-        cy = (len(ys) - 1 - yi[loc.y]) * cell_px
+        cx = xi[loc.x] * _CELL_PX
+        cy = (len(ys) - 1 - yi[loc.y]) * _CELL_PX
         parts.append(
-            f'<rect x="{cx:g}" y="{cy:g}" width="{cell_px:g}" height="{cell_px:g}" '
+            f'<rect x="{cx:g}" y="{cy:g}" width="{_CELL_PX:g}" height="{_CELL_PX:g}" '
             f'fill="{_ramp_color((v - lo) / span)}"/>'
         )
     parts.append("</svg>")

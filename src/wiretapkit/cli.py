@@ -124,7 +124,6 @@ def sound(iq_file, sidecar, x, y, region, out_dir):
     grid = channel.ChannelGrid(
         locations=(channel.Location(x=x, y=y, region=region),),
         snr_db=snrs[None, :],
-        tx=(0.0, 0.0),
     )
     with open(out / "snr_row.csv", "w") as fh:
         channel.write_grid_csv(grid, fh)

@@ -9,7 +9,6 @@ how many bits an eavesdropper's worst-case erasure pattern leaks.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from math import comb
 
@@ -49,34 +48,6 @@ class LinearCode:
             raise ValueError(f"dim {self.dim} exceeds blocklength {self.n}")
         if bitlinalg.rank(self.generator) != self.dim:
             raise ValueError("generator matrix does not have full row rank")
-
-    @property
-    def rate(self) -> float:
-        return self.dim / self.n
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "n": self.n,
-            "dim": self.dim,
-            "generator": self.generator.to_strings(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearCode":
-        return cls(
-            n=d["n"],
-            dim=d["dim"],
-            generator=BitMatrix.from_strings(d["generator"]),
-            label=d.get("label", ""),
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "LinearCode":
-        return cls.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)

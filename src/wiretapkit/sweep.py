@@ -54,10 +54,9 @@ def evaluate(
     grid: ChannelGrid,
     regions: RegionMap,
     tau: float,
-    interleave: bool = False,
 ) -> SweepPoint:
-    """Score one code at one threshold: a one-point :func:`sweep`."""
-    return sweep([w], grid, regions, [tau], interleave=interleave)[0]
+    """Score one code at one threshold: a one-point worst-case :func:`sweep`."""
+    return sweep([w], grid, regions, [tau])[0]
 
 
 def _revealed_bits(read: np.ndarray, n: int, interleave: bool) -> np.ndarray:
@@ -201,7 +200,7 @@ def simulate_mc(
         raise ValueError(f"no active carriers at tau={tau}; a block needs at least one")
     eve_read = channel.erase_mask(grid.snr_db[point.worst_eve_location], tau)[active]
     revealed = tuple(int(i) for i in np.nonzero(eve_read[np.arange(w.n) % active.size])[0])
-    leak = float(wiretap.leakage(w, wiretap.ErasurePattern(revealed)))
+    leak = float(wiretap.leakage(w, revealed))
 
     bob_errors = 0
     for chunk, start in enumerate(range(0, trials, MC_CHUNK)):
@@ -271,13 +270,16 @@ def frontier_csv(points: list[SweepPoint]) -> str:
     return buf.getvalue()
 
 
-def frontier_svg(points: list[SweepPoint], width: float = 480.0, height: float = 360.0) -> str:
+_SVG_WIDTH, _SVG_HEIGHT = 480.0, 360.0  # frontier plot size, SVG user units
+
+
+def frontier_svg(points: list[SweepPoint]) -> str:
     """Throughput vs equivocation scatter, threshold mapped to color."""
     if not points:
         raise ValueError("empty point list")
     taus = sorted({p.tau_db for p in points})
     tmax = max(p.throughput for p in points) or 1.0
-    pad = 30.0
+    width, height, pad = _SVG_WIDTH, _SVG_HEIGHT, 30.0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
         f'viewBox="0 0 {width:g} {height:g}">',

@@ -23,21 +23,6 @@ from .codes import GHWProfile, LinearCode
 
 
 @dataclass(frozen=True)
-class ErasurePattern:
-    """The positions an eavesdropper receives (everything else erased)."""
-
-    revealed: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.revealed)) != len(self.revealed):
-            raise ValueError(f"duplicate positions in {self.revealed}")
-
-    @property
-    def mu(self) -> int:
-        return len(self.revealed)
-
-
-@dataclass(frozen=True)
 class EquivocationMatrix:
     """counts[e, mu] = number of mu-position erasure patterns that leave
     exactly e bits of message equivocation."""
@@ -104,10 +89,6 @@ class WiretapCode:
         self._dual_ghw: GHWProfile | None = None
 
     @property
-    def rate(self) -> float:
-        return self.k / self.n
-
-    @property
     def label(self) -> str:
         return self._label or self.base_code.label
 
@@ -160,13 +141,11 @@ def decode(w: WiretapCode, y) -> np.ndarray:
     return bitlinalg.mulvec(y, w.decoder)
 
 
-def leakage(w: WiretapCode, p: ErasurePattern) -> int:
-    """Bits of message information the pattern reveals: mu - rank(G_R)."""
-    for i in p.revealed:
-        if not 0 <= i < w.n:
-            raise ValueError(f"revealed position {i} out of range for n={w.n}")
-    g_r = bitlinalg.column_select(w.base_code.generator, p.revealed)
-    return p.mu - bitlinalg.rank(g_r)
+def leakage(w: WiretapCode, revealed: tuple[int, ...]) -> int:
+    """Bits of message information the revealed positions R give Eve: |R| - rank(G_R).
+    ``bitlinalg.column_select`` refuses duplicate or out-of-range positions."""
+    g_r = bitlinalg.column_select(w.base_code.generator, revealed)
+    return g_r.cols - bitlinalg.rank(g_r)
 
 
 def equivocation_matrix(w: WiretapCode) -> EquivocationMatrix:

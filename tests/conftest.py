@@ -14,9 +14,14 @@ oracle the greedy basis completion and GF(2) inverse that
 is the frozenset greedy search that ``codes._ghw_rm_monomial``'s integer
 bitmasks replaced.  Library results are checked against these, never
 against themselves.
+
+The file-format helpers at the end write the inputs the commands read:
+synthetic sounding captures with their sidecars, and grids as CSV text.
 """
 
+import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,6 +29,7 @@ import pytest
 
 from wiretapkit import bitlinalg, channel, codes, sweep, wiretap
 from wiretapkit.bitlinalg import BitMatrix
+from wiretapkit.channel import CARRIERS, FFT_LENGTH, ChannelGrid, SoundingCapture, write_grid_csv
 
 
 def oracle_rank(rows) -> int:
@@ -381,8 +387,6 @@ def oracle_synth_grid(cfg, seed: int) -> channel.ChannelGrid:
     return channel.ChannelGrid(
         locations=tuple(locations),
         snr_db=np.array(rows, dtype=float),
-        tx=cfg.tx,
-        grid_spacing=cfg.grid_spacing,
     )
 
 
@@ -482,3 +486,61 @@ def medium_corpus(small_corpus):
     extra = [c for c in extra if c.n > 10]
     rm4 = [c for c in rm_family_codes(max_m=4) if c.n == 16]
     return small_corpus + extra + rm4
+
+
+# ---------------------------------------------------------------------------
+# File-format helpers
+
+
+def synth_capture(
+    snr_db,
+    seed: int,
+    periods: int = 32,
+    sample_rate: float = 20e6,
+    noiseless: bool = False,
+) -> SoundingCapture:
+    """Synthetic 64-tone capture whose estimator-measured SNR targets snr_db.
+
+    Tone amplitudes are calibrated against unit-variance complex AWGN so
+    that the even-bin/odd-bin power ratio of ``snr_estimate`` equals the
+    configured SNR in expectation.
+    """
+    snr_db = np.broadcast_to(np.asarray(snr_db, dtype=float), (CARRIERS,))
+    rng = np.random.default_rng(seed)
+    t = np.arange(FFT_LENGTH)
+    amps = np.sqrt(10.0 ** (snr_db / 10.0) / FFT_LENGTH)
+    phases = rng.uniform(0, 2 * np.pi, size=CARRIERS)
+    period = np.zeros(FFT_LENGTH, dtype=complex)
+    for i in range(CARRIERS):
+        period += amps[i] * np.exp(1j * (2 * np.pi * (2 * i) * t / FFT_LENGTH + phases[i]))
+    iq = np.tile(period, periods)
+    if not noiseless:
+        noise = (rng.standard_normal(iq.size) + 1j * rng.standard_normal(iq.size)) / np.sqrt(2)
+        iq = iq + noise
+    return SoundingCapture(iq=iq, sample_rate=sample_rate, periods=periods)
+
+
+def grid_to_csv(grid: ChannelGrid) -> str:
+    """The text :func:`write_grid_csv` writes, as one string."""
+    buf = io.StringIO()
+    write_grid_csv(grid, buf)
+    return buf.getvalue()
+
+
+def save_capture(cap: SoundingCapture, iq_path, sidecar_path, center_freq_hz: float = 1250e6) -> None:
+    inter = np.empty(2 * cap.iq.size, dtype="<f4")
+    inter[0::2] = cap.iq.real
+    inter[1::2] = cap.iq.imag
+    inter.tofile(iq_path)
+    with open(sidecar_path, "w") as fh:
+        json.dump(
+            {
+                "sample_rate_hz": cap.sample_rate,
+                "periods": cap.periods,
+                "carriers": CARRIERS,
+                "center_freq_hz": center_freq_hz,
+            },
+            fh,
+            indent=2,
+        )
+        fh.write("\n")

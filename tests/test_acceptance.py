@@ -16,7 +16,7 @@ import pytest
 from wiretapkit import channel, codes, sweep, wiretap
 from wiretapkit.channel import ChannelGrid, Location, RegionMap
 
-from conftest import oracle_leakage, posterior_entropy, posterior_oracle
+from conftest import oracle_leakage, posterior_entropy, posterior_oracle, synth_capture
 
 GOLDEN = Path(__file__).parent / "data" / "golden_frontier.csv"
 
@@ -54,7 +54,6 @@ def two_location_grid(bob, eve):
             Location(x=1.0, y=0.0, region="eve_room"),
         ),
         snr_db=np.array([bob, eve], dtype=float),
-        tx=(0.0, 0.0),
     )
 
 
@@ -102,7 +101,7 @@ def test_criterion_3_oracle_equivalence(capsys, small_corpus):
                 rset = set(revealed)
                 z = "".join(str(int(b)) if i in rset else "?" for i, b in enumerate(x))
                 entropy = posterior_entropy(posterior_oracle(w, z))
-                leak = wiretap.leakage(w, wiretap.ErasurePattern(revealed=revealed))
+                leak = wiretap.leakage(w, revealed)
                 assert abs(entropy - round(entropy)) < 1e-9, (c.label, revealed)
                 assert round(entropy) == w.k - leak, (c.label, revealed)
                 patterns += 1
@@ -176,7 +175,7 @@ def test_criterion_7_snr_estimation(capsys):
     start = time.perf_counter()
     worst = 0.0
     for snr, seed in ((15.0, 101), (25.0, 102), (35.0, 103)):
-        cap = channel.synth_capture(snr, seed=seed, periods=32)
+        cap = synth_capture(snr, seed=seed, periods=32)
         est = channel.snr_estimate(cap)
         worst = max(worst, float(np.abs(est - snr).max()))
         assert np.all(np.abs(est - snr) < 1.0), snr

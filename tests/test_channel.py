@@ -20,7 +20,7 @@ from wiretapkit.channel import (
     Wall,
 )
 
-from conftest import oracle_synth_grid
+from conftest import grid_to_csv, oracle_synth_grid, save_capture, synth_capture
 
 
 def flat_env(**overrides):
@@ -61,13 +61,13 @@ class TestWelchPsd:
 
 class TestSnrEstimate:
     def test_noiseless_capture_is_degenerate(self):
-        cap = channel.synth_capture(25.0, seed=0, noiseless=True)
+        cap = synth_capture(25.0, seed=0, noiseless=True)
         with pytest.raises(ValueError):
             channel.snr_estimate(cap)
 
     @pytest.mark.parametrize("snr", [15.0, 25.0, 35.0])
     def test_uniform_snr_within_one_db(self, snr):
-        cap = channel.synth_capture(snr, seed=42)
+        cap = synth_capture(snr, seed=42)
         est = channel.snr_estimate(cap)
         assert est.shape == (CARRIERS,)
         assert np.all(np.abs(est - snr) < 1.0)
@@ -75,12 +75,12 @@ class TestSnrEstimate:
     def test_single_hot_subcarrier(self):
         snrs = np.full(CARRIERS, -30.0)
         snrs[0] = 30.0
-        est = channel.snr_estimate(channel.synth_capture(snrs, seed=1))
+        est = channel.snr_estimate(synth_capture(snrs, seed=1))
         assert est[0] > est[1:].max() + 20
 
     def test_synth_capture_deterministic(self):
-        a = channel.synth_capture(20.0, seed=9)
-        b = channel.synth_capture(20.0, seed=9)
+        a = synth_capture(20.0, seed=9)
+        b = synth_capture(20.0, seed=9)
         assert np.array_equal(a.iq, b.iq)
 
 
@@ -186,6 +186,33 @@ class TestSynthGrid:
         assert np.array_equal(a.snr_db, b.snr_db)
         c = channel.synth_grid(cfg, seed=6)
         assert not np.array_equal(a.snr_db, c.snr_db)
+
+    @pytest.mark.parametrize(
+        ("fading", "field"),
+        [
+            (FadingModel(taps=0), "taps"),
+            (FadingModel(taps=channel.CARRIERS + 1), "taps"),
+            (FadingModel(taps=10**5), "taps"),
+            (FadingModel(taps=4.5), "taps"),
+            (FadingModel(taps=4.0), "taps"),
+            (FadingModel(taps=True), "taps"),
+            (FadingModel(taps="4"), "taps"),
+            (FadingModel(enabled="no"), "enabled"),
+            (FadingModel(enabled=1), "enabled"),
+            (FadingModel(sigma_scale=math.nan), "sigma_scale"),
+            (FadingModel(sigma_scale=-math.inf), "sigma_scale"),
+            (FadingModel(sigma_scale="1"), "sigma_scale"),
+            (FadingModel(delay_spread="1.5"), "delay_spread"),
+        ],
+    )
+    def test_bad_fading_refused_naming_field(self, fading, field):
+        with pytest.raises(ValueError, match=f"fading {field} must be"):
+            flat_env(fading=fading)
+
+    def test_taps_up_to_carriers_accepted(self):
+        for taps in (1, channel.CARRIERS):
+            grid = channel.synth_grid(flat_env(fading=FadingModel(taps=taps)), seed=1)
+            assert np.all(np.isfinite(grid.snr_db))
 
     def test_region_labels(self):
         region = RegionRect(label="office", x_min=0.0, x_max=0.6, y_min=0.0, y_max=2.0)
@@ -316,7 +343,7 @@ class TestRegionMap:
 class TestFileFormats:
     def test_grid_csv_round_trip(self):
         grid = channel.synth_grid(flat_env(fading=FadingModel(enabled=True)), seed=3)
-        text = channel.grid_to_csv(grid)
+        text = grid_to_csv(grid)
         back = channel.grid_from_csv(text)
         assert [loc.region for loc in back.locations] == [loc.region for loc in grid.locations]
         # values survive at the 6-significant-digit precision of the format
@@ -328,16 +355,16 @@ class TestFileFormats:
 
     def test_grid_csv_bad_row_reports_line(self):
         grid = channel.synth_grid(flat_env(), seed=0)
-        lines = channel.grid_to_csv(grid).splitlines()
+        lines = grid_to_csv(grid).splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] + ",oops"
         with pytest.raises(ValueError, match="line 3"):
             channel.grid_from_csv("\n".join(lines))
 
     def test_capture_io_round_trip(self, tmp_path):
-        cap = channel.synth_capture(20.0, seed=4)
+        cap = synth_capture(20.0, seed=4)
         iq_path = tmp_path / "cap.iq"
         sidecar = tmp_path / "cap.json"
-        channel.save_capture(cap, iq_path, sidecar)
+        save_capture(cap, iq_path, sidecar)
         meta = json.loads(sidecar.read_text())
         assert meta["carriers"] == 64 and meta["center_freq_hz"] == 1250e6
         back = channel.load_capture(iq_path, sidecar)
@@ -346,7 +373,7 @@ class TestFileFormats:
 
     def test_capture_rejects_other_carrier_counts(self, tmp_path):
         iq_path, sidecar = tmp_path / "cap.iq", tmp_path / "cap.json"
-        channel.save_capture(channel.synth_capture(20.0, seed=4), iq_path, sidecar)
+        save_capture(synth_capture(20.0, seed=4), iq_path, sidecar)
         sidecar.write_text(json.dumps({"carriers": 32}))
         with pytest.raises(ValueError, match="32 carriers; captures have 64"):
             channel.load_capture(iq_path, sidecar)

@@ -12,6 +12,8 @@ from click.testing import CliRunner
 from wiretapkit import channel, cli, codes
 from wiretapkit.channel import ChannelGrid, FadingModel, Location
 
+from conftest import grid_to_csv, save_capture, synth_capture
+
 
 @pytest.fixture
 def runner():
@@ -29,10 +31,9 @@ def tiny_grid_file(tmp_path):
             Location(x=1.0, y=0.0, region="lobby"),
         ),
         snr_db=np.array([bob, eve]),
-        tx=(0.0, 0.0),
     )
     grid_path = tmp_path / "grid.csv"
-    grid_path.write_text(channel.grid_to_csv(grid))
+    grid_path.write_text(grid_to_csv(grid))
     regions_path = tmp_path / "regions.json"
     regions_path.write_text(json.dumps({"bob_region": "office", "eve_regions": ["lobby"]}))
     return grid_path, regions_path
@@ -169,6 +170,11 @@ class TestOneLineErrors:
             (("path_loss_exponent",), math.nan, "path_loss_exponent"),
             (("fading", "taps"), 0, "taps"),
             (("fading", "delay_spread"), 0.0, "delay_spread"),
+            (("fading", "taps"), 4.5, "taps"),
+            (("fading", "taps"), True, "taps"),
+            (("fading", "enabled"), "no", "enabled"),
+            (("fading", "sigma_scale"), math.nan, "sigma_scale"),
+            (("tx", "y"), "0", "tx.y"),
         ],
     )
     def test_synth_config_bad_value_names_field(self, runner, tmp_path, path, value, field):
@@ -186,7 +192,7 @@ class TestOneLineErrors:
 
     def test_sound_32_carrier_sidecar(self, runner, tmp_path):
         iq_path, sidecar = tmp_path / "c.iq", tmp_path / "c.json"
-        channel.save_capture(channel.synth_capture(25.0, seed=3), iq_path, sidecar)
+        save_capture(synth_capture(25.0, seed=3), iq_path, sidecar)
         sidecar.write_text(json.dumps({"carriers": 32}))
         res = runner.invoke(
             cli.main,
@@ -244,9 +250,9 @@ class TestSynth:
 
 class TestSound:
     def test_round_trip_snr(self, runner, tmp_path):
-        cap = channel.synth_capture(25.0, seed=3)
+        cap = synth_capture(25.0, seed=3)
         iq_path, sidecar = tmp_path / "c.iq", tmp_path / "c.json"
-        channel.save_capture(cap, iq_path, sidecar)
+        save_capture(cap, iq_path, sidecar)
         res = runner.invoke(
             cli.main,
             ["sound", str(iq_path), "--sidecar", str(sidecar), "--out-dir", str(tmp_path)],
@@ -327,10 +333,9 @@ class TestSweepAndSimulate:
                 Location(x=1.0, y=0.0, region="lobby"),
             ),
             snr_db=np.array([bob, bob]),
-            tx=(0.0, 0.0),
         )
         grid_path = tmp_path / "grid.csv"
-        grid_path.write_text(channel.grid_to_csv(grid))
+        grid_path.write_text(grid_to_csv(grid))
         regions_path = tmp_path / "regions.json"
         regions_path.write_text(json.dumps({"bob_region": "office", "eve_regions": ["lobby"]}))
         res = runner.invoke(
@@ -380,10 +385,9 @@ class TestSweepAndSimulate:
         grid = ChannelGrid(
             locations=(Location(x=0.0, y=0.0, region="office"), Location(x=1.0, y=0.0, region="lobby")),
             snr_db=np.array([np.full(64, 30.0), eve]),
-            tx=(0.0, 0.0),
         )
         grid_path = tmp_path / "grid.csv"
-        grid_path.write_text(channel.grid_to_csv(grid))
+        grid_path.write_text(grid_to_csv(grid))
         regions_path = tmp_path / "regions.json"
         regions_path.write_text(json.dumps({"bob_region": "office", "eve_regions": ["lobby"]}))
         leaks = {}
@@ -427,6 +431,21 @@ class TestSweepInputErrors:
             ["sweep", "--regions", str(regions_path), "--max-m", "2", "--out-dir", str(tmp_path)],
         )
         assert_one_line_error(res)
+
+    @pytest.mark.parametrize("key", ["eve_regions", "excluded_regions"])
+    def test_region_list_given_as_string(self, runner, tmp_path, key):
+        regions = {"bob_region": "bob_office", "eve_regions": ["eve_west"], key: "eve_west"}
+        regions_path = tmp_path / "regions.json"
+        regions_path.write_text(json.dumps(regions))
+        res = runner.invoke(
+            cli.main,
+            ["sweep", "--regions", str(regions_path), "--max-m", "2", "--out-dir", str(tmp_path)],
+        )
+        assert_one_line_error(res)
+        assert res.output == (
+            f"Error: {regions_path}: {key} must be a list of region labels, got the string 'eve_west'\n"
+        )
+        assert not (tmp_path / "frontier.csv").exists()
 
     def test_empty_grid_file(self, runner, tmp_path, tiny_grid_file):
         _, regions_path = tiny_grid_file

@@ -6,7 +6,8 @@ and missing, empty or malformed grid, regions, config and capture files.
 Every run must exit 0 (success), 1 (one-line ``Error:``) or 2 (usage
 error) within the per-example deadline.  Environment configs with one
 drawn value out of range (ref_distance_m <= 0, a non-finite transmitter
-or wall coordinate, taps < 1) must end in an ``Error:`` that names it.
+or wall coordinate, fading taps that are not an integer in [1, 64]) must
+end in an ``Error:`` that names it.
 """
 
 import json
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 
 from wiretapkit import channel, cli, codes
 from wiretapkit.channel import ChannelGrid, Location
+
+from conftest import grid_to_csv, save_capture, synth_capture
 
 GOOD_GRID = "grid.csv"
 MISSING = "missing.json"
@@ -44,6 +47,7 @@ REGIONS_FILES = {
     "bob_is_eve.json": {"bob_region": "office", "eve_regions": ["office"]},
     "no_bob.json": {"eve_regions": ["lobby"]},
     "list_bob.json": {"bob_region": ["office"], "eve_regions": ["lobby"]},
+    "eve_string.json": {"bob_region": "office", "eve_regions": "lobby"},
     "array.json": [],
     "null.json": "null",
     "empty.json": "",
@@ -100,10 +104,9 @@ def files(tmp_path_factory):
     grid = ChannelGrid(
         locations=(Location(x=0.0, y=0.0, region="office"), Location(x=1.0, y=0.0, region="lobby")),
         snr_db=np.array([np.full(64, 30.0), np.full(64, 22.0)]),
-        tx=(0.0, 0.0),
     )
-    (root / "grid" / GOOD_GRID).write_text(channel.grid_to_csv(grid))
-    channel.save_capture(channel.synth_capture(25.0, seed=3), root / "cap.iq", root / "sidecar" / "cap.json")
+    (root / "grid" / GOOD_GRID).write_text(grid_to_csv(grid))
+    save_capture(synth_capture(25.0, seed=3), root / "cap.iq", root / "sidecar" / "cap.json")
     np.zeros(33, dtype="<f4").tofile(root / "odd.iq")
     return root
 
@@ -161,6 +164,10 @@ def invocations(draw):
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 BAD_REF_DISTANCE = st.sampled_from([0, -1]) | st.floats(max_value=0.0) | NON_FINITE
+BAD_TAPS = (
+    st.integers(max_value=0) | st.integers(min_value=channel.CARRIERS + 1)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.booleans() | st.sampled_from(["4", None])
+)
 
 
 @st.composite
@@ -182,7 +189,7 @@ def refused_configs(draw):
         key = draw(st.sampled_from(["x1", "y1", "x2", "y2", "loss_db"]))
         env["walls"][0][key] = draw(NON_FINITE)
         return env, f"walls[0].{key}"
-    env["fading"]["taps"] = draw(st.integers(max_value=0))
+    env["fading"]["taps"] = draw(BAD_TAPS)
     return env, "taps"
 
 

@@ -32,7 +32,6 @@ def two_location_grid(bob_snrs, eve_snrs):
             Location(x=1.0, y=0.0, region="eve_room"),
         ),
         snr_db=np.array([bob_snrs, eve_snrs], dtype=float),
-        tx=(0.0, 0.0),
     )
 
 
@@ -98,7 +97,7 @@ class TestEvaluate:
     def test_interleave_never_worse_than_worst_case(self, analog_grid, rate34):
         for tau in (25.0, 26.0, 27.0):
             worst = sweep.evaluate(rate34, analog_grid, REGIONS, tau)
-            inter = sweep.evaluate(rate34, analog_grid, REGIONS, tau, interleave=True)
+            [inter] = sweep.sweep([rate34], analog_grid, REGIONS, [tau], interleave=True)
             assert inter.min_equivocation_pct >= worst.min_equivocation_pct
 
     def test_bob_reference_is_capacity_argmax(self):
@@ -109,7 +108,6 @@ class TestEvaluate:
                 Location(x=1.0, y=0.0, region="eve_room"),
             ),
             snr_db=np.array([np.full(64, 20.0), np.full(64, 30.0), np.full(64, 5.0)]),
-            tx=(0.0, 0.0),
         )
         assert sweep.bob_reference_index(grid, REGIONS) == 1
 
@@ -132,7 +130,6 @@ class TestEvaluate:
         grid = ChannelGrid(
             locations=tuple(Location(x=float(i), y=0.0, region=r) for i, r in enumerate(labels)),
             snr_db=snr,
-            tx=(0.0, 0.0),
         )
         caps = [channel.capacity_sum(snr[i]) for i in bob]
         assert caps[0] == 0.0 and caps.count(max(caps)) == 2
@@ -221,7 +218,6 @@ def small_scenarios(draw):
     grid = ChannelGrid(
         locations=tuple(locations),
         snr_db=np.vstack([np.full(64, 40.0), bob, eves]),
-        tx=(0.0, 0.0),
     )
     regions = RegionMap(
         bob_region="bob_office",

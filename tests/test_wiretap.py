@@ -9,7 +9,6 @@ import pytest
 from wiretapkit import bitlinalg, codes, wiretap
 from wiretapkit.bitlinalg import BitMatrix
 from wiretapkit.codes import LinearCode
-from wiretapkit.wiretap import ErasurePattern
 
 from conftest import oracle_leakage, posterior_entropy, posterior_oracle
 
@@ -144,15 +143,17 @@ class TestEncodeDecode:
 
 class TestLeakage:
     def test_published_values(self, demo):
-        assert wiretap.leakage(demo, ErasurePattern(revealed=(1, 2))) == 1
-        assert wiretap.leakage(demo, ErasurePattern(revealed=())) == 0
-        assert wiretap.leakage(demo, ErasurePattern(revealed=(0, 1, 2, 3))) == 2
+        assert wiretap.leakage(demo, (1, 2)) == 1
+        assert wiretap.leakage(demo, ()) == 0
+        assert wiretap.leakage(demo, (0, 1, 2, 3)) == 2
 
     def test_pattern_validation(self, demo):
-        with pytest.raises(ValueError):
-            ErasurePattern(revealed=(1, 1))
-        with pytest.raises(ValueError):
-            wiretap.leakage(demo, ErasurePattern(revealed=(4,)))
+        with pytest.raises(ValueError, match="duplicate"):
+            wiretap.leakage(demo, (1, 1))
+        with pytest.raises(ValueError, match="out of range"):
+            wiretap.leakage(demo, (4,))
+        with pytest.raises(ValueError, match="out of range"):
+            wiretap.leakage(demo, (-1,))
 
     def test_matches_rank_oracle_and_bounds(self, small_corpus):
         for c in small_corpus:
@@ -162,7 +163,7 @@ class TestLeakage:
             g = w.base_code.generator.a
             for mu in range(w.n + 1):
                 for revealed in itertools.combinations(range(w.n), mu):
-                    leak = wiretap.leakage(w, ErasurePattern(revealed=revealed))
+                    leak = wiretap.leakage(w, revealed)
                     assert leak == oracle_leakage(g, revealed)
                     assert 0 <= leak <= w.k
 
