@@ -1,0 +1,83 @@
+"""Golden digests of every command's outputs.
+
+Each invocation runs through click's test runner into its own output
+directory.  Its digest is the SHA-256 of each output file, sorted by
+name, followed by stdout; the temporary directory is replaced by
+``<tmp>`` in both, because the ``wrote ...`` lines and the manifests
+carry paths.  A refactor that must leave outputs byte-identical keeps
+every digest here; a change to an output on purpose updates its digest
+and says why.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from wiretapkit import cli
+
+from conftest import save_capture, synth_capture
+
+WIDE_TAUS = "19,22,24,25,26,27,28,29,30,31"
+
+INVOCATIONS = {
+    "demo": ["demo"],
+    "synth": ["synth"],
+    "sound": ["sound", "{tmp}/c.iq", "--sidecar", "{tmp}/c.json", "--x", "1.5", "--region", "hall"],
+    "heatmap": ["heatmap", "--tau", "27", "--svg"],
+    "capacity": ["capacity", "--svg"],
+    "secrecy": ["secrecy", "--svg"],
+    "eqmatrix": ["eqmatrix", "--code", "rm:2,4", "--orientation", "Cperp"],
+    "ghw_exact": ["ghw", "--code", "rm:1,4"],
+    "ghw_monomial": ["ghw", "--code", "rm:2,7"],
+    "sweep": ["sweep"],
+    "sweep_interleave": ["sweep", "--interleave"],
+    "sweep_m7": ["sweep", "--max-m", "7", "--taus", WIDE_TAUS, "--allow-partial", "--svg"],
+    "sweep_m7_interleave": ["sweep", "--max-m", "7", "--taus", WIDE_TAUS, "--interleave", "--svg"],
+    "simulate": ["simulate"],
+    "simulate_best": ["simulate", "--code", "rm:4,5", "--orientation", "Cperp", "--tau", "29"],
+    "simulate_rm15": ["simulate", "--code", "rm:1,5", "--tau", "25", "--trials", "300", "--seed", "4"],
+}
+
+GOLDEN = {
+    "demo": "4f209384d597ce166ab04d62c979c3b38e6d3c6b001f9666ee09233b4f036455",
+    "synth": "f13b1737a5f72f81ae8e151ece84f917ff6290f4b95856474f2795b291944b9d",
+    "sound": "3149f83e156340ea834c4a9a154dc06dd344b93b6bbe9dfc92e5ba6e9b75c89e",
+    "heatmap": "c9dcd396024e32627e961e690d6cd2f1e2dbc4d850349f39878b2c1754a04bd3",
+    "capacity": "3278930ea8bae88754cf67ef64febf610e0cbb3ec7987be9e0c6cd2a95678b95",
+    "secrecy": "392e2d2e5c88c5187de2bb7ea6c312e3d01dfcfde53d833b1cd76a8640afd60b",
+    "eqmatrix": "5de8b0d4b1d9b0877f036086d46b68dfec4714b984323e1d2bbd9b6f32ac3dbf",
+    "ghw_exact": "a46e7633bdaf8d507c87dc8b4815973a408880d5782c2fddfef141b2b7623c8c",
+    "ghw_monomial": "67572c9337feffc3d9720dcd634e279dec7134475d9bc1a2ea61dd688e2bceaf",
+    "sweep": "3da4b20a381baf98e6d242c9c799bb00b8b419f45506b9d7dfa4eb1eb782b3ff",
+    "sweep_interleave": "6efbdcf71e69da6cf62edfd971ad0daa035e0519dda7636e3177071c2cd9d50a",
+    "sweep_m7": "78b2e00108f5caf987d09c8beb176c2d01de8d7678566aeaa317c4d0cad6e14f",
+    "sweep_m7_interleave": "11d877d618308fe9b7b27f5a0f1b801eb3e7841454e0fbc284bab25055d573b9",
+    "simulate": "f278545ba7f9b5745dbbc3f1ceafc1bcfa075272cddfde10024bbf310ba28e24",
+    "simulate_rm15": "5e6f8ef7b297beff296ce288be1e8ea049ed5349675533c070e0e7bca5daa2aa",
+    "simulate_best": "667aead281e4ad154d77cce288681690dd65f95a9977872526e9fc8580b53cdb",
+}
+
+
+def run_digest(name: str, tmp_path) -> str:
+    """Run one invocation into ``tmp_path / name`` and digest its outputs."""
+    tmp = str(tmp_path)
+    if name == "sound":
+        cap = synth_capture(np.linspace(10.0, 40.0, 64), seed=5)
+        save_capture(cap, tmp_path / "c.iq", tmp_path / "c.json")
+    out = tmp_path / name
+    args = [a.format(tmp=tmp) for a in INVOCATIONS[name]] + ["--out-dir", str(out)]
+    res = CliRunner().invoke(cli.main, args)
+    assert res.exit_code == 0, res.output
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes().replace(tmp.encode(), b"<tmp>") + b"\0")
+    h.update(res.output.replace(tmp, "<tmp>").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(INVOCATIONS))
+def test_outputs_match_golden_digest(name, tmp_path):
+    assert run_digest(name, tmp_path) == GOLDEN[name]
