@@ -35,6 +35,8 @@ class SoundingCapture:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if isinstance(self.periods, bool) or not isinstance(self.periods, int) or self.periods < 1:
+            raise ValueError(f"periods must be an integer >= 1, got {self.periods!r}")
         need = self.periods * FFT_LENGTH
         if self.iq.size < need:
             raise ValueError(
@@ -123,8 +125,6 @@ def welch_psd(cap: SoundingCapture) -> np.ndarray:
     noise.  Returns FFT_LENGTH nonnegative powers.
     """
     nseg = cap.iq.size // FFT_LENGTH
-    if nseg < 1:
-        raise ValueError(f"capture too short: {cap.iq.size} samples < {FFT_LENGTH}")
     segs = cap.iq[: nseg * FFT_LENGTH].reshape(nseg, FFT_LENGTH)
     spectra = np.fft.fft(segs, axis=1)
     return (np.abs(spectra) ** 2).mean(axis=0) / FFT_LENGTH
@@ -152,11 +152,6 @@ def erase_mask(snrs, tau: float) -> np.ndarray:
     if not math.isfinite(tau):
         raise ValueError(f"threshold tau must be finite, got {tau}")
     return np.asarray(snrs, dtype=float) >= tau
-
-
-def reliable_count(snrs, tau: float) -> int:
-    """Number of subcarriers at or above the threshold."""
-    return int(erase_mask(snrs, tau).sum())
 
 
 def _carrier_capacity(db: np.ndarray) -> np.ndarray:
@@ -237,23 +232,27 @@ class EnvironmentConfig:
     region_map: RegionMap | None = None
 
     def __post_init__(self):
-        if not (0 <= self.width < math.inf and 0 <= self.height < math.inf
-                and 0 < self.grid_spacing < math.inf):
-            raise ValueError(
-                "floor plan needs finite width and height >= 0 and a finite grid spacing > 0, "
-                f"got {self.width}, {self.height}, {self.grid_spacing}"
-            )
-        if not 0 < self.ref_distance < math.inf:
-            raise ValueError(f"ref_distance must be finite and > 0, got {self.ref_distance}")
-        finite = {"tx.x": self.tx[0], "tx.y": self.tx[1], "ref_snr_db": self.ref_snr_db,
-                  "tx_power_offset_db": self.tx_power_offset_db,
+        finite = {"width_m": self.width, "height_m": self.height, "grid_spacing_m": self.grid_spacing,
+                  "ref_distance_m": self.ref_distance, "tx.x": self.tx[0], "tx.y": self.tx[1],
+                  "ref_snr_db": self.ref_snr_db, "tx_power_offset_db": self.tx_power_offset_db,
                   "path_loss_exponent": self.path_loss_exponent,
                   "fading sigma_scale": self.fading.sigma_scale}
         for i, w in enumerate(self.walls):
             finite.update({f"walls[{i}].{f}": getattr(w, f) for f in ("x1", "y1", "x2", "y2", "loss_db")})
+        for i, r in enumerate(self.regions):
+            if not isinstance(r.label, str):
+                raise ValueError(f"regions[{i}].label must be a string, got {r.label!r}")
+            finite.update({f"regions[{i}].{f}": getattr(r, f) for f in ("x_min", "x_max", "y_min", "y_max")})
         for name, value in finite.items():
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not (self.width >= 0 and self.height >= 0 and self.grid_spacing > 0):
+            raise ValueError(
+                "floor plan needs width and height >= 0 and a grid spacing > 0, "
+                f"got {self.width}, {self.height}, {self.grid_spacing}"
+            )
+        if self.ref_distance <= 0:
+            raise ValueError(f"ref_distance must be > 0, got {self.ref_distance}")
         if not isinstance(self.fading.enabled, bool):
             raise ValueError(f"fading enabled must be true or false, got {self.fading.enabled!r}")
         # Taps t and t + CARRIERS give every subcarrier the same phase.
@@ -279,6 +278,8 @@ class EnvironmentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnvironmentConfig":
+        if "tx" in d and not isinstance(d["tx"], dict):
+            raise ValueError(f"tx must be an object with keys x and y, got {d['tx']!r}")
         return cls(
             width=d["width_m"],
             height=d["height_m"],
@@ -553,7 +554,7 @@ def load_capture(iq_path, sidecar_path) -> SoundingCapture:
     return SoundingCapture(
         iq=iq,
         sample_rate=float(meta.get("sample_rate_hz", 20e6)),
-        periods=int(meta.get("periods", 32)),
+        periods=meta.get("periods", 32),
     )
 
 

@@ -186,7 +186,7 @@ def heatmap(grid_path, tau, svg, out_dir):
         grid_path,
         out_dir,
         svg,
-        lambda g: [channel.reliable_count(row, tau) for row in g.snr_db],
+        lambda g: channel.erase_mask(g.snr_db, tau).sum(axis=1),
         {"tau": tau, "grid": grid_path or "builtin"},
     )
 

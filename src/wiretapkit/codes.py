@@ -8,6 +8,7 @@ how many bits an eavesdropper's worst-case erasure pattern leaks.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from math import comb
@@ -68,7 +69,7 @@ class GHWProfile:
 
     def leakage_at(self, mu: int) -> int:
         """Number of weights <= mu: the worst-case leakage in bits."""
-        return sum(1 for d in self.weights if d <= mu)
+        return bisect.bisect_right(self.weights, mu)
 
 
 def _monomial_row(m: int, support: tuple[int, ...]) -> np.ndarray:
@@ -77,11 +78,8 @@ def _monomial_row(m: int, support: tuple[int, ...]) -> np.ndarray:
     Point j assigns x_i the bit (j >> (m-1-i)) & 1, so variable 0 is the
     leftmost bit of the point index, matching the global bit convention.
     """
-    pts = np.arange(2**m)
-    row = np.ones(2**m, dtype=np.uint8)
-    for i in support:
-        row &= ((pts >> (m - 1 - i)) & 1).astype(np.uint8)
-    return row
+    mask = sum(1 << (m - 1 - i) for i in support)
+    return ((np.arange(2**m) & mask) == mask).astype(np.uint8)
 
 
 def _monomials(u: int, m: int) -> list[tuple[int, ...]]:
@@ -211,13 +209,10 @@ def _ghw_rm_monomial(u: int, m: int) -> GHWProfile:
     higher degree (smaller supports first), then graded-lex order.
     Supports are Python-int bitmasks over the 2^m points.
     """
-    pts = np.arange(2**m)
-    supports = []
-    for deg in range(u, -1, -1):
-        for s in itertools.combinations(range(m), deg):
-            mask = sum(1 << (m - 1 - i) for i in s)
-            inside = np.packbits((pts & mask) == mask, bitorder="little")
-            supports.append(int.from_bytes(inside.tobytes(), "little"))
+    supports = [
+        int.from_bytes(np.packbits(_monomial_row(m, s), bitorder="little").tobytes(), "little")
+        for s in sorted(_monomials(u, m), key=len, reverse=True)
+    ]
     covered = 0
     remaining = list(range(len(supports)))
     weights = []

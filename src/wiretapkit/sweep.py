@@ -59,30 +59,30 @@ def evaluate(
     return sweep([w], grid, regions, [tau])[0]
 
 
+def _block_layout(n: int, a: int, blocks: int) -> np.ndarray:
+    """Carrier of each bit of each block, (blocks, n): block b holds the
+    carriers b, b + B, ... (c_b = ceil((a - b) / B) of them, B = blocks
+    <= a) and puts bit i on its carrier i mod c_b."""
+    b = np.arange(blocks)[:, None]
+    return b + blocks * (np.arange(n) % -(-(a - b) // blocks))
+
+
 def _revealed_bits(read: np.ndarray, n: int, interleave: bool) -> np.ndarray:
     """Bits of an n-bit block Eve reads, per Eve (rows) and block (columns).
 
-    ``read`` is her (Eve x active carrier) read mask.  A block on c
-    carriers puts bit i on its carrier i mod c, so its carrier p carries
-    ceil((n - p) / c) bits over ceil(n / c) channel uses.  Worst case:
-    one block on all a carriers; with n = q*a + r, r carriers carry q + 1
-    bits and the rest q, and Eve's e carriers are charged as the
-    heaviest.  Interleaved: B = max(1, ceil(a / n)) blocks, block b on
-    the carriers b, b + B, ..., each Eve charged her concrete bits; the
-    weighted mask is zero-padded to a multiple of B carriers and summed
-    per block in one reshape.
+    ``read`` is her (Eve x active carrier) read mask; the blocks are laid
+    out by :func:`_block_layout`.  Interleaved: B = ceil(a / n) blocks,
+    each Eve charged her concrete bits.  Worst case: one block on all a
+    carriers, and Eve's e readable carriers are charged as the e that
+    carry the most bits.
     """
     a = read.shape[1]
-    if not interleave:
-        q, r = divmod(n, max(a, 1))
-        e = read.sum(axis=1, keepdims=True)
-        return np.minimum(e, r) * (q + 1) + np.maximum(e - r, 0) * q
-    blocks = max(1, -(-a // n))
-    j = np.arange(a)
-    carriers = -(-(a - np.arange(blocks)) // blocks)
-    bits = -(-(n - j // blocks) // carriers[j % blocks])
-    padded = np.pad(read * bits, ((0, 0), (0, -a % blocks)))
-    return padded.reshape(read.shape[0], -1, blocks).sum(axis=1)
+    if a == 0:
+        return np.zeros((read.shape[0], 1), dtype=int)
+    if interleave:
+        return read[:, _block_layout(n, a, -(-a // n))].sum(axis=2)
+    heaviest = np.sort(np.bincount(_block_layout(n, a, 1)[0], minlength=a))[::-1]
+    return np.concatenate(([0], heaviest.cumsum()))[read.sum(axis=1, keepdims=True)]
 
 
 def sweep(
@@ -182,10 +182,11 @@ def simulate_mc(
     """Monte Carlo end-to-end check at the worst Eve location.
 
     The block is laid out on the a active carriers at Bob's reference
-    location: bit i goes on carrier ``active[i % a]`` in channel use
-    i // a, so any blocklength fits; only a = 0 is refused.  Bob reads
-    every active carrier, so each trial encodes a uniform (m, m') draw
-    and must decode it exactly; trials run in chunks of ``MC_CHUNK``.
+    location by ``_block_layout(n, a, 1)``: bit i goes on carrier
+    ``active[i % a]`` in channel use i // a, so any blocklength fits;
+    only a = 0 is refused.  Bob reads every active carrier, so each
+    trial encodes a uniform (m, m') draw and must decode it exactly;
+    trials run in chunks of ``MC_CHUNK``.
     Eve's threshold erasures reveal the fixed positions R of the bits
     on her readable carriers.  Her posterior is then uniform over an
     affine set of messages whose size depends on R alone, so every
@@ -199,7 +200,7 @@ def simulate_mc(
     if active.size == 0:
         raise ValueError(f"no active carriers at tau={tau}; a block needs at least one")
     eve_read = channel.erase_mask(grid.snr_db[point.worst_eve_location], tau)[active]
-    revealed = tuple(int(i) for i in np.nonzero(eve_read[np.arange(w.n) % active.size])[0])
+    revealed = tuple(int(i) for i in np.nonzero(eve_read[_block_layout(w.n, active.size, 1)[0]])[0])
     leak = float(wiretap.leakage(w, revealed))
 
     bob_errors = 0
@@ -216,7 +217,7 @@ def simulate_mc(
         "eve_leakage_bits_max": leak,
         "trials": trials,
         "eve_location": int(point.worst_eve_location),
-        "worst_case_bound": wiretap.worst_case_leakage(w, len(revealed)),
+        "worst_case_bound": w.dual_ghw().leakage_at(len(revealed)),
     }
 
 

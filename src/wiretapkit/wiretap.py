@@ -164,18 +164,6 @@ def equivocation_matrix(w: WiretapCode) -> EquivocationMatrix:
     return EquivocationMatrix(n=w.n, k=w.k, counts=counts)
 
 
-def worst_case_leakage(w: WiretapCode, mu: int) -> int:
-    """Max bits leaked over all patterns with mu revealed positions.
-
-    Equals the number of generalized Hamming weights of the dual of the
-    base code that are <= mu, so it stays cheap for codes whose dual
-    hierarchy is known in closed form.
-    """
-    if not 0 <= mu <= w.n:
-        raise ValueError(f"mu must lie in [0, {w.n}], got {mu}")
-    return w.dual_ghw().leakage_at(mu)
-
-
 def example_code() -> WiretapCode:
     """The built-in rate-1/2, n=4 demonstration code.
 

@@ -27,7 +27,7 @@ import math
 import numpy as np
 import pytest
 
-from wiretapkit import bitlinalg, channel, codes, sweep, wiretap
+from wiretapkit import bitlinalg, channel, codes, sweep
 from wiretapkit.bitlinalg import BitMatrix
 from wiretapkit.channel import CARRIERS, FFT_LENGTH, ChannelGrid, SoundingCapture, write_grid_csv
 
@@ -262,7 +262,7 @@ def oracle_sweep_point(w, grid, regions, tau: float, interleave: bool = False) -
         else:
             heaviest = sorted(_oracle_carrier_bits(w.n, a), reverse=True) if a else []
             mu_star = sum(heaviest[: int(eve_read.sum())])
-            pct = 100.0 * (w.k - wiretap.worst_case_leakage(w, mu_star)) / w.k
+            pct = 100.0 * (w.k - w.dual_ghw().leakage_at(mu_star)) / w.k
         if pct < min_pct:
             min_pct = pct
             worst_eve = i
@@ -299,7 +299,7 @@ def _oracle_interleaved_pct(w, eve_read: np.ndarray) -> float:
         block_read = eve_read[b::nblocks]
         bits = _oracle_carrier_bits(w.n, block_read.size)
         mu = sum(c for c, r in zip(bits, block_read) if r)
-        worst = max(worst, wiretap.worst_case_leakage(w, mu))
+        worst = max(worst, w.dual_ghw().leakage_at(mu))
     return 100.0 * (w.k - worst) / w.k
 
 

@@ -120,7 +120,7 @@ def test_criterion_4_ghw_consistency(capsys, medium_corpus):
         w = wiretap.build(c)
         mat = wiretap.equivocation_matrix(w)
         for mu in range(w.n + 1):
-            assert wiretap.worst_case_leakage(w, mu) == mat.worst_case_leakage(mu), (c.label, mu)
+            assert w.dual_ghw().leakage_at(mu) == mat.worst_case_leakage(mu), (c.label, mu)
         checked += 1
     rm_pairs = 0
     for m in range(1, 5):  # every 2^m <= 20

@@ -90,10 +90,9 @@ class TestErasureAndCapacity:
         assert list(mask) == [False, True, True]
 
     def test_reliable_count(self):
-        assert channel.reliable_count(np.full(64, 30.0), 25.0) == 64
-        assert channel.reliable_count(np.full(64, 20.0), 25.0) == 0
         alt = np.where(np.arange(64) % 2 == 0, 30.0, 20.0)
-        assert channel.reliable_count(alt, 25.0) == 32
+        rows = np.array([np.full(64, 30.0), np.full(64, 20.0), alt])
+        assert channel.erase_mask(rows, 25.0).sum(axis=1).tolist() == [64, 0, 32]
 
     def test_capacity_p_over_n_three(self):
         snr_db = 10.0 * math.log10(3.0)

@@ -175,6 +175,16 @@ class TestOneLineErrors:
             (("fading", "enabled"), "no", "enabled"),
             (("fading", "sigma_scale"), math.nan, "sigma_scale"),
             (("tx", "y"), "0", "tx.y"),
+            (("tx",), [0, 1], "tx"),
+            (("width_m",), "6", "width_m"),
+            (("width_m",), True, "width_m"),
+            (("height_m",), False, "height_m"),
+            (("grid_spacing_m",), "0.1", "grid_spacing_m"),
+            (("ref_distance_m",), "1", "ref_distance_m"),
+            (("path_loss_exponent",), True, "path_loss_exponent"),
+            (("regions", 0, "x_min"), "0", "regions[0].x_min"),
+            (("regions", 2, "y_max"), math.inf, "regions[2].y_max"),
+            (("regions", 1, "label"), 3, "regions[1].label"),
         ],
     )
     def test_synth_config_bad_value_names_field(self, runner, tmp_path, path, value, field):
@@ -200,6 +210,19 @@ class TestOneLineErrors:
         )
         assert_one_line_error(res)
         assert "64" in res.output
+
+    @pytest.mark.parametrize("periods", [0, -3, 2.5, True, "32"])
+    def test_sound_bad_periods(self, runner, tmp_path, periods):
+        iq_path, sidecar = tmp_path / "c.iq", tmp_path / "c.json"
+        save_capture(synth_capture(25.0, seed=3), iq_path, sidecar)
+        sidecar.write_text(json.dumps({"periods": periods}))
+        res = runner.invoke(
+            cli.main,
+            ["sound", str(iq_path), "--sidecar", str(sidecar), "--out-dir", str(tmp_path)],
+        )
+        assert_one_line_error(res)
+        assert "periods must be an integer >= 1" in res.output
+        assert not (tmp_path / "snr_row.csv").exists()
 
     def test_sweep_max_m_above_bound(self, runner, tmp_path, monkeypatch):
         def build(*_):

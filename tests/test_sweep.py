@@ -80,6 +80,13 @@ class TestEvaluate:
         p = sweep.evaluate(rate34, grid, REGIONS, 25.0)
         assert not p.reliable and p.throughput == 0.0
 
+    @pytest.mark.parametrize("interleave", [False, True], ids=["worst_case", "interleaved"])
+    def test_no_active_carriers_matches_oracle(self, rate34, interleave):
+        grid = two_location_grid(np.full(64, 20.0), np.full(64, 30.0))
+        got = sweep.sweep([rate34], grid, REGIONS, [25.0], interleave=interleave)
+        assert got == oracle_sweep([rate34], grid, REGIONS, [25.0], interleave)
+        assert not got[0].reliable and got[0].min_equivocation_pct == 100.0
+
     def test_empty_eve_region_errors(self, analog_grid, rate34):
         lonely = RegionMap(bob_region="bob_office", eve_regions=frozenset({"ghost_room"}))
         with pytest.raises(ValueError):
@@ -227,6 +234,27 @@ def small_scenarios(draw):
     return grid, regions
 
 
+class TestBlockLayout:
+    def test_round_robin_blocks(self):
+        """Block b holds carriers b, b + B, ...; bit i sits on its carrier
+        i mod c_b, so each carrier carries floor or ceil of n / c_b bits;
+        B = ceil(a / n) blocks use every carrier exactly once."""
+        for n in range(1, 41):
+            for a in range(1, 71):
+                for blocks in {1, -(-a // n)}:
+                    layout = sweep._block_layout(n, a, blocks)
+                    assert layout.shape == (blocks, n)
+                    for b, row in enumerate(layout):
+                        carriers = np.arange(b, a, blocks)
+                        c = carriers.size
+                        assert np.array_equal(row, carriers[np.arange(n) % c]), (n, a, blocks, b)
+                        assert set(row.tolist()) == set(carriers[:n].tolist())
+                        loads = [int((row == j).sum()) for j in carriers]
+                        assert set(loads) <= {n // c, -(-n // c)}, (n, a, blocks, b)
+                    if blocks == -(-a // n):
+                        assert sorted(set(layout.ravel().tolist())) == list(range(a))
+
+
 class TestSweepMatchesOracle:
     """The one-pass sweep equals the per-Eve loop in tests/conftest.py."""
 
@@ -366,7 +394,7 @@ class TestSimulateMC:
         revealed = [*range(8), *range(20, 28)]
         assert rep["trials"] == 3000 and rep["bob_error_rate"] == 0.0
         assert rep["eve_leakage_bits_max"] == oracle_leakage(big.base_code.generator.a, revealed) == 3
-        assert rep["worst_case_bound"] == wiretap.worst_case_leakage(big, 16) == 5
+        assert rep["worst_case_bound"] == big.dual_ghw().leakage_at(16) == 5
 
 
 @pytest.fixture(scope="module")

@@ -243,7 +243,7 @@ class TestEquivocationMatrix:
 
 class TestWorstCaseLeakage:
     def test_demo_values(self, demo):
-        assert [wiretap.worst_case_leakage(demo, mu) for mu in range(5)] == [0, 0, 1, 1, 2]
+        assert [demo.dual_ghw().leakage_at(mu) for mu in range(5)] == [0, 0, 1, 1, 2]
         assert demo.dual_ghw().weights == (2, 4)
 
     @pytest.mark.parametrize("base", [codes.reed_muller(1, 4), codes.reed_muller(2, 6),
@@ -260,12 +260,6 @@ class TestWorstCaseLeakage:
         assert fresh.dual_ghw().weights == (2, 4)
         assert dual_calls[0] is demo.base_code
 
-    def test_mu_range(self, demo):
-        with pytest.raises(ValueError):
-            wiretap.worst_case_leakage(demo, 5)
-        with pytest.raises(ValueError):
-            wiretap.worst_case_leakage(demo, -1)
-
     def test_agrees_with_matrix_worst_case(self, medium_corpus):
         for c in medium_corpus:
             if not 0 < c.dim < c.n or c.n > 16:
@@ -273,7 +267,7 @@ class TestWorstCaseLeakage:
             w = wiretap.build(c)
             mat = wiretap.equivocation_matrix(w)
             for mu in range(w.n + 1):
-                assert wiretap.worst_case_leakage(w, mu) == mat.worst_case_leakage(mu), (
+                assert w.dual_ghw().leakage_at(mu) == mat.worst_case_leakage(mu), (
                     c.label,
                     mu,
                 )
