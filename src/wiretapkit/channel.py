@@ -278,8 +278,18 @@ class EnvironmentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnvironmentConfig":
-        if "tx" in d and not isinstance(d["tx"], dict):
-            raise ValueError(f"tx must be an object with keys x and y, got {d['tx']!r}")
+        if not isinstance(d, dict):
+            raise ValueError(f"environment config must be an object, got {d!r}")
+        for key in ("tx", "fading", "region_map"):
+            if key in d and not isinstance(d[key], dict):
+                raise ValueError(f"{key} must be an object, got {d[key]!r}")
+        for key in ("walls", "regions"):
+            items = d.get(key, [])
+            if not isinstance(items, list):
+                raise ValueError(f"{key} must be a list of objects, got {items!r}")
+            for i, item in enumerate(items):
+                if not isinstance(item, dict):
+                    raise ValueError(f"{key}[{i}] must be an object, got {item!r}")
         return cls(
             width=d["width_m"],
             height=d["height_m"],
@@ -483,20 +493,15 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     labels = [r.label for r in cfg.regions] + ["open"]
     # math.hypot and math.log10, not numpy's: these differ in the last bit.
     tx_x, tx_y = cfg.tx
-    path_loss = np.array([
-        10.0 * cfg.path_loss_exponent * math.log10(
-            max(math.hypot(px - tx_x, py - tx_y), cfg.ref_distance) / cfg.ref_distance
-        )
-        for px, py in zip(xs, ys)
-    ])
+    dist = np.fromiter(map(math.hypot, (x - tx_x).tolist(), (y - tx_y).tolist()), float, x.size)
+    ratio = np.maximum(dist, cfg.ref_distance) / cfg.ref_distance
+    path_loss = 10.0 * cfg.path_loss_exponent * np.fromiter(map(math.log10, ratio.tolist()), float, x.size)
     base = cfg.ref_snr_db + cfg.tx_power_offset_db - path_loss - _wall_loss(cfg, x, y)
     snr_db = np.zeros((x.size, CARRIERS))
     _fading_into(cfg.fading, seed, snr_db)
     snr_db += base[:, None]
     return ChannelGrid(
-        locations=tuple(
-            Location(x=px, y=py, region=labels[j]) for px, py, j in zip(xs, ys, region.tolist())
-        ),
+        locations=tuple(map(Location, xs, ys, map(labels.__getitem__, region.tolist()))),
         snr_db=snr_db,
     )
 

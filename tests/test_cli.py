@@ -185,6 +185,12 @@ class TestOneLineErrors:
             (("regions", 0, "x_min"), "0", "regions[0].x_min"),
             (("regions", 2, "y_max"), math.inf, "regions[2].y_max"),
             (("regions", 1, "label"), 3, "regions[1].label"),
+            (("walls", 0), [0, 1, 2, 3, 4], "walls[0]"),
+            (("walls",), {"a": 1}, "walls"),
+            (("regions",), "hall", "regions"),
+            (("regions", 0), "hall", "regions[0]"),
+            (("fading",), [1], "fading"),
+            (("region_map",), ["x"], "region_map"),
         ],
     )
     def test_synth_config_bad_value_names_field(self, runner, tmp_path, path, value, field):

@@ -1,5 +1,6 @@
 """Tests for code construction, duals, and weight hierarchies."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -139,6 +140,43 @@ class TestSubsetRankTallies:
                 c = codes.random_code(n, dim, rng)
                 expected = oracle_subset_rank_tallies(c.generator.a)
                 assert np.array_equal(codes.subset_rank_tallies(c), expected), (n, dim)
+
+    @staticmethod
+    def assert_matches_oracle(c: LinearCode):
+        expected = oracle_subset_rank_tallies(c.generator.a)
+        assert np.array_equal(codes.subset_rank_tallies(c), expected), (c.n, c.dim, c.label)
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_matches_dfs_oracle_over_blocks(self, n):
+        # one, two, four and eight blocks of 2^15 subsets; one dim per side
+        rng = np.random.default_rng(n)
+        for dim in (n // 2 - 2, n // 2 + 3):
+            self.assert_matches_oracle(codes.random_code(n, dim, rng))
+
+    def test_matches_dfs_oracle_dim_zero_and_full_over_blocks(self):
+        self.assert_matches_oracle(LinearCode(n=16, dim=0, generator=BitMatrix(np.zeros((0, 16), dtype=np.uint8))))
+        self.assert_matches_oracle(LinearCode(n=16, dim=16, generator=BitMatrix.identity(16)))
+
+    @pytest.mark.parametrize("dim", [9, 12])
+    def test_matches_dfs_oracle_at_twenty(self, dim):
+        self.assert_matches_oracle(codes.random_code(20, dim, np.random.default_rng(20)))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_dfs_oracle_reed_muller(self, order):
+        self.assert_matches_oracle(codes.reed_muller(order, 4))
+
+    @pytest.mark.parametrize("dim", [11, 14])
+    def test_peak_memory_is_the_indicator(self, dim):
+        # one uint16 count per subset (2^25 bytes at n = 24), plus 1 MiB for
+        # the codewords and a block's temporaries: no second full-size array
+        c = codes.random_code(24, dim, np.random.default_rng(24))
+        tracemalloc.start()
+        try:
+            codes.subset_rank_tallies(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**25 + 2**20, peak
 
     def test_cap(self):
         c = codes.random_code(codes.SUBSET_RANK_CAP + 1, 2, np.random.default_rng(0))
