@@ -18,9 +18,9 @@ import numpy as np
 
 CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
-# At the cap on 2 shared vCPUs, synth_grid takes 1.5-1.9 s and 116 MB peak RSS,
-# 1.1 s of it the seeded fading (0.7 s the per-location draws); the synth
-# command, which also writes the CSV, takes 3-4 s.
+# At the cap on 2 shared vCPUs, synth_grid takes 0.9-1.3 s and 118 MB peak RSS,
+# 0.8-0.9 s of it the seeded fading (0.7-0.8 s the per-location draws); the
+# synth command, which also writes the CSV, takes 3.5-4 s.
 MAX_GRID_LOCATIONS = 100_000
 
 
@@ -314,11 +314,12 @@ class EnvironmentConfig:
             return cls.from_dict(json.load(fh))
 
 
-# Locations whose fading is drawn and transformed together.  The
-# (locations, 64, taps) complex intermediate takes 4 KB per location at
-# 4 taps: 512 KB per chunk, against 400 MB for a whole grid at the cap.
-# perfbench's peak RSS stays below the per-location loop's at 128 on both
-# workloads; at 256 it rose 0.3 MB on ``analysis``.
+# Locations whose fading is drawn and transformed together.  Per chunk
+# the tap sum holds four complex (locations, 64) lanes, 512 KB, and from
+# 8 taps on a second 512 KB buffer of products; one lane of a whole grid
+# would take 100 MB at the cap.  perfbench's peak RSS stays below the
+# per-location loop's at 128 on both workloads; at 256 it rose 0.3 MB on
+# ``analysis``.
 FADING_CHUNK = 128
 
 # default_rng([seed, i]) seeds PCG64 through numpy's SeedSequence: its hash
@@ -429,6 +430,43 @@ def _pcg64_start(words: list[int]) -> dict:
     return {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
 
 
+def _tap_sum(taps: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """``(taps[:, None, :] * phase[None]).sum(axis=-1)`` bit for bit, per tap.
+
+    ``taps`` is (rows, t) and ``phase`` (64, t), t <= 64.  numpy's
+    pairwise sum reads a row of t complex products as 2t doubles.  Below
+    8 doubles (t < 4) it adds them left to right.  From 8 on it keeps 8
+    double accumulators, four complex lanes: lane j adds products j,
+    j + 4, j + 8, ... of the first 4 floor(t/4), the lanes combine as
+    (L0 + L1) + (L2 + L3), and the last t mod 4 products are added one at
+    a time.  2t never exceeds its block of 128, so it does not recurse.
+    Here each lane is a (rows, 64) array and each product numpy's own
+    complex multiply, so every addition is the one numpy makes.
+    """
+    t = taps.shape[1]
+    tap_rows, phase_rows = taps.T[:, :, None], phase.T[:, None, :]
+    lanes = np.empty((min(t, 4), taps.shape[0], CARRIERS), dtype=complex)
+    np.multiply(tap_rows[:4], phase_rows[:4], out=lanes)
+    total = lanes[0]
+    if t < 4:
+        for lane in lanes[1:]:
+            total += lane
+        return total
+    whole = t - t % 4
+    if whole > 4:
+        products = np.empty_like(lanes)
+        for j in range(4, whole, 4):
+            np.multiply(tap_rows[j:j + 4], phase_rows[j:j + 4], out=products)
+            lanes += products
+    total += lanes[1]
+    lanes[2] += lanes[3]
+    total += lanes[2]
+    for j in range(whole, t):
+        np.multiply(tap_rows[j], phase_rows[j], out=lanes[1])
+        total += lanes[1]
+    return total
+
+
 def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     """Write frequency-selective fading in dB into each row of a zeroed ``out``.
 
@@ -439,7 +477,12 @@ def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     ``default_rng([seed, i])`` starts from, the seeding done for all rows
     at once by :func:`_seed_words` and :func:`_pcg64_start`; building a
     Generator per row cost about fifteen times the draw itself.  Rows
-    are drawn and transformed ``FADING_CHUNK`` at a time.
+    are drawn and transformed ``FADING_CHUNK`` at a time.  The transform
+    H(f) = sum_j tap_j e^(-2 pi i f j / 64), :func:`_tap_sum`, adds the
+    per-tap products in numpy's own pairwise order (four lanes of every
+    fourth tap, combined as (L0 + L1) + (L2 + L3), then the last t mod 4
+    taps), so the grid is bit-exact with the per-location loop's ``sum``
+    without building the (rows, 64, taps) product it reduces.
     """
     if not cfg.enabled:
         return
@@ -461,7 +504,7 @@ def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
             bit_generator.state = start_state
             rng.standard_normal(out=row)
         taps = (z[:, : cfg.taps] + 1j * z[:, cfg.taps:]) * amp
-        np.abs((taps[:, None, :] * phase[None]).sum(axis=-1), out=block)
+        np.abs(_tap_sum(taps, phase), out=block)
         np.maximum(block, 1e-6, out=block)
         np.log10(block, out=block)
         block *= cfg.sigma_scale * 20.0

@@ -111,6 +111,11 @@ def sweep(
     """
     if not code_list or not taus:
         raise ValueError("need at least one code and one threshold")
+    listed: set[float] = set()
+    for tau in taus:
+        if tau in listed:
+            raise ValueError(f"threshold {tau:g} dB listed twice")
+        listed.add(tau)
     regions.validate_against(grid)
     eve_idxs = regions.eve_location_indices(grid)
     if not eve_idxs:
@@ -228,9 +233,12 @@ def default_code_family(max_m: int = 5) -> list[WiretapCode]:
     the base code C and (via its dual) as C-perp, since either role is a
     legitimate reading of an RM-labelled coset code.  Degenerate bases
     are dropped, and so are duplicates by their RM parameters: the dual
-    of RM(u, m) is RM(m - u - 1, m).  ``max_m`` above
-    ``codes.RM_MAX_DEGREE`` is refused before anything is built.
+    of RM(u, m) is RM(m - u - 1, m).  ``max_m`` below 2, where every
+    base is degenerate, or above ``codes.RM_MAX_DEGREE`` is refused
+    before anything is built.
     """
+    if max_m < 2:
+        raise ValueError(f"max_m must be at least 2, got {max_m}: every Reed-Muller base with m <= 1 is degenerate")
     if max_m > codes.RM_MAX_DEGREE:
         raise ValueError(f"max_m {max_m} exceeds the Reed-Muller degree bound {codes.RM_MAX_DEGREE}")
     family: list[WiretapCode] = []

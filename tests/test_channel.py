@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +266,12 @@ def _oracle_cases():
         ("seed_two_words", env, 2**40 + 7),
         ("seed_above_2^96", chunks, 2**100 + 12345),
     ]
+    # Tap counts below, at and past numpy's four summation lanes, with and
+    # without a remainder, on the plan with a partial chunk.
+    cases += [
+        (f"taps_{t}", dataclasses.replace(chunks, fading=FadingModel(taps=t, delay_spread=3.0)), 40 + t)
+        for t in (1, 3, 5, 8, 9, 64)
+    ]
     return cases
 
 
@@ -287,6 +294,34 @@ class TestSynthGridMatchesOracle:
     def test_cases_cover_a_partial_chunk(self):
         nx, ny = dict((c[0], c[1]) for c in _oracle_cases())["chunk_remainder"].lattice
         assert nx * ny > channel.FADING_CHUNK and nx * ny % channel.FADING_CHUNK
+
+
+class TestTapSum:
+    """The per-tap lanes add in numpy's own pairwise order."""
+
+    @pytest.mark.parametrize("rows", [channel.FADING_CHUNK, 37])
+    def test_matches_numpy_sum(self, rows):
+        rng = np.random.default_rng(rows)
+        k = np.arange(CARRIERS)
+        for t in range(1, CARRIERS + 1):
+            taps = rng.standard_normal((rows, t)) + 1j * rng.standard_normal((rows, t))
+            phase = np.exp(-2j * np.pi * k[:, None] * np.arange(t)[None, :] / CARRIERS)
+            want = (taps[:, None, :] * phase[None]).sum(axis=-1)
+            assert np.array_equal(channel._tap_sum(taps, phase), want), t
+
+    def test_fading_peak_memory(self):
+        # a (chunk, 64, 64) complex product would take 8 MiB; the first
+        # call's one-time allocations are made before tracing
+        fading = FadingModel(taps=64)
+        channel._fading_into(fading, 2024, np.zeros((1, CARRIERS)))
+        out = np.zeros((2360, CARRIERS))
+        tracemalloc.start()
+        try:
+            channel._fading_into(fading, 2024, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
 
 
 class TestSeeding:

@@ -501,6 +501,27 @@ class TestSweepInputErrors:
         assert "finite" in res.output
         assert not (tmp_path / "frontier.csv").exists()
 
+    @pytest.mark.parametrize("max_m", ["-1", "0", "1"])
+    def test_max_m_below_two(self, runner, tmp_path, max_m):
+        res = runner.invoke(cli.main, ["sweep", "--max-m", max_m, "--out-dir", str(tmp_path)])
+        assert_one_line_error(res)
+        assert res.output.startswith(f"Error: max_m must be at least 2, got {max_m}: ")
+        assert "degenerate" in res.output
+        assert not (tmp_path / "frontier.csv").exists()
+
+    def test_repeated_tau(self, runner, tmp_path, tiny_grid_file):
+        grid_path, regions_path = tiny_grid_file
+        res = runner.invoke(
+            cli.main,
+            [
+                "sweep", "--grid", str(grid_path), "--regions", str(regions_path),
+                "--taus", "25,26,25.0", "--out-dir", str(tmp_path),
+            ],
+        )
+        assert_one_line_error(res)
+        assert res.output == "Error: threshold 25 dB listed twice\n"
+        assert not (tmp_path / "frontier.csv").exists()
+
 
 class TestManifest:
     def test_sorted_keys_and_no_timestamps(self, runner, tmp_path):

@@ -162,6 +162,15 @@ class TestSweepAndSelect:
         with pytest.raises(ValueError):
             sweep.sweep([rate34], analog_grid, REGIONS, [])
 
+    def test_repeated_tau_rejected(self, analog_grid, rate34):
+        with pytest.raises(ValueError, match=r"^threshold 25 dB listed twice$"):
+            sweep.sweep([rate34], analog_grid, REGIONS, [25.0, 27.0, 25.0])
+
+    @pytest.mark.parametrize("max_m", [-1, 0, 1])
+    def test_family_below_m2_rejected(self, max_m):
+        with pytest.raises(ValueError, match=rf"^max_m must be at least 2, got {max_m}: "):
+            sweep.default_code_family(max_m)
+
     def test_analog_selection_returns_rate34_at_tau27(self, analog_grid, rate34):
         fam = [
             wiretap.build(codes.reed_muller(1, 2), label="RM(1,2)|C"),
