@@ -29,12 +29,9 @@ class SoundingCapture:
     """Raw complex-baseband recording of the periodic sounding signal."""
 
     iq: np.ndarray
-    sample_rate: float = 20e6
     periods: int = 32
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if isinstance(self.periods, bool) or not isinstance(self.periods, int) or self.periods < 1:
             raise ValueError(f"periods must be an integer >= 1, got {self.periods!r}")
         need = self.periods * FFT_LENGTH
@@ -54,10 +51,17 @@ class Location:
 
 @dataclass(frozen=True)
 class ChannelGrid:
-    """Per-location, per-subcarrier SNR measurements on a physical grid."""
+    """Per-location, per-subcarrier SNR measurements on a physical grid.
+
+    Region labels are resolved once, at construction: ``_region_id`` maps
+    each label to an integer id in order of first appearance, and
+    ``_region_ids[i]`` is the id of location i.
+    """
 
     locations: tuple[Location, ...]
     snr_db: np.ndarray  # (len(locations), 64)
+    _region_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    _region_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.snr_db.shape != (len(self.locations), CARRIERS):
@@ -67,12 +71,22 @@ class ChannelGrid:
             )
         if not np.all(np.isfinite(self.snr_db)):
             raise ValueError("snr_db must be finite")
+        region_id: dict[str, int] = {}
+        ids = [region_id.setdefault(loc.region, len(region_id)) for loc in self.locations]
+        object.__setattr__(self, "_region_id", region_id)
+        object.__setattr__(self, "_region_ids", np.array(ids, dtype=np.intp))
+
+    def _indices_in(self, labels) -> np.ndarray:
+        """Ascending indices of the locations whose region is one of ``labels``."""
+        wanted = np.zeros(len(self._region_id), dtype=bool)
+        wanted[[self._region_id[label] for label in labels if label in self._region_id]] = True
+        return np.flatnonzero(wanted[self._region_ids])
 
     def region_indices(self, label: str) -> list[int]:
-        return [i for i, loc in enumerate(self.locations) if loc.region == label]
+        return self._indices_in((label,)).tolist()
 
     def region_labels(self) -> set[str]:
-        return {loc.region for loc in self.locations}
+        return set(self._region_id)
 
 
 @dataclass(frozen=True)
@@ -94,8 +108,11 @@ class RegionMap:
             raise ValueError(f"regions {sorted(missing)} not present in grid (has {sorted(labels)})")
 
     def eve_location_indices(self, grid: ChannelGrid) -> list[int]:
-        wanted = self.eve_regions - self.excluded_regions
-        return [i for i, loc in enumerate(grid.locations) if loc.region in wanted]
+        return self._eve_indices(grid).tolist()
+
+    def _eve_indices(self, grid: ChannelGrid) -> np.ndarray:
+        """Ascending indices of the candidate Eve locations: Eve regions, less the excluded."""
+        return grid._indices_in(self.eve_regions - self.excluded_regions)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegionMap":
@@ -155,8 +172,9 @@ def erase_mask(snrs, tau: float) -> np.ndarray:
 
 
 def _carrier_capacity(db: np.ndarray) -> np.ndarray:
-    """Gaussian capacity 1/2 log2(1 + SNR_linear) of each subcarrier; -inf dB gives 0."""
-    return 0.5 * np.log2(1.0 + np.where(np.isneginf(db), 0.0, 10.0 ** (db / 10.0)))
+    """Gaussian capacity 1/2 log2(1 + SNR_linear) of each subcarrier; -inf dB
+    gives 10^-inf = 0 exactly, so capacity 0."""
+    return 0.5 * np.log2(1.0 + 10.0 ** (db / 10.0))
 
 
 def capacity_sum(snrs) -> float | np.ndarray:
@@ -588,7 +606,11 @@ def grid_from_csv(text: str) -> ChannelGrid:
 
 
 def load_capture(iq_path, sidecar_path) -> SoundingCapture:
-    """Raw capture: interleaved little-endian float32 I,Q + JSON sidecar."""
+    """Raw capture: interleaved little-endian float32 I,Q + JSON sidecar.
+
+    The estimator works in FFT bins, so the sidecar's ``sample_rate_hz``
+    is only checked to be positive, not kept.
+    """
     with open(sidecar_path) as fh:
         meta = json.load(fh)
     if not isinstance(meta, dict):
@@ -598,12 +620,11 @@ def load_capture(iq_path, sidecar_path) -> SoundingCapture:
     raw = np.fromfile(iq_path, dtype="<f4")
     if raw.size % 2:
         raise ValueError(f"odd sample count {raw.size}, expected interleaved I,Q pairs")
+    rate = float(meta.get("sample_rate_hz", 20e6))
+    if not rate > 0:
+        raise ValueError(f"sample_rate_hz must be positive, got {rate}")
     iq = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
-    return SoundingCapture(
-        iq=iq,
-        sample_rate=float(meta.get("sample_rate_hz", 20e6)),
-        periods=meta.get("periods", 32),
-    )
+    return SoundingCapture(iq=iq, periods=meta.get("periods", 32))
 
 
 # ---------------------------------------------------------------------------

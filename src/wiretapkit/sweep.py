@@ -43,10 +43,10 @@ class SweepPoint:
 
 def bob_reference_index(grid: ChannelGrid, regions: RegionMap) -> int:
     """Capacity-argmax location in Bob's region (ties: lowest index)."""
-    idxs = grid.region_indices(regions.bob_region)
-    if not idxs:
+    idxs = grid._indices_in((regions.bob_region,))
+    if idxs.size == 0:
         raise ValueError(f"no grid locations in Bob region {regions.bob_region!r}")
-    return idxs[int(np.argmax(channel.capacity_sum(grid.snr_db[idxs])))]
+    return int(idxs[np.argmax(channel.capacity_sum(grid.snr_db[idxs]))])
 
 
 def evaluate(
@@ -67,14 +67,14 @@ def _block_layout(n: int, a: int, blocks: int) -> np.ndarray:
     return b + blocks * (np.arange(n) % -(-(a - b) // blocks))
 
 
-def _revealed_bits(read: np.ndarray, n: int, interleave: bool) -> np.ndarray:
+def _revealed_bits(read: np.ndarray, readable: np.ndarray, n: int, interleave: bool) -> np.ndarray:
     """Bits of an n-bit block Eve reads, per Eve (rows) and block (columns).
 
-    ``read`` is her (Eve x active carrier) read mask; the blocks are laid
-    out by :func:`_block_layout`.  Interleaved: B = ceil(a / n) blocks,
-    each Eve charged her concrete bits.  Worst case: one block on all a
-    carriers, and Eve's e readable carriers are charged as the e that
-    carry the most bits.
+    ``read`` is her (Eve x active carrier) read mask and ``readable`` its
+    row counts; the blocks are laid out by :func:`_block_layout`.
+    Interleaved: B = ceil(a / n) blocks, each Eve charged her concrete
+    bits.  Worst case: one block on all a carriers, and Eve's e readable
+    carriers are charged as the e that carry the most bits.
     """
     a = read.shape[1]
     if a == 0:
@@ -82,7 +82,7 @@ def _revealed_bits(read: np.ndarray, n: int, interleave: bool) -> np.ndarray:
     if interleave:
         return read[:, _block_layout(n, a, -(-a // n))].sum(axis=2)
     heaviest = np.sort(np.bincount(_block_layout(n, a, 1)[0], minlength=a))[::-1]
-    return np.concatenate(([0], heaviest.cumsum()))[read.sum(axis=1, keepdims=True)]
+    return np.concatenate(([0], heaviest.cumsum()))[readable[:, None]]
 
 
 def sweep(
@@ -104,10 +104,13 @@ def sweep(
     point's equivocation is set by the first Eve location, in grid
     order, that leaks the most.
 
-    The regions are checked once, every threshold's (Eve x active
-    carrier) read mask is built once and each blocklength's revealed
-    bits once per threshold; a code's leakage at each mu comes from a
-    lookup table over its dual weight hierarchy.
+    The regions are checked once, on the region ids the grid resolved
+    at construction, and Eve's rows are gathered once by an index array.
+    Per threshold, her SNRs are compared once and the active columns
+    then taken from the read mask, each Eve's readable carriers are
+    counted once, and each blocklength's revealed bits are built once; a
+    code's leakage at each mu comes from a lookup table over its dual
+    weight hierarchy.
     """
     if not code_list or not taus:
         raise ValueError("need at least one code and one threshold")
@@ -117,8 +120,8 @@ def sweep(
             raise ValueError(f"threshold {tau:g} dB listed twice")
         listed.add(tau)
     regions.validate_against(grid)
-    eve_idxs = regions.eve_location_indices(grid)
-    if not eve_idxs:
+    eve_idxs = regions._eve_indices(grid)
+    if eve_idxs.size == 0:
         raise ValueError("no candidate Eve locations (empty or fully excluded Eve regions)")
     bob_idx = bob_reference_index(grid, regions)
     eve_snr = grid.snr_db[eve_idxs]
@@ -127,13 +130,14 @@ def sweep(
     ]
     per_code: list[list[SweepPoint]] = [[] for _ in code_list]
     for tau in taus:
-        active = np.nonzero(channel.erase_mask(grid.snr_db[bob_idx], tau))[0]
+        active = np.flatnonzero(channel.erase_mask(grid.snr_db[bob_idx], tau))
         a = int(active.size)
-        read = channel.erase_mask(eve_snr[:, active], tau)
+        read = channel.erase_mask(eve_snr, tau)[:, active]
+        readable = np.count_nonzero(read, axis=1)
         revealed: dict[int, np.ndarray] = {}
         for w, table, points in zip(code_list, leak_tables, per_code):
             if w.n not in revealed:
-                revealed[w.n] = _revealed_bits(read, w.n, interleave)
+                revealed[w.n] = _revealed_bits(read, readable, w.n, interleave)
             per_eve = table[revealed[w.n]].max(axis=1)
             worst = int(np.argmax(per_eve))
             points.append(
@@ -146,7 +150,7 @@ def sweep(
                     active_carriers=a,
                     throughput=w.k * a / w.n,
                     min_equivocation_pct=100.0 * (w.k - int(per_eve[worst])) / w.k,
-                    worst_eve_location=eve_idxs[worst],
+                    worst_eve_location=int(eve_idxs[worst]),
                     bob_location=bob_idx,
                     reliable=a > 0,
                 )

@@ -5,7 +5,8 @@ paths: rank is measured by enumerating the row space, weight
 hierarchies by exhaustive subcode-support search over codeword tuples,
 and Eve's message posterior by matching her observation against all
 2^n coset words.  The sweep oracle is the plain loop over Eve locations
-that the vectorised sweep replaced, and the grid oracle the
+that the vectorised sweep replaced; it finds regions, Eve locations and
+Bob's reference by its own scans of the locations.  The grid oracle is the
 per-location loop that ``channel.synth_grid``'s array passes replaced.
 The elimination oracle is the per-row numpy Gauss-Jordan that
 ``bitlinalg``'s packed-row elimination replaced, and the wiretap-matrix
@@ -132,6 +133,12 @@ def oracle_wiretap_matrices(c: codes.LinearCode) -> tuple[BitMatrix, BitMatrix, 
     return gprime, h, bitlinalg.mul(ht, oracle_inverse(bitlinalg.mul(gprime, ht)))
 
 
+def old_carrier_capacity(db: np.ndarray) -> np.ndarray:
+    """The capacity formula ``channel._carrier_capacity`` used before it
+    dropped its -inf guard: -inf dB mapped to linear 0 by ``np.where``."""
+    return 0.5 * np.log2(1.0 + np.where(np.isneginf(db), 0.0, 10.0 ** (db / 10.0)))
+
+
 def oracle_leakage(generator: np.ndarray, revealed) -> int:
     """mu - rank of the revealed columns, using the row-space rank oracle."""
     sub = generator[:, list(revealed)]
@@ -245,12 +252,18 @@ def oracle_sweep_point(w, grid, regions, tau: float, interleave: bool = False) -
     interleaved scores block b as the carriers b, b + B, b + 2B, ... of
     the active list (B = max(1, ceil(a / n))) and keeps the worst block.
     A later Eve replaces the current one only when strictly worse.
+    Regions, Eve locations and Bob's reference come from scans of
+    ``grid.locations``, not from the grid's region ids.
     """
-    regions.validate_against(grid)
-    eve_idxs = regions.eve_location_indices(grid)
+    labels = {loc.region for loc in grid.locations}
+    missing = ({regions.bob_region} | regions.eve_regions) - labels
+    if missing:
+        raise ValueError(f"regions {sorted(missing)} not present in grid")
+    wanted = regions.eve_regions - regions.excluded_regions
+    eve_idxs = [i for i, loc in enumerate(grid.locations) if loc.region in wanted]
     if not eve_idxs:
         raise ValueError("no candidate Eve locations")
-    bob_idx = sweep.bob_reference_index(grid, regions)
+    bob_idx = oracle_bob_reference(grid, regions.bob_region)
     active = np.nonzero(channel.erase_mask(grid.snr_db[bob_idx], tau))[0]
     a = int(active.size)
     min_pct = 100.0
@@ -279,6 +292,20 @@ def oracle_sweep_point(w, grid, regions, tau: float, interleave: bool = False) -
         bob_location=bob_idx,
         reliable=a > 0,
     )
+
+
+def oracle_bob_reference(grid, bob_region: str) -> int:
+    """First location of ``bob_region`` with the most summed capacity
+    0.5 log2(1 + 10^(x/10)) over its carriers, one location at a time."""
+    best, best_cap = -1, -math.inf
+    for i, loc in enumerate(grid.locations):
+        if loc.region == bob_region:
+            cap = float(np.sum(0.5 * np.log2(1.0 + 10.0 ** (grid.snr_db[i] / 10.0))))
+            if cap > best_cap:
+                best, best_cap = i, cap
+    if best < 0:
+        raise ValueError(f"no grid locations in Bob region {bob_region!r}")
+    return best
 
 
 def _oracle_carrier_bits(n: int, carriers: int) -> list[int]:
@@ -496,7 +523,6 @@ def synth_capture(
     snr_db,
     seed: int,
     periods: int = 32,
-    sample_rate: float = 20e6,
     noiseless: bool = False,
 ) -> SoundingCapture:
     """Synthetic 64-tone capture whose estimator-measured SNR targets snr_db.
@@ -517,7 +543,7 @@ def synth_capture(
     if not noiseless:
         noise = (rng.standard_normal(iq.size) + 1j * rng.standard_normal(iq.size)) / np.sqrt(2)
         iq = iq + noise
-    return SoundingCapture(iq=iq, sample_rate=sample_rate, periods=periods)
+    return SoundingCapture(iq=iq, periods=periods)
 
 
 def grid_to_csv(grid: ChannelGrid) -> str:
@@ -527,7 +553,11 @@ def grid_to_csv(grid: ChannelGrid) -> str:
     return buf.getvalue()
 
 
-def save_capture(cap: SoundingCapture, iq_path, sidecar_path, center_freq_hz: float = 1250e6) -> None:
+def save_capture(
+    cap: SoundingCapture, iq_path, sidecar_path, center_freq_hz: float = 1250e6, sample_rate_hz=20e6
+) -> None:
+    """Write the I/Q file and its JSON sidecar; ``sample_rate_hz`` is written
+    as given, so a test can store a value ``load_capture`` refuses."""
     inter = np.empty(2 * cap.iq.size, dtype="<f4")
     inter[0::2] = cap.iq.real
     inter[1::2] = cap.iq.imag
@@ -535,7 +565,7 @@ def save_capture(cap: SoundingCapture, iq_path, sidecar_path, center_freq_hz: fl
     with open(sidecar_path, "w") as fh:
         json.dump(
             {
-                "sample_rate_hz": cap.sample_rate,
+                "sample_rate_hz": sample_rate_hz,
                 "periods": cap.periods,
                 "carriers": CARRIERS,
                 "center_freq_hz": center_freq_hz,

@@ -122,6 +122,25 @@ class TestMul:
         with pytest.raises(ValueError):
             bitlinalg.mulvec([1, 1, 1], g)
 
+    @pytest.mark.parametrize("inner", [1, 255, 256, 300, 512])
+    def test_mulvec_large_inner_dimension(self, inner):
+        """Sums above 255 (all-ones rows against all-ones columns) keep their parity."""
+        rng = np.random.default_rng(inner)
+        b = rng.integers(0, 2, size=(inner, 40), dtype=np.uint8)
+        b[:, 0] = 1
+        a = rng.integers(0, 2, size=(6, inner), dtype=np.uint8)
+        a[0] = 1
+        m = BitMatrix(b)
+
+        def want(v):
+            return (v.astype(np.int64) @ b) % 2
+
+        assert (np.ones(inner, dtype=np.int64) @ b)[0] == inner
+        for v in (a, a[0], a[1], a[:0]):
+            got = bitlinalg.mulvec(v, m)
+            assert got.dtype == np.uint8 and got.shape == v.shape[:-1] + (40,)
+            assert np.array_equal(got, want(v))
+
 
 class TestColumnSelect:
     def test_order_preserved(self):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from wiretapkit.channel import (
     Wall,
 )
 
-from conftest import grid_to_csv, oracle_synth_grid, save_capture, synth_capture
+from conftest import grid_to_csv, old_carrier_capacity, oracle_synth_grid, save_capture, synth_capture
 
 
 def flat_env(**overrides):
@@ -56,8 +57,6 @@ class TestWelchPsd:
     def test_capture_length_validation(self):
         with pytest.raises(ValueError):
             SoundingCapture(iq=np.zeros(100, dtype=complex))
-        with pytest.raises(ValueError):
-            SoundingCapture(iq=np.zeros(32 * 128, dtype=complex), sample_rate=0.0)
 
 
 class TestSnrEstimate:
@@ -101,6 +100,21 @@ class TestErasureAndCapacity:
 
     def test_capacity_all_off(self):
         assert channel.capacity_sum(np.full(64, -np.inf)) == 0.0
+
+    def test_capacity_minus_inf_db_is_exactly_zero_without_warning(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert channel.capacity_sum(np.full(64, -np.inf)) == 0.0
+            caps = channel._carrier_capacity(np.array([-np.inf, 0.0, 30.0]))
+        assert caps[0] == 0.0 and caps[1] == 0.5
+
+    def test_capacity_bit_identical_to_guarded_formula(self):
+        """Dropping the -inf guard changes no bit of the bundled grid's capacities."""
+        snr = channel.default_grid().snr_db
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = channel.capacity_sum(snr)
+        assert np.array_equal(got, old_carrier_capacity(snr).sum(axis=-1))
 
     def test_capacity_spot_value(self):
         snrs = np.full(64, -np.inf)
@@ -374,6 +388,69 @@ class TestRegionMap:
         assert rm.eve_location_indices(grid) == []
 
 
+def _region_id_grids() -> dict[str, ChannelGrid]:
+    """Grids on which the region-id lookups are checked against scans."""
+    bundled = channel.default_grid()
+    solo = ChannelGrid(
+        locations=tuple(
+            Location(x=float(i), y=0.0, region=r) for i, r in enumerate(["a", "b", "a", "solo", "b", "a"])
+        ),
+        snr_db=np.zeros((6, CARRIERS)),
+    )
+    # Relabelled in place of the bundled labels: a stale id table would
+    # still report the old regions.
+    relabelled = tuple(
+        dataclasses.replace(loc, region="west" if loc.x < 2.0 else loc.region) for loc in bundled.locations
+    )
+    return {
+        "bundled": bundled,
+        "csv": channel.grid_from_csv(grid_to_csv(bundled)),
+        "solo_label": solo,
+        "replaced": dataclasses.replace(bundled, locations=relabelled),
+    }
+
+
+def _scan(grid: ChannelGrid, labels) -> list[int]:
+    return [i for i, loc in enumerate(grid.locations) if loc.region in labels]
+
+
+class TestRegionIds:
+    @pytest.fixture(scope="class")
+    def grids(self):
+        return _region_id_grids()
+
+    @pytest.mark.parametrize("name", ["bundled", "csv", "solo_label", "replaced"])
+    def test_lookups_match_location_scan(self, grids, name):
+        grid = grids[name]
+        labels = {loc.region for loc in grid.locations}
+        assert grid.region_labels() == labels
+        for label in sorted(labels) + ["nowhere"]:
+            got = grid.region_indices(label)
+            assert got == _scan(grid, {label}) and all(type(i) is int for i in got)
+        ordered = sorted(labels)
+        bob, rest = ordered[0], ordered[1:]
+        for eve, excluded in (
+            (rest, []),
+            (rest, rest[:1]),
+            (rest, rest),
+            (rest + ["absent"], rest[-1:]),
+            (["absent"], []),
+        ):
+            rm = RegionMap(bob_region=bob, eve_regions=frozenset(eve), excluded_regions=frozenset(excluded))
+            got = rm.eve_location_indices(grid)
+            assert got == _scan(grid, set(eve) - set(excluded)) and all(type(i) is int for i in got)
+            if "absent" in eve:
+                with pytest.raises(ValueError, match=r"regions \['absent'\] not present in grid"):
+                    rm.validate_against(grid)
+            else:
+                rm.validate_against(grid)
+
+    def test_replaced_grid_rebuilds_ids(self, grids):
+        bundled, replaced = grids["bundled"], grids["replaced"]
+        assert "west" in replaced.region_labels() and "west" not in bundled.region_labels()
+        assert replaced.region_indices("west") == _scan(replaced, {"west"}) != []
+
+
 class TestFileFormats:
     def test_grid_csv_round_trip(self):
         grid = channel.synth_grid(flat_env(fading=FadingModel(enabled=True)), seed=3)
@@ -410,6 +487,13 @@ class TestFileFormats:
         save_capture(synth_capture(20.0, seed=4), iq_path, sidecar)
         sidecar.write_text(json.dumps({"carriers": 32}))
         with pytest.raises(ValueError, match="32 carriers; captures have 64"):
+            channel.load_capture(iq_path, sidecar)
+
+    @pytest.mark.parametrize("rate", [0, -20e6])
+    def test_capture_rejects_nonpositive_sample_rate(self, tmp_path, rate):
+        iq_path, sidecar = tmp_path / "cap.iq", tmp_path / "cap.json"
+        save_capture(synth_capture(20.0, seed=4), iq_path, sidecar, sample_rate_hz=rate)
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive"):
             channel.load_capture(iq_path, sidecar)
 
     def test_capture_odd_sample_count(self, tmp_path):
