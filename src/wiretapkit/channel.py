@@ -49,6 +49,13 @@ class Location:
     region: str
 
 
+def check_region_label(label, name: str) -> None:
+    """Refuse a region label that a grid CSV row cannot carry: a non-string,
+    or one holding a comma or a line break, which would split the row."""
+    if not isinstance(label, str) or "," in label or len(f"{label}.".splitlines()) > 1:
+        raise ValueError(f"{name} must be a string with no comma or line break, got {label!r}")
+
+
 @dataclass(frozen=True)
 class ChannelGrid:
     """Per-location, per-subcarrier SNR measurements on a physical grid.
@@ -76,14 +83,11 @@ class ChannelGrid:
         object.__setattr__(self, "_region_id", region_id)
         object.__setattr__(self, "_region_ids", np.array(ids, dtype=np.intp))
 
-    def _indices_in(self, labels) -> np.ndarray:
+    def region_indices(self, labels) -> np.ndarray:
         """Ascending indices of the locations whose region is one of ``labels``."""
         wanted = np.zeros(len(self._region_id), dtype=bool)
         wanted[[self._region_id[label] for label in labels if label in self._region_id]] = True
         return np.flatnonzero(wanted[self._region_ids])
-
-    def region_indices(self, label: str) -> list[int]:
-        return self._indices_in((label,)).tolist()
 
     def region_labels(self) -> set[str]:
         return set(self._region_id)
@@ -107,12 +111,9 @@ class RegionMap:
         if missing:
             raise ValueError(f"regions {sorted(missing)} not present in grid (has {sorted(labels)})")
 
-    def eve_location_indices(self, grid: ChannelGrid) -> list[int]:
-        return self._eve_indices(grid).tolist()
-
-    def _eve_indices(self, grid: ChannelGrid) -> np.ndarray:
+    def eve_indices(self, grid: ChannelGrid) -> np.ndarray:
         """Ascending indices of the candidate Eve locations: Eve regions, less the excluded."""
-        return grid._indices_in(self.eve_regions - self.excluded_regions)
+        return grid.region_indices(self.eve_regions - self.excluded_regions)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegionMap":
@@ -258,8 +259,7 @@ class EnvironmentConfig:
         for i, w in enumerate(self.walls):
             finite.update({f"walls[{i}].{f}": getattr(w, f) for f in ("x1", "y1", "x2", "y2", "loss_db")})
         for i, r in enumerate(self.regions):
-            if not isinstance(r.label, str):
-                raise ValueError(f"regions[{i}].label must be a string, got {r.label!r}")
+            check_region_label(r.label, f"regions[{i}].label")
             finite.update({f"regions[{i}].{f}": getattr(r, f) for f in ("x_min", "x_max", "y_min", "y_max")})
         for name, value in finite.items():
             if isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value)):

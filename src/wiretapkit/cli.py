@@ -118,6 +118,7 @@ def main():
 @click.option("--out-dir", type=click.Path(), default=None)
 def sound(iq_file, sidecar, x, y, region, out_dir):
     """Estimate per-subcarrier SNR from a raw I/Q capture; emit one grid row."""
+    channel.check_region_label(region, "--region")
     out = _out_dir(out_dir)
     cap = _read(iq_file, channel.load_capture, sidecar)
     snrs = channel.snr_estimate(cap)

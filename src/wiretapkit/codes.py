@@ -26,9 +26,9 @@ DEFAULT_ENUM_CAP = 24
 # within 0.5 MB of the count array.
 SUBSET_RANK_CAP = 24
 _BLOCK_BITS = 15
-# Largest Reed-Muller degree m (n = 2^m) anything here builds: at m = 9
-# the sweep's candidate family takes 0.6-0.7 s and 0.8-0.9 s with its dual
-# GHW profiles, at m = 10 about 3 s and 4.5 s.
+# Largest Reed-Muller degree m (n = 2^m) anything here builds: on 2 vCPUs
+# at m = 9 the sweep's candidate family takes 0.4-0.5 s and 0.8-0.9 s with
+# its dual GHW profiles, at m = 10 about 1.8 s and 3.8 s.
 RM_MAX_DEGREE = 9
 
 

@@ -38,12 +38,15 @@ class SweepPoint:
     min_equivocation_pct: float
     worst_eve_location: int
     bob_location: int
-    reliable: bool = True
+
+    @property
+    def reliable(self) -> bool:
+        return self.active_carriers > 0
 
 
 def bob_reference_index(grid: ChannelGrid, regions: RegionMap) -> int:
     """Capacity-argmax location in Bob's region (ties: lowest index)."""
-    idxs = grid._indices_in((regions.bob_region,))
+    idxs = grid.region_indices((regions.bob_region,))
     if idxs.size == 0:
         raise ValueError(f"no grid locations in Bob region {regions.bob_region!r}")
     return int(idxs[np.argmax(channel.capacity_sum(grid.snr_db[idxs]))])
@@ -120,7 +123,7 @@ def sweep(
             raise ValueError(f"threshold {tau:g} dB listed twice")
         listed.add(tau)
     regions.validate_against(grid)
-    eve_idxs = regions._eve_indices(grid)
+    eve_idxs = regions.eve_indices(grid)
     if eve_idxs.size == 0:
         raise ValueError("no candidate Eve locations (empty or fully excluded Eve regions)")
     bob_idx = bob_reference_index(grid, regions)
@@ -152,7 +155,6 @@ def sweep(
                     min_equivocation_pct=100.0 * (w.k - int(per_eve[worst])) / w.k,
                     worst_eve_location=int(eve_idxs[worst]),
                     bob_location=bob_idx,
-                    reliable=a > 0,
                 )
             )
     return [p for points in per_code for p in points]
@@ -233,28 +235,30 @@ def simulate_mc(
 def default_code_family(max_m: int = 5) -> list[WiretapCode]:
     """Reed-Muller wiretap candidates in both coset orientations.
 
-    For each RM(u, m) with 0 < u <= m <= max_m the code is tried both as
-    the base code C and (via its dual) as C-perp, since either role is a
-    legitimate reading of an RM-labelled coset code.  Degenerate bases
-    are dropped, and so are duplicates by their RM parameters: the dual
-    of RM(u, m) is RM(m - u - 1, m).  ``max_m`` below 2, where every
-    base is degenerate, or above ``codes.RM_MAX_DEGREE`` is refused
-    before anything is built.
+    For each RM(u, m) with 0 < u < m <= max_m the code is tried both as
+    the base code C and, through the dual its C member carries, as
+    C-perp, since either role is a legitimate reading of an RM-labelled
+    coset code.  The dual of RM(u, m) is RM(m - u - 1, m), so a code
+    already in the family as an earlier dual, or as its own, is skipped.
+    ``max_m`` below 2 or above ``codes.RM_MAX_DEGREE`` is refused before
+    anything is built.
     """
     if max_m < 2:
         raise ValueError(f"max_m must be at least 2, got {max_m}: every Reed-Muller base with m <= 1 is degenerate")
     if max_m > codes.RM_MAX_DEGREE:
         raise ValueError(f"max_m {max_m} exceeds the Reed-Muller degree bound {codes.RM_MAX_DEGREE}")
     family: list[WiretapCode] = []
-    seen: set[tuple[int, int] | None] = set()
-    for m in range(1, max_m + 1):
-        for u in range(1, m + 1):
-            rm = codes.reed_muller(u, m)
-            for suffix, base in (("C", rm), ("Cperp", codes.dual(rm))):
-                if not 0 < base.dim < base.n or base.rm_params in seen:
-                    continue
-                seen.add(base.rm_params)
-                family.append(wiretap.build(base, label=f"RM({u},{m})|{suffix}"))
+    seen: set[tuple[int, int]] = set()
+    for m in range(2, max_m + 1):
+        for u in range(1, m):
+            if (u, m) in seen:
+                continue
+            member = wiretap.build(codes.reed_muller(u, m), label=f"RM({u},{m})|C")
+            family.append(member)
+            perp = member.dual_code
+            if perp.rm_params != (u, m):
+                family.append(wiretap.build(perp, label=f"RM({u},{m})|Cperp"))
+            seen.update({(u, m), perp.rm_params})
     return family
 
 

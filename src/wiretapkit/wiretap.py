@@ -51,42 +51,36 @@ class EquivocationMatrix:
 class WiretapCode:
     """Coset wiretap code built on a base code C of dimension n - k.
 
-    ``gprime`` carries the message part of the encoder; ``h`` is a
-    parity-check matrix of C with G'.H^T = I.  A received word y has
-    syndrome y.H^T = m.G'.H^T = m, so ``decoder`` = H^T.  G'.H^T = I
-    also makes H full rank and G' a complement of C.  ``dual_code``, if
-    given, is taken as C-perp for :meth:`dual_ghw`; otherwise that method
-    computes it.
+    ``dual_code`` is C-perp, and its generator ``h`` is the parity-check
+    matrix; ``gprime`` carries the message part of the encoder, with
+    G'.H^T = I.  A received word y has syndrome y.H^T = m.G'.H^T = m, so
+    ``decoder`` = H^T.  G'.H^T = I also makes G' a complement of C.
     """
 
-    def __init__(
-        self,
-        base_code: LinearCode,
-        gprime: BitMatrix,
-        h: BitMatrix,
-        label: str | None = None,
-        dual_code: LinearCode | None = None,
-    ):
+    def __init__(self, base_code: LinearCode, dual_code: LinearCode, gprime: BitMatrix, label: str | None = None):
         n = base_code.n
         k = n - base_code.dim
         if gprime.rows != k or gprime.cols != n:
             raise ValueError(f"gprime must be {k}x{n}, got {gprime.rows}x{gprime.cols}")
-        if h.rows != k or h.cols != n:
-            raise ValueError(f"h must be {k}x{n}, got {h.rows}x{h.cols}")
-        ht = BitMatrix(h.a.T)
+        if dual_code.dim != k or dual_code.n != n:
+            raise ValueError(f"dual code must be ({n}, {k}), got ({dual_code.n}, {dual_code.dim})")
+        ht = BitMatrix(dual_code.generator.a.T)
         if np.any(bitlinalg.mul(base_code.generator, ht).a):
-            raise ValueError("h is not a parity check of the base code")
+            raise ValueError("dual code is not orthogonal to the base code")
         if bitlinalg.mul(gprime, ht) != BitMatrix.identity(k):
             raise ValueError("gprime.h^T must be the identity")
         self.base_code = base_code
+        self.dual_code = dual_code
         self.gprime = gprime
-        self.h = h
         self.decoder = ht
         self.n = n
         self.k = k
         self._label = label
-        self._dual_code = dual_code
         self._dual_ghw: GHWProfile | None = None
+
+    @property
+    def h(self) -> BitMatrix:
+        return self.dual_code.generator
 
     @property
     def label(self) -> str:
@@ -95,8 +89,7 @@ class WiretapCode:
     def dual_ghw(self) -> GHWProfile:
         """Weight hierarchy of the dual of the base code (cached)."""
         if self._dual_ghw is None:
-            d = self._dual_code if self._dual_code is not None else codes.dual(self.base_code)
-            self._dual_ghw = codes.ghw_of(d)
+            self._dual_ghw = codes.ghw_of(self.dual_code)
         return self._dual_ghw
 
 
@@ -110,9 +103,8 @@ def build(c: LinearCode, label: str | None = None) -> WiretapCode:
     if not 0 < c.dim < c.n:
         raise ValueError(f"base code must satisfy 0 < dim < n, got dim={c.dim}, n={c.n}")
     d = codes.dual(c)
-    h = d.generator
-    gprime = BitMatrix(np.eye(c.n, dtype=np.uint8)[h.a.argmax(axis=1)])
-    return WiretapCode(c, gprime=gprime, h=h, label=label, dual_code=d)
+    gprime = BitMatrix(np.eye(c.n, dtype=np.uint8)[d.generator.a.argmax(axis=1)])
+    return WiretapCode(c, d, gprime, label=label)
 
 
 def encode(w: WiretapCode, m, mprime) -> np.ndarray:
@@ -168,10 +160,11 @@ def example_code() -> WiretapCode:
     """The built-in rate-1/2, n=4 demonstration code.
 
     Base code generated by [0111; 1110] with the published
-    G' = H = [1101; 1011].  Those rows are orthonormal, so G'.H^T = I and
-    the decoded syndrome is the message itself.
+    G' = H = [1101; 1011], H generating the dual code.  Those rows are
+    orthonormal, so G'.H^T = I and the decoded syndrome is the message
+    itself.
     """
     g = BitMatrix.from_strings(["0111", "1110"])
     h = BitMatrix.from_strings(["1101", "1011"])
     c = LinearCode(n=4, dim=2, generator=g, label="demo(4,2)")
-    return WiretapCode(c, gprime=h, h=h)
+    return WiretapCode(c, LinearCode(n=4, dim=2, generator=h), gprime=h)

@@ -13,7 +13,9 @@ The elimination oracle is the per-row numpy Gauss-Jordan that
 oracle the greedy basis completion and GF(2) inverse that
 ``wiretap.build``'s pivot rows replaced.  The Reed-Muller monomial oracle
 is the frozenset greedy search that ``codes._ghw_rm_monomial``'s integer
-bitmasks replaced.  Library results are checked against these, never
+bitmasks replaced.  The family oracle replays the rule of the candidate
+loop that ``sweep.default_code_family`` replaced on Reed-Muller
+parameters alone.  Library results are checked against these, never
 against themselves.
 
 The file-format helpers at the end write the inputs the commands read:
@@ -290,7 +292,6 @@ def oracle_sweep_point(w, grid, regions, tau: float, interleave: bool = False) -
         min_equivocation_pct=min_pct,
         worst_eve_location=worst_eve,
         bob_location=bob_idx,
-        reliable=a > 0,
     )
 
 
@@ -498,6 +499,38 @@ def rm_family_codes(max_m: int) -> list[codes.LinearCode]:
                 if 0 < c.dim < c.n:
                     fam.append(c)
     return fam
+
+
+def oracle_family_params(max_m: int) -> list[tuple[str, tuple[int, int]]]:
+    """(label, base RM parameters) of each ``sweep.default_code_family``
+    member, by the rule of the loop that tried every RM(u, m) with
+    0 < u <= m <= max_m and its dual, in that order, on parameters alone.
+    RM(u, m) has dimension sum_{i <= u} C(m, i) and dual RM(m - u - 1, m);
+    a degenerate or already-seen base is dropped.  No code is built."""
+    out = []
+    seen = set()
+    for m in range(1, max_m + 1):
+        for u in range(1, m + 1):
+            for suffix, order in (("C", u), ("Cperp", m - u - 1)):
+                dim = sum(math.comb(m, i) for i in range(order + 1))
+                if 0 < dim < 2**m and (order, m) not in seen:
+                    seen.add((order, m))
+                    out.append((f"RM({u},{m})|{suffix}", (order, m)))
+    return out
+
+
+@pytest.fixture
+def dual_calls(monkeypatch):
+    """The arguments of every ``codes.dual`` call made during the test."""
+    calls = []
+    real_dual = codes.dual
+
+    def counting_dual(c):
+        calls.append(c)
+        return real_dual(c)
+
+    monkeypatch.setattr(codes, "dual", counting_dual)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -191,6 +191,7 @@ class TestOneLineErrors:
             (("regions", 0), "hall", "regions[0]"),
             (("fading",), [1], "fading"),
             (("region_map",), ["x"], "region_map"),
+            (("regions", 0, "label"), "bob,office", "regions[0].label"),
         ],
     )
     def test_synth_config_bad_value_names_field(self, runner, tmp_path, path, value, field):
@@ -216,6 +217,18 @@ class TestOneLineErrors:
         )
         assert_one_line_error(res)
         assert "64" in res.output
+
+    @pytest.mark.parametrize("region", ["bob,office", "bob\noffice"])
+    def test_sound_region_breaking_the_row(self, runner, tmp_path, region):
+        iq_path, sidecar = tmp_path / "c.iq", tmp_path / "c.json"
+        save_capture(synth_capture(25.0, seed=3), iq_path, sidecar)
+        res = runner.invoke(
+            cli.main,
+            ["sound", str(iq_path), "--sidecar", str(sidecar), "--region", region, "--out-dir", str(tmp_path)],
+        )
+        assert_one_line_error(res)
+        assert "--region must be a string with no comma or line break" in res.output
+        assert not (tmp_path / "snr_row.csv").exists()
 
     @pytest.mark.parametrize("periods", [0, -3, 2.5, True, "32"])
     def test_sound_bad_periods(self, runner, tmp_path, periods):

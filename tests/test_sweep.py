@@ -14,6 +14,7 @@ from wiretapkit.bitlinalg import BitMatrix
 from wiretapkit.channel import ChannelGrid, Location, RegionMap
 
 from conftest import (
+    oracle_family_params,
     oracle_leakage,
     oracle_rref,
     oracle_sweep,
@@ -312,6 +313,15 @@ class TestDefaultFamily:
         assert all(0 < w.n - w.k < w.n for w in fam)
         # no duplicate base codes
         assert len(fam) == len({(w.n, w.base_code.generator) for w in fam})
+
+    @pytest.mark.parametrize("max_m,members", [(5, 14), (7, 27)])
+    def test_one_dual_per_member(self, dual_calls, max_m, members):
+        assert len(sweep.default_code_family(max_m)) == len(dual_calls) == members
+
+    def test_matches_parameter_oracle_up_to_degree_bound(self):
+        fam = sweep.default_code_family(codes.RM_MAX_DEGREE)
+        got = [(w.label, w.base_code.rm_params) for w in fam]
+        assert got == oracle_family_params(codes.RM_MAX_DEGREE)
 
     def test_syndrome_is_message(self):
         for w in sweep.default_code_family(max_m=7):

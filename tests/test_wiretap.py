@@ -33,25 +33,11 @@ def demo():
     return wiretap.example_code()
 
 
-@pytest.fixture
-def dual_calls(monkeypatch):
-    """The arguments of every ``codes.dual`` call made during the test."""
-    calls = []
-    real_dual = codes.dual
-
-    def counting_dual(c):
-        calls.append(c)
-        return real_dual(c)
-
-    monkeypatch.setattr(codes, "dual", counting_dual)
-    return calls
-
-
 class TestBuild:
     def test_demo_reproduces_published_matrices(self, demo):
         assert demo.base_code.generator.to_strings() == ["0111", "1110"]
         assert demo.gprime.to_strings() == ["1101", "1011"]
-        assert demo.h == demo.gprime
+        assert demo.h == demo.gprime == demo.dual_code.generator
         assert demo.decoder == BitMatrix(demo.h.a.T) and demo.k == 2
 
     def test_rm02_base_gives_rate_three_quarters(self):
@@ -89,15 +75,18 @@ class TestBuild:
         noise = BitMatrix(rng.integers(0, 2, size=(25, 5), dtype=np.uint8))
         gpp = bitlinalg.mul(mix, w.gprime).a ^ bitlinalg.mul(noise, w.base_code.generator).a
         with pytest.raises(ValueError, match="identity"):
-            wiretap.WiretapCode(w.base_code, gprime=BitMatrix(gpp), h=w.h)
+            wiretap.WiretapCode(w.base_code, w.dual_code, gprime=BitMatrix(gpp))
 
     def test_invariants_validated(self, demo):
         bad_h = BitMatrix.from_strings(["1000", "0100"])
-        with pytest.raises(ValueError):
-            wiretap.WiretapCode(demo.base_code, gprime=demo.gprime, h=bad_h)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            wiretap.WiretapCode(demo.base_code, LinearCode(n=4, dim=2, generator=bad_h), gprime=demo.gprime)
         repeated_h = BitMatrix.from_strings(["1101", "1101"])
-        with pytest.raises(ValueError, match="identity"):
-            wiretap.WiretapCode(demo.base_code, gprime=demo.gprime, h=repeated_h)
+        with pytest.raises(ValueError, match="full row rank"):
+            wiretap.WiretapCode(demo.base_code, LinearCode(n=4, dim=2, generator=repeated_h), gprime=demo.gprime)
+        one_row = LinearCode(n=4, dim=1, generator=BitMatrix.from_strings(["1101"]))
+        with pytest.raises(ValueError, match=r"dual code must be \(4, 2\)"):
+            wiretap.WiretapCode(demo.base_code, one_row, gprime=demo.gprime)
 
     def test_label_override(self):
         w = wiretap.build(codes.reed_muller(1, 2), label="custom")
@@ -253,12 +242,6 @@ class TestWorstCaseLeakage:
         profile = wiretap.build(base).dual_ghw()
         assert sum(c is base for c in dual_calls) == 1
         assert profile == codes.ghw_of(codes.dual(base))
-
-    def test_direct_code_computes_dual_lazily(self, demo, dual_calls):
-        fresh = wiretap.WiretapCode(demo.base_code, gprime=demo.gprime, h=demo.h)
-        assert dual_calls == []
-        assert fresh.dual_ghw().weights == (2, 4)
-        assert dual_calls[0] is demo.base_code
 
     def test_agrees_with_matrix_worst_case(self, medium_corpus):
         for c in medium_corpus:
