@@ -31,10 +31,12 @@ INVOCATIONS = {
     "eqmatrix": ["eqmatrix", "--code", "rm:2,4", "--orientation", "Cperp"],
     "ghw_exact": ["ghw", "--code", "rm:1,4"],
     "ghw_monomial": ["ghw", "--code", "rm:2,7"],
+    "ghw_monomial_m9": ["ghw", "--code", "rm:4,9"],
     "sweep": ["sweep"],
     "sweep_interleave": ["sweep", "--interleave"],
     "sweep_m7": ["sweep", "--max-m", "7", "--taus", WIDE_TAUS, "--allow-partial", "--svg"],
     "sweep_m7_interleave": ["sweep", "--max-m", "7", "--taus", WIDE_TAUS, "--interleave", "--svg"],
+    "sweep_m9": ["sweep", "--max-m", "9", "--taus", WIDE_TAUS, "--allow-partial"],
     "simulate": ["simulate"],
     "simulate_best": ["simulate", "--code", "rm:4,5", "--orientation", "Cperp", "--tau", "29"],
     "simulate_rm15": ["simulate", "--code", "rm:1,5", "--tau", "25", "--trials", "300", "--seed", "4"],
@@ -50,10 +52,12 @@ GOLDEN = {
     "eqmatrix": "5de8b0d4b1d9b0877f036086d46b68dfec4714b984323e1d2bbd9b6f32ac3dbf",
     "ghw_exact": "a46e7633bdaf8d507c87dc8b4815973a408880d5782c2fddfef141b2b7623c8c",
     "ghw_monomial": "67572c9337feffc3d9720dcd634e279dec7134475d9bc1a2ea61dd688e2bceaf",
+    "ghw_monomial_m9": "9446756ad3cb06efc8326c946196b810ef774875959c37a93b0c771822df0039",
     "sweep": "3da4b20a381baf98e6d242c9c799bb00b8b419f45506b9d7dfa4eb1eb782b3ff",
     "sweep_interleave": "6efbdcf71e69da6cf62edfd971ad0daa035e0519dda7636e3177071c2cd9d50a",
     "sweep_m7": "78b2e00108f5caf987d09c8beb176c2d01de8d7678566aeaa317c4d0cad6e14f",
     "sweep_m7_interleave": "11d877d618308fe9b7b27f5a0f1b801eb3e7841454e0fbc284bab25055d573b9",
+    "sweep_m9": "c14e367e64041f4e7bbaeedf57c2f8da9669b11f67399f9cc60d635c27c3ae5a",
     "simulate": "f278545ba7f9b5745dbbc3f1ceafc1bcfa075272cddfde10024bbf310ba28e24",
     "simulate_rm15": "5e6f8ef7b297beff296ce288be1e8ea049ed5349675533c070e0e7bca5daa2aa",
     "simulate_best": "667aead281e4ad154d77cce288681690dd65f95a9977872526e9fc8580b53cdb",
