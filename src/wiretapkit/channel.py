@@ -118,9 +118,13 @@ class RegionMap:
     @classmethod
     def from_dict(cls, d: dict) -> "RegionMap":
         bob, eve, excluded = d["bob_region"], d["eve_regions"], d.get("excluded_regions", [])
+        check_region_label(bob, "bob_region")
         for key, labels in (("eve_regions", eve), ("excluded_regions", excluded)):
-            if isinstance(labels, str):
-                raise ValueError(f"{key} must be a list of region labels, got the string {labels!r}")
+            if not isinstance(labels, list):
+                got = f"the string {labels!r}" if isinstance(labels, str) else repr(labels)
+                raise ValueError(f"{key} must be a list of region labels, got {got}")
+            for i, label in enumerate(labels):
+                check_region_label(label, f"{key}[{i}]")
         return cls(bob_region=bob, eve_regions=frozenset(eve), excluded_regions=frozenset(excluded))
 
     def to_dict(self) -> dict:

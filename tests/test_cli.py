@@ -489,6 +489,28 @@ class TestSweepInputErrors:
         )
         assert not (tmp_path / "frontier.csv").exists()
 
+    @pytest.mark.parametrize(
+        "regions, message",
+        [
+            ({"bob_region": "nope", "eve_regions": [1]}, "eve_regions[0] must be a string"),
+            ({"bob_region": "office", "eve_regions": ["lobby"], "excluded_regions": [None]},
+             "excluded_regions[0] must be a string"),
+            ({"bob_region": "office", "eve_regions": {"lobby": 1}},
+             "eve_regions must be a list of region labels, got {'lobby': 1}"),
+            ({"bob_region": 3, "eve_regions": ["lobby"]}, "bob_region must be a string"),
+        ],
+        ids=["int_eve_label", "null_excluded_label", "eve_regions_object", "int_bob_region"],
+    )
+    def test_malformed_region_labels(self, runner, tmp_path, tiny_grid_file, regions, message):
+        grid_path, regions_path = tiny_grid_file
+        regions_path.write_text(json.dumps(regions))
+        res = runner.invoke(
+            cli.main,
+            ["sweep", "--grid", str(grid_path), "--regions", str(regions_path), "--out-dir", str(tmp_path)],
+        )
+        assert_one_line_error(res)
+        assert res.output.startswith(f"Error: {regions_path}: {message}"), res.output
+
     def test_empty_grid_file(self, runner, tmp_path, tiny_grid_file):
         _, regions_path = tiny_grid_file
         empty = tmp_path / "empty.csv"
