@@ -156,14 +156,15 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
 
 
 def null_space(m: BitMatrix) -> BitMatrix:
-    """Basis of {v : m . v^T = 0}, as rows; (n - rank) x n.
+    """Reduced row-echelon basis of {v : m . v^T = 0}; (n - rank) x n.
 
-    One row per free column f, in order: 1 at f and, at each pivot
-    column, the RREF entry in column f of that pivot's row.
+    One reduction of m with its columns reversed makes each pivot the
+    rightmost one of its row, so the vector of free column f, 1 at f and
+    pivot entries only right of f, leads at f, where all others are 0.
     """
-    red, pivots = rref(m)
+    red, pivots = rref(BitMatrix(m.a[:, ::-1]))
     free = sorted(set(range(m.cols)) - set(pivots))
     out = np.zeros((len(free), m.cols), dtype=np.uint8)
     out[np.arange(len(free)), free] = 1
     out[:, pivots] = red.a[:, free].T
-    return BitMatrix(out)
+    return BitMatrix(out[::-1, ::-1])

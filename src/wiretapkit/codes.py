@@ -27,8 +27,8 @@ DEFAULT_ENUM_CAP = 24
 SUBSET_RANK_CAP = 24
 _BLOCK_BITS = 15
 # Largest Reed-Muller degree m (n = 2^m) anything here builds: on 2 vCPUs
-# at m = 9 the sweep's candidate family takes 0.4-0.5 s and 0.8-0.9 s with
-# its dual GHW profiles, at m = 10 about 1.8 s and 3.8 s.
+# the sweep's candidate family with its dual GHW profiles takes 0.15-0.25 s
+# at m = 9 and 0.65-0.8 s at m = 10.
 RM_MAX_DEGREE = 9
 
 
@@ -118,9 +118,8 @@ def reed_muller(order: int, degree: int) -> LinearCode:
 
 
 def dual(c: LinearCode) -> LinearCode:
-    """The dual code: generator rows span the null space of c's generator."""
+    """The dual code, generated by the reduced null-space basis of c's generator."""
     ns = bitlinalg.null_space(c.generator)
-    canon, _ = bitlinalg.rref(ns)
     rm = None
     label = f"{c.label}^perp" if c.label else ""
     if c.rm_params is not None:
@@ -128,7 +127,7 @@ def dual(c: LinearCode) -> LinearCode:
         if m - u - 1 >= 0:
             rm = (m - u - 1, m)
             label = f"RM({m - u - 1},{m})"
-    return LinearCode(n=c.n, dim=c.n - c.dim, generator=canon, label=label, rm_params=rm)
+    return LinearCode(n=c.n, dim=c.n - c.dim, generator=ns, label=label, rm_params=rm)
 
 
 def enumerate_codewords(c: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
@@ -232,28 +231,18 @@ def ghw_exact(c: LinearCode) -> GHWProfile:
 
 
 def _ghw_rm_monomial(u: int, m: int) -> GHWProfile:
-    """Reed-Muller hierarchy from minimal-support monomial subcodes.
+    """Reed-Muller hierarchy in closed form from nested monomial spans.
 
-    An r-dimensional span of monomials has support equal to the union of
-    their evaluation supports; RM codes attain every d_r on such spans
-    (they satisfy the chain condition), so a greedy minimal-growth
-    ordering of the monomials yields the full hierarchy.  Ties prefer
-    higher degree (smaller supports first), then graded-lex order.
-    Supports are Python-int bitmasks over the 2^m points.
+    RM codes satisfy the chain condition and attain every d_r on a span of
+    monomials.  Write monomial x_S as the point mask s of its variables; it
+    is 1 on the points that contain s.  Adding the masks of popcount <= u
+    in decreasing order, a point p is first covered by its top min(|p|, u)
+    bits, so a mask of popcount u adds ``s & -s`` points (2^m when s = 0),
+    any other mask one point, and d_r is the running sum.
     """
-    supports = [
-        int.from_bytes(np.packbits(_monomial_row(m, s), bitorder="little").tobytes(), "little")
-        for s in sorted(_monomials(u, m), key=len, reverse=True)
-    ]
-    covered = 0
-    remaining = list(range(len(supports)))
-    weights = []
-    while remaining:
-        best = min(remaining, key=lambda j: ((supports[j] & ~covered).bit_count(), j))
-        covered |= supports[best]
-        remaining.remove(best)
-        weights.append(covered.bit_count())
-    return GHWProfile(weights=tuple(weights), source="monomial")
+    masks = [s for s in range((1 << m) - 1, -1, -1) if s.bit_count() <= u]
+    new_points = [(s & -s or 1 << m) if s.bit_count() == u else 1 for s in masks]
+    return GHWProfile(weights=tuple(itertools.accumulate(new_points)), source="monomial")
 
 
 def ghw_of(c: LinearCode) -> GHWProfile:

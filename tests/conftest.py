@@ -12,8 +12,8 @@ The elimination oracle is the per-row numpy Gauss-Jordan that
 ``bitlinalg``'s packed-row elimination replaced, and the wiretap-matrix
 oracle the greedy basis completion and GF(2) inverse that
 ``wiretap.build``'s pivot rows replaced.  The Reed-Muller monomial oracle
-is the frozenset greedy search that ``codes._ghw_rm_monomial``'s integer
-bitmasks replaced.  The family oracle replays the rule of the candidate
+is the frozenset greedy search that ``codes._ghw_rm_monomial``'s closed
+form replaced.  The family oracle replays the rule of the candidate
 loop that ``sweep.default_code_family`` replaced on Reed-Muller
 parameters alone.  Library results are checked against these, never
 against themselves.

@@ -196,4 +196,4 @@ class TestAgainstOracles:
     @given(shaped_matrices())
     @settings(max_examples=200, deadline=None)
     def test_null_space(self, m):
-        assert bitlinalg.null_space(m) == oracle_null_space(m)
+        assert bitlinalg.null_space(m) == oracle_rref(oracle_null_space(m))[0]

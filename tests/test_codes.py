@@ -79,6 +79,18 @@ class TestDual:
         c = LinearCode(n=3, dim=3, generator=BitMatrix.identity(3))
         assert codes.dual(c).dim == 0
 
+    def test_one_reduction(self, monkeypatch):
+        calls = []
+        real_rref = bitlinalg.rref
+
+        def counting_rref(m):
+            calls.append(m)
+            return real_rref(m)
+
+        monkeypatch.setattr(bitlinalg, "rref", counting_rref)
+        codes.dual(codes.reed_muller(2, 5))
+        assert len(calls) == 1
+
     def test_double_dual_and_orthogonality(self, small_corpus):
         for c in small_corpus:
             if c.n > 12:
@@ -204,7 +216,7 @@ class TestWeiDuality:
         self.assert_partition(22, codes.ghw_exact(c).weights, codes.ghw_exact(codes.dual(c)).weights)
 
     def test_monomial_reed_muller(self):
-        for m in range(1, 8):
+        for m in range(1, codes.RM_MAX_DEGREE + 1):
             for u in range(m + 1):
                 dual_weights = () if u == m else codes._ghw_rm_monomial(m - u - 1, m).weights
                 self.assert_partition(2**m, codes._ghw_rm_monomial(u, m).weights, dual_weights)
@@ -264,8 +276,8 @@ class TestGHWReedMuller:
                 exact = codes.ghw_exact(codes.reed_muller(u, m))
                 assert mono.weights == exact.weights, (u, m)
 
-    def test_monomial_bitmasks_equal_frozenset_oracle(self):
-        for m in range(1, 8):
+    def test_monomial_closed_form_equals_greedy_oracle(self):
+        for m in range(1, codes.RM_MAX_DEGREE + 1):
             for u in range(0, m + 1):
                 assert codes._ghw_rm_monomial(u, m) == oracle_ghw_rm_monomial(u, m), (u, m)
 
