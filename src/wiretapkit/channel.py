@@ -7,6 +7,7 @@ erasure model, and capacity / secrecy-capacity computations.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -18,9 +19,9 @@ import numpy as np
 
 CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
-# At the cap on 2 shared vCPUs, synth_grid takes 0.9-1.3 s and 118 MB peak RSS,
-# 0.8-0.9 s of it the seeded fading (0.7-0.8 s the per-location draws); the
-# synth command, which also writes the CSV, takes 3.5-4 s.
+# At the cap on 2 shared vCPUs, synth_grid takes 0.45-0.75 s and 118 MB peak
+# RSS, 0.23-0.31 s of it the seeded fading; the synth command, which also
+# writes the CSV, takes 2.3-3.7 s.
 MAX_GRID_LOCATIONS = 100_000
 
 
@@ -353,7 +354,22 @@ _XSHIFT = 16
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+# The multiplier as uint64 words and the low word's 32-bit limbs, for the
+# array stepping; its inverse mod 2^128 undoes one step.
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64)
+_MULT_LO_1, _MULT_LO_0 = np.uint64(_PCG64_MULT >> 32 & _MASK32), np.uint64(_PCG64_MULT & _MASK32)
+_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
+# Bytes of one block's (rows, 2 taps) float64 draws: a block is 2
+# FADING_CHUNKs at 64 taps and 32 at the default 4.
+_DRAW_BYTES = 1 << 18
+# Taps up to which rows are drawn as array passes.  A row passes them when
+# all its 2 taps draws take numpy's fast path, about 0.982^(2 taps): on the
+# bundled plan's 2,360 rows 88 % at 4 taps, 65 % at 12 and 8 % at 64; numpy
+# redraws the rest.  There the fading took 0.37-0.41 of the per-row draw's
+# time at 4 taps, 0.66-0.85 at 12, 1.0-1.3 at 16 and 1.9-2.2 at 64.
+_BULK_MAX_TAPS = 12
 
 
 def _orient(a, b, c):
@@ -489,17 +505,111 @@ def _tap_sum(taps: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return total
 
 
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ziggurat widths ``wi`` and a bound on ``rabs`` per layer.
+
+    numpy's Generator makes a standard normal from one PCG64 output r:
+    layer idx = r & 0xff, sign = (r >> 8) & 1 and rabs = (r >> 9) &
+    (2^52 - 1).  It returns -/+ rabs wi[idx] when rabs < ki[idx], and
+    otherwise tests the wedge or the tail with more outputs.  ``wi`` is
+    read from numpy itself, once per process: from a state whose next
+    output has layer idx and rabs = 2^40, the draw is 2^40 wi[idx]
+    exactly (layer 1, whose ki is 0, passes its wedge test on the second
+    output).  For idx >= 2, ki[idx] is floor(2^52 wi[idx-1] / wi[idx])
+    or one more; ``bound`` keeps 2 below that, and is 0 for layers 0 and
+    1, so a draw with rabs < bound[idx] is one that numpy returns from
+    its one output.
+    """
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    rabs = 1 << 40
+    wi = np.empty(256)
+    for idx in range(256):
+        # A state with high word 0 outputs its low word, unrotated; the
+        # state before it is one step back.
+        state["state"]["state"] = ((rabs << 9 | idx) - inc) * _PCG64_MULT_INV & _MASK128
+        rng.bit_generator.state = state
+        wi[idx] = rng.standard_normal() / rabs
+    bound = np.zeros(256, dtype=np.uint64)
+    bound[2:] = np.floor(wi[1:-1] / wi[2:] * 2.0**52) - 2
+    wi.flags.writeable = bound.flags.writeable = False
+    return wi, bound
+
+
+def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
+    """One PCG64 step, state = state MULT + inc mod 2^128, on uint64 word arrays in place.
+
+    The high word of lo MULT_LO comes from 32-bit limb products, each
+    below 2^64 with its carries; every other product and sum wraps mod
+    2^64 as it should.
+    """
+    lo1, lo0 = lo >> 32, lo & _MASK32
+    low = lo1 * _MULT_LO_0 + (lo0 * _MULT_LO_0 >> 32)
+    mid = (low & _MASK32) + lo0 * _MULT_LO_1
+    hi *= _MULT_LO
+    hi += lo * _MULT_HI
+    hi += lo1 * _MULT_LO_1 + (low >> 32) + (mid >> 32) + inc_hi
+    lo *= _MULT_LO
+    lo += inc_lo
+    hi += lo < inc_lo
+
+
+def _pcg64_outputs(words: np.ndarray, raw: np.ndarray) -> None:
+    """Write the first outputs of seed row ``words[i]``'s PCG64 into ``raw[i]``.
+
+    Every row starts as :func:`_pcg64_start` sets it, from
+    initstate + inc stepped once, and steps once per column, all rows at
+    once; each output is XSL-RR, the xor of the state's words rotated
+    right by its top 6 bits.
+    """
+    w0, w1, w2, w3 = words.T
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    lo = w1 + inc_lo
+    hi = w0 + inc_hi + (lo < inc_lo)
+    _pcg64_step(hi, lo, inc_hi, inc_lo)
+    for out in raw.T:
+        _pcg64_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        np.bitwise_or(x >> rot, x << (-rot & 63), out=out)
+
+
+def _bulk_normals(words: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Draw row i of ``z`` from the stream of seed row ``words[i]``; True where it holds.
+
+    Each output of :func:`_pcg64_outputs` becomes numpy's ziggurat
+    fast-path normal, -/+ rabs wi[idx].  A row holds numpy's draws
+    exactly when :func:`_ziggurat`'s bound admits each of its outputs; a
+    row that is not must be redrawn.
+    """
+    wi, bound = _ziggurat()
+    raw = np.empty(z.shape, dtype=np.uint64)
+    _pcg64_outputs(words, raw)
+    # Little-endian bytes 0 and 1 of each output hold idx and the sign.
+    idx, sign = raw.view(np.uint8)[:, 0::8], raw.view(np.uint8)[:, 1::8]
+    rabs = raw >> 9 & (1 << 52) - 1
+    np.multiply(rabs, wi[idx], out=z)
+    np.negative(z, out=z, where=(sign & 1).astype(bool))
+    return (rabs < bound[idx]).all(axis=1)
+
+
 def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     """Write frequency-selective fading in dB into each row of a zeroed ``out``.
 
     Row i draws a short complex tap profile with exponentially decaying
     power from the stream of ``default_rng([seed, i])`` and takes |H(f)|^2
     across the 64 subcarriers, so each row depends on its own index
-    alone.  One reused Generator is set to the PCG64 state that
-    ``default_rng([seed, i])`` starts from, the seeding done for all rows
-    at once by :func:`_seed_words` and :func:`_pcg64_start`; building a
-    Generator per row cost about fifteen times the draw itself.  Rows
-    are drawn and transformed ``FADING_CHUNK`` at a time.  The transform
+    alone.  The seeding is done for all rows at once by
+    :func:`_seed_words`.  Rows are drawn a block at a time, as many
+    ``FADING_CHUNK``s as keep the block's draws within ``_DRAW_BYTES``:
+    :func:`_bulk_normals` steps every row's PCG64 as uint64 array passes
+    and keeps numpy's ziggurat fast path, whose table :func:`_ziggurat`
+    reads from numpy once per process.  A row with any draw off that path
+    (one in eight at 4 taps), and every row above ``_BULK_MAX_TAPS``
+    taps, is redrawn whole by numpy: one reused Generator set to the
+    row's start state from :func:`_pcg64_start`.  Each block is then
+    transformed ``FADING_CHUNK`` rows at a time.  The transform
     H(f) = sum_j tap_j e^(-2 pi i f j / 64), :func:`_tap_sum`, adds the
     per-tap products in numpy's own pairwise order (four lanes of every
     fourth tap, combined as (L0 + L1) + (L2 + L3), then the last t mod 4
@@ -513,23 +623,28 @@ def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     amp = np.sqrt(powers / 2)
     k = np.arange(CARRIERS)
     phase = np.exp(-2j * np.pi * k[:, None] * np.arange(cfg.taps)[None, :] / CARRIERS)
-    draws = np.empty((FADING_CHUNK, 2 * cfg.taps))
+    block_rows = FADING_CHUNK * max(1, _DRAW_BYTES // (FADING_CHUNK * 2 * cfg.taps * 8))
+    draws = np.empty((min(block_rows, out.shape[0]), 2 * cfg.taps))
     seeds = _seed_words(seed, out.shape[0])
     rng = np.random.default_rng(0)
     bit_generator = rng.bit_generator
     start_state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for start in range(0, out.shape[0], FADING_CHUNK):
-        block = out[start:start + FADING_CHUNK]
-        z = draws[: block.shape[0]]
-        for row, words in zip(z, seeds[start:start + FADING_CHUNK].tolist()):
-            start_state["state"] = _pcg64_start(words)
+    for start in range(0, out.shape[0], block_rows):
+        words = seeds[start:start + block_rows]
+        z = draws[: words.shape[0]]
+        drawn = _bulk_normals(words, z) if cfg.taps <= _BULK_MAX_TAPS else np.zeros(z.shape[0], dtype=bool)
+        for i in np.flatnonzero(~drawn).tolist():
+            start_state["state"] = _pcg64_start(words[i].tolist())
             bit_generator.state = start_state
-            rng.standard_normal(out=row)
-        taps = (z[:, : cfg.taps] + 1j * z[:, cfg.taps:]) * amp
-        np.abs(_tap_sum(taps, phase), out=block)
-        np.maximum(block, 1e-6, out=block)
-        np.log10(block, out=block)
-        block *= cfg.sigma_scale * 20.0
+            rng.standard_normal(out=z[i])
+        for at in range(0, z.shape[0], FADING_CHUNK):
+            block = out[start + at:start + at + FADING_CHUNK]
+            zc = z[at:at + FADING_CHUNK]
+            taps = (zc[:, : cfg.taps] + 1j * zc[:, cfg.taps:]) * amp
+            np.abs(_tap_sum(taps, phase), out=block)
+            np.maximum(block, 1e-6, out=block)
+            np.log10(block, out=block)
+            block *= cfg.sigma_scale * 20.0
 
 
 def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
@@ -540,9 +655,13 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     frequency-selective fading draw.  Locations run x-fastest; location
     i draws its fading from the seed pair (seed, i), so the grid does
     not depend on evaluation order.  Walls and fading are computed as
-    array passes over all locations (fading in chunks of
-    ``FADING_CHUNK``), bit-exact with the per-location loop kept in the
-    tests as the oracle.
+    array passes over all locations, bit-exact with the per-location loop
+    kept in the tests as the oracle: the fading steps every location's
+    PCG64 stream and numpy's ziggurat fast path as uint64 array passes
+    over blocks of locations, reading the ziggurat table from numpy once
+    per process, and has numpy redraw each location with a draw off that
+    path, or every location above ``_BULK_MAX_TAPS`` taps (see
+    :func:`_fading_into`).
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

@@ -309,6 +309,20 @@ class TestSynthGridMatchesOracle:
         nx, ny = dict((c[0], c[1]) for c in _oracle_cases())["chunk_remainder"].lattice
         assert nx * ny > channel.FADING_CHUNK and nx * ny % channel.FADING_CHUNK
 
+    def test_cases_cover_two_draw_blocks(self):
+        cfg = dict((c[0], c[1]) for c in _oracle_cases())["spacing_0.07"]
+        nx, ny = cfg.lattice
+        assert cfg.fading.taps <= channel._BULK_MAX_TAPS
+        assert nx * ny * 2 * cfg.fading.taps * 8 > channel._DRAW_BYTES
+
+    def test_bundled_grid_takes_both_draw_paths(self):
+        # rows drawn as array passes, and rows that numpy redraws
+        env = channel.default_environment()
+        nx, ny = env.lattice
+        z = np.empty((nx * ny, 2 * env.fading.taps))
+        drawn = channel._bulk_normals(channel._seed_words(channel.DEFAULT_GRID_SEED, nx * ny), z)
+        assert (np.count_nonzero(drawn), np.count_nonzero(~drawn)) == (2070, 290)
+
 
 class TestTapSum:
     """The per-tap lanes add in numpy's own pairwise order."""
@@ -341,7 +355,9 @@ class TestTapSum:
 class TestSeeding:
     """Each row starts PCG64 where ``default_rng([seed, i])`` starts it."""
 
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 1])
+    SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_default_rng(self, seed):
         words = channel._seed_words(seed, 100_000)
         for i in (0, 1, 127, 128, 99_999):
@@ -349,6 +365,15 @@ class TestSeeding:
             got = {"bit_generator": "PCG64", "state": channel._pcg64_start(words[i].tolist()),
                    "has_uint32": 0, "uinteger": 0}
             assert got == want, (seed, i)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_array_stepping_matches_random_raw(self, seed):
+        draws = 2 * FadingModel().taps
+        raw = np.empty((100_000, draws), dtype=np.uint64)
+        channel._pcg64_outputs(channel._seed_words(seed, 100_000), raw)
+        for i in (0, 1, 127, 128, 99_999):
+            want = np.random.default_rng([seed, i]).bit_generator.random_raw(draws)
+            assert np.array_equal(raw[i], want), (seed, i)
 
     @pytest.mark.parametrize("fading", [FadingModel(), FadingModel(enabled=False)], ids=["fading", "no_fading"])
     def test_negative_seed_refused_before_drawing(self, fading, monkeypatch):
@@ -358,6 +383,32 @@ class TestSeeding:
         monkeypatch.setattr(channel, "_fading_into", no_draws)
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             channel.synth_grid(flat_env(fading=fading), seed=-1)
+
+
+class TestZiggurat:
+    """The draws kept from array passes are those numpy returns from one output."""
+
+    def test_layers_0_and_1_never_admitted(self):
+        _, bound = channel._ziggurat()
+        assert bound[0] == bound[1] == 0 and bound.dtype == np.uint64
+
+    @pytest.mark.parametrize("sign", [0, 1])
+    def test_largest_admitted_draw_is_numpys_fast_path(self, sign):
+        wi, bound = channel._ziggurat()
+        mult = 0x2360ED051FC65DA44385DF649FCCF645
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        inc = state["state"]["inc"]
+        for idx in range(2, 256):
+            rabs = int(bound[idx]) - 1
+            # A state with high word 0 outputs its low word.
+            after = rabs << 9 | sign << 8 | idx
+            state["state"]["state"] = (after - inc) * pow(mult, -1, 2**128) % 2**128
+            rng.bit_generator.state = state
+            got = rng.standard_normal()
+            want = -(rabs * wi[idx]) if sign else rabs * wi[idx]
+            assert got == want and math.copysign(1.0, got) == (-1.0) ** sign, idx
+            assert rng.bit_generator.state["state"] == {"state": after, "inc": inc}, idx
 
 
 class TestRegionMap:
