@@ -140,17 +140,24 @@ def column_select(m: BitMatrix, indices: Sequence[int]) -> BitMatrix:
 def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     """Reduced row-echelon form over GF(2) and the pivot column list.
 
-    The forward pass of :func:`rank`, then back-substitution: each row,
-    from the rightmost pivot leftwards, is cleared out of the rows that
-    lead further left.
+    The forward pass of :func:`rank`, then back-substitution from the
+    rightmost pivot leftwards: each row is cleared of the lead bits it
+    holds, highest first, by the rows already reduced.  A reduced row
+    holds no lead but its own, so each step clears one hit and adds only
+    non-lead bits.
     """
     basis = _echelon(m.a)
     leads = sorted(basis)
-    for i, p in enumerate(leads):
-        row = basis[p]
-        for q in leads[i + 1:]:
-            if basis[q] >> p & 1:
-                basis[q] ^= row
+    lead_mask = 0
+    for p in leads:
+        v = basis[p]
+        hits = v & lead_mask
+        while hits:
+            q = hits.bit_length() - 1
+            v ^= basis[q]
+            hits ^= 1 << q
+        basis[p] = v
+        lead_mask |= 1 << p
     leads.reverse()
     return BitMatrix(_unpack([basis[p] for p in leads], m.cols)), [m.cols - 1 - p for p in leads]
 

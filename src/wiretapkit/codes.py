@@ -58,8 +58,9 @@ class LinearCode:
 class GHWProfile:
     """Weight hierarchy d_1 < d_2 < ... < d_dim of a code.
 
-    ``source`` records which path produced the numbers: "exact" for the
-    subset search, "monomial" for the Reed-Muller closed construction.
+    ``source`` records which path produced the numbers: "monomial" for
+    the closed form that every Reed-Muller code takes, "exact" for the
+    subset search that any other code takes up to n = 24.
     """
 
     weights: tuple[int, ...]
@@ -248,13 +249,13 @@ def _ghw_rm_monomial(u: int, m: int) -> GHWProfile:
 def ghw_of(c: LinearCode) -> GHWProfile:
     """Hierarchy of an arbitrary code.
 
-    The exhaustive search runs while n <= ``SUBSET_RANK_CAP``; above it a
-    Reed-Muller code takes the monomial construction.  The profile's
-    ``source`` records which ran.
+    Closed form for every Reed-Muller code, exhaustive search for any
+    other code up to n = ``SUBSET_RANK_CAP``.  The profile's ``source``
+    records which ran.
     """
     if c.dim == 0:
         return GHWProfile(weights=())
-    if c.rm_params is not None and c.n > SUBSET_RANK_CAP:
+    if c.rm_params is not None:
         return _ghw_rm_monomial(*c.rm_params)
     return ghw_exact(c)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiretapkit import bitlinalg
+from wiretapkit import bitlinalg, codes
 from wiretapkit.bitlinalg import BitMatrix
 
 from conftest import oracle_null_space, oracle_rank, oracle_rref
@@ -191,6 +191,12 @@ class TestAgainstOracles:
     @given(shaped_matrices())
     @settings(max_examples=200, deadline=None)
     def test_rref_and_pivots(self, m):
+        assert bitlinalg.rref(m) == oracle_rref(m)
+
+    @pytest.mark.parametrize("order", [1, 4, 6, 8])
+    def test_rref_wide_reed_muller(self, order):
+        g = codes.reed_muller(order, codes.RM_MAX_DEGREE).generator
+        m = BitMatrix(g.a[:, ::-1])
         assert bitlinalg.rref(m) == oracle_rref(m)
 
     @given(shaped_matrices())

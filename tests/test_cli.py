@@ -264,7 +264,7 @@ class TestGhw:
         assert res.exit_code == 0, res.output
         payload = json.loads((tmp_path / "ghw.json").read_text())
         assert payload["weights"] == [8, 12, 14, 15, 16]
-        assert payload["source"] == "exact"
+        assert payload["source"] == "monomial"
 
     def test_table1(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["ghw", "--code", "table1", "--out-dir", str(tmp_path)])

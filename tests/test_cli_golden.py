@@ -51,7 +51,7 @@ GOLDEN = {
     "capacity": "3278930ea8bae88754cf67ef64febf610e0cbb3ec7987be9e0c6cd2a95678b95",
     "secrecy": "392e2d2e5c88c5187de2bb7ea6c312e3d01dfcfde53d833b1cd76a8640afd60b",
     "eqmatrix": "5de8b0d4b1d9b0877f036086d46b68dfec4714b984323e1d2bbd9b6f32ac3dbf",
-    "ghw_exact": "a46e7633bdaf8d507c87dc8b4815973a408880d5782c2fddfef141b2b7623c8c",
+    "ghw_exact": "17a9283adb753c028039a46eb298a4c4eee8b16ffe9374e507a59e13de4ad0b8",
     "ghw_table1": "e3512a1163bd27cf71c0d5b3863daa382e78a22cc941b141e27ec5725c95e237",
     "ghw_monomial": "67572c9337feffc3d9720dcd634e279dec7134475d9bc1a2ea61dd688e2bceaf",
     "ghw_monomial_m9": "9446756ad3cb06efc8326c946196b810ef774875959c37a93b0c771822df0039",

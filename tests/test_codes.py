@@ -282,8 +282,29 @@ class TestGHWReedMuller:
                 assert codes._ghw_rm_monomial(u, m) == oracle_ghw_rm_monomial(u, m), (u, m)
 
     def test_auto_source_switch(self):
-        assert codes.ghw_of(codes.reed_muller(1, 4)).source == "exact"
-        assert codes.ghw_of(codes.reed_muller(1, 5)).source == "monomial"
+        for m in range(1, codes.RM_MAX_DEGREE + 1):
+            assert codes.ghw_of(codes.reed_muller(1, m)).source == "monomial", m
+        for n in (4, 16, codes.SUBSET_RANK_CAP):
+            assert codes.ghw_of(codes.random_code(n, 2, np.random.default_rng(n))).source == "exact", n
+        above = codes.random_code(codes.SUBSET_RANK_CAP + 1, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="subset-rank cap"):
+            codes.ghw_of(above)
+
+    def test_rm_params_survive_duals(self):
+        """The closed form trusts the label ``dual`` carries: RM(u, m), its
+        dual and the dual of that dual must each be the code they name.
+        Only the zero code (the dual of RM(m, m)) and the whole space after
+        it carry no label."""
+        for m in range(1, 5):
+            for u in range(m + 1):
+                rm = codes.reed_muller(u, m)
+                for c in (rm, codes.dual(rm), codes.dual(codes.dual(rm))):
+                    if c.rm_params is None:
+                        assert u == m and c.dim in (0, c.n), c.label
+                        continue
+                    cu, cm = c.rm_params
+                    assert cm == m and c.dim == sum(comb(m, i) for i in range(cu + 1)), c.label
+                    assert codes._ghw_rm_monomial(cu, cm).weights == codes.ghw_exact(c).weights, c.label
 
     def test_first_order_length32_hierarchy(self):
         # classical hierarchy of the (32, 6) first-order code

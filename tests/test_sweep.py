@@ -318,6 +318,15 @@ class TestDefaultFamily:
     def test_one_dual_per_member(self, dual_calls, max_m, members):
         assert len(sweep.default_code_family(max_m)) == len(dual_calls) == members
 
+    def test_profiles_run_no_subset_search(self, monkeypatch):
+        def refuse(c):
+            raise AssertionError(f"subset-rank search on {c.label}")
+
+        monkeypatch.setattr(codes, "subset_rank_tallies", refuse)
+        for max_m in range(2, codes.RM_MAX_DEGREE + 1):
+            sources = {w.dual_ghw().source for w in sweep.default_code_family(max_m)}
+            assert sources == {"monomial"}, max_m
+
     def test_matches_parameter_oracle_up_to_degree_bound(self):
         fam = sweep.default_code_family(codes.RM_MAX_DEGREE)
         got = [(w.label, w.base_code.rm_params) for w in fam]
