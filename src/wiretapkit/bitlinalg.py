@@ -142,21 +142,18 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
 
     The forward pass of :func:`rank`, then back-substitution from the
     rightmost pivot leftwards: each row is cleared of the lead bits it
-    holds, highest first, by the rows already reduced.  A reduced row
-    holds no lead but its own, so each step clears one hit and adds only
-    non-lead bits.
+    holds, highest first, by rows already reduced.  Those hold no other
+    lead, so each step clears one hit and adds only non-lead bits.
     """
     basis = _echelon(m.a)
     leads = sorted(basis)
     lead_mask = 0
     for p in leads:
-        v = basis[p]
-        hits = v & lead_mask
+        hits = basis[p] & lead_mask
         while hits:
             q = hits.bit_length() - 1
-            v ^= basis[q]
+            basis[p] ^= basis[q]
             hits ^= 1 << q
-        basis[p] = v
         lead_mask |= 1 << p
     leads.reverse()
     return BitMatrix(_unpack([basis[p] for p in leads], m.cols)), [m.cols - 1 - p for p in leads]

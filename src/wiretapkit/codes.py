@@ -23,12 +23,14 @@ DEFAULT_ENUM_CAP = 24
 # (32 MB at n = 24) and finishes the transform and the tally in blocks of
 # 2^_BLOCK_BITS subsets (64 KB, cache-resident).  On 2 vCPUs it takes
 # 10-13 ms at n = 20 and 0.18-0.26 s at n = 24, and its memory peak stays
-# within 0.5 MB of the count array.
+# within 0.5 MB of the count array.  It bounds equivocation matrices and
+# the exhaustive GHW search, which any code but a Reed-Muller code takes;
+# Reed-Muller codes take the closed form at every n.
 SUBSET_RANK_CAP = 24
 _BLOCK_BITS = 15
 # Largest Reed-Muller degree m (n = 2^m) anything here builds: on 2 vCPUs
-# the sweep's candidate family with its dual GHW profiles takes 0.15-0.25 s
-# at m = 9 and 0.65-0.8 s at m = 10.
+# the sweep's candidate family with its dual GHW profiles, all in closed
+# form, takes 0.13-0.15 s at m = 9 and 0.49-0.56 s at m = 10.
 RM_MAX_DEGREE = 9
 
 
@@ -58,9 +60,9 @@ class LinearCode:
 class GHWProfile:
     """Weight hierarchy d_1 < d_2 < ... < d_dim of a code.
 
-    ``source`` records which path produced the numbers: "monomial" for
-    the closed form that every Reed-Muller code takes, "exact" for the
-    subset search that any other code takes up to n = 24.
+    ``source`` records which path produced the numbers, "monomial" or
+    "exact": closed form for every Reed-Muller code, exhaustive search
+    for any other code up to n = 24.
     """
 
     weights: tuple[int, ...]

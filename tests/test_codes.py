@@ -298,7 +298,8 @@ class TestGHWReedMuller:
         for m in range(1, 5):
             for u in range(m + 1):
                 rm = codes.reed_muller(u, m)
-                for c in (rm, codes.dual(rm), codes.dual(codes.dual(rm))):
+                perp = codes.dual(rm)
+                for c in (rm, perp, codes.dual(perp)):
                     if c.rm_params is None:
                         assert u == m and c.dim in (0, c.n), c.label
                         continue
