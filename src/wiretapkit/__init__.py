@@ -3,4 +3,4 @@ analysis, and channel-sounding secrecy maps over an OFDM-style grid."""
 
 __version__ = "0.1.0"
 
-from . import bitlinalg, channel, codes, sweep, wiretap  # noqa: F401
+from . import bitlinalg, channel, codes, maps, sweep, wiretap  # noqa: F401

@@ -8,7 +8,6 @@ erasure model, and capacity / secrecy-capacity computations.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import math
 import numbers
@@ -19,9 +18,9 @@ import numpy as np
 
 CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
-# At the cap on 2 shared vCPUs, synth_grid takes 0.45-0.75 s and 118 MB peak
-# RSS, 0.23-0.31 s of it the seeded fading; the synth command, which also
-# writes the CSV, takes 2.3-3.7 s.
+# At the cap on 2 shared vCPUs, synth_grid takes 0.28-0.44 s and 101 MB peak
+# RSS, 0.21-0.33 s of it the seeded fading; the synth command, which also
+# writes the CSV, takes 2.1-2.8 s.
 MAX_GRID_LOCATIONS = 100_000
 
 
@@ -59,39 +58,51 @@ def check_region_label(label, name: str) -> None:
 
 @dataclass(frozen=True)
 class ChannelGrid:
-    """Per-location, per-subcarrier SNR measurements on a physical grid.
+    """Per-location, per-subcarrier SNR measurements on a physical grid, as columns.
 
-    Region labels are resolved once, at construction: ``_region_id`` maps
-    each label to an integer id in order of first appearance, and
-    ``_region_ids[i]`` is the id of location i.
+    Location i lies at (x[i], y[i]) in region labels[region_id[i]] and has
+    the 64 SNRs snr_db[i].  ``labels`` holds each label that some location
+    has, once.  The columns become float64 and intp arrays and are checked
+    once, here.
     """
 
-    locations: tuple[Location, ...]
-    snr_db: np.ndarray  # (len(locations), 64)
-    _region_id: dict[str, int] = field(init=False, repr=False, compare=False)
-    _region_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    x: np.ndarray  # (N,)
+    y: np.ndarray  # (N,)
+    region_id: np.ndarray  # (N,)
+    labels: tuple[str, ...]
+    snr_db: np.ndarray  # (N, 64)
 
     def __post_init__(self):
-        if self.snr_db.shape != (len(self.locations), CARRIERS):
-            raise ValueError(
-                f"snr_db shape {self.snr_db.shape} does not match "
-                f"({len(self.locations)}, {CARRIERS})"
-            )
-        if not np.all(np.isfinite(self.snr_db)):
-            raise ValueError("snr_db must be finite")
-        region_id: dict[str, int] = {}
-        ids = [region_id.setdefault(loc.region, len(region_id)) for loc in self.locations]
-        object.__setattr__(self, "_region_id", region_id)
-        object.__setattr__(self, "_region_ids", np.array(ids, dtype=np.intp))
+        n = np.size(self.x)
+        for name, shape, dtype in (
+            ("x", (n,), float), ("y", (n,), float), ("region_id", (n,), np.intp), ("snr_db", (n, CARRIERS), float)
+        ):
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            object.__setattr__(self, name, column)
+            if column.shape != shape:
+                raise ValueError(f"{name} shape {column.shape} does not match {shape}")
+            if dtype is float and not np.isfinite(column).all():
+                raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "labels", tuple(self.labels))
+        if len(set(self.labels)) < len(self.labels):
+            raise ValueError(f"labels must be distinct, got {self.labels}")
+        ids, count = self.region_id, len(self.labels)
+        if (ids.size and not 0 <= ids.min() <= ids.max() < count) or not np.bincount(ids, minlength=count).all():
+            raise ValueError(f"region_id must take each value in [0, {count}), one per label, and no other")
+
+    @functools.cached_property
+    def locations(self) -> tuple[Location, ...]:
+        """Read-only per-location view, built on first use."""
+        regions = map(self.labels.__getitem__, self.region_id.tolist())
+        return tuple(map(Location, self.x.tolist(), self.y.tolist(), regions))
 
     def region_indices(self, labels) -> np.ndarray:
         """Ascending indices of the locations whose region is one of ``labels``."""
-        wanted = np.zeros(len(self._region_id), dtype=bool)
-        wanted[[self._region_id[label] for label in labels if label in self._region_id]] = True
-        return np.flatnonzero(wanted[self._region_ids])
+        wanted = np.array([label in labels for label in self.labels], dtype=bool)
+        return np.flatnonzero(wanted[self.region_id])
 
     def region_labels(self) -> set[str]:
-        return set(self._region_id)
+        return set(self.labels)
 
 
 @dataclass(frozen=True)
@@ -654,7 +665,9 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     path loss - accumulated wall losses on the direct ray + a seeded
     frequency-selective fading draw.  Locations run x-fastest; location
     i draws its fading from the seed pair (seed, i), so the grid does
-    not depend on evaluation order.  Walls and fading are computed as
+    not depend on evaluation order.  The grid is built as columns: the
+    coordinates, region ids and labels come from array passes, and no
+    per-location object is made.  Walls and fading are computed as
     array passes over all locations, bit-exact with the per-location loop
     kept in the tests as the oracle: the fading steps every location's
     PCG64 stream and numpy's ziggurat fast path as uint64 array passes
@@ -669,12 +682,14 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     iy, ix = np.divmod(np.arange(nx * ny), nx)
     x = ix * cfg.grid_spacing
     y = iy * cfg.grid_spacing
-    xs, ys = x.tolist(), y.tolist()
-    # The first region that contains a location labels it, else "open".
-    region = np.full(x.shape, len(cfg.regions))
-    for j, r in reversed(list(enumerate(cfg.regions))):
-        region[r.contains(x, y)] = j
-    labels = [r.label for r in cfg.regions] + ["open"]
+    # The first region that contains a location labels it, else "open".  Ids are first
+    # indices in names, so regions that share a label are one; unused labels are dropped.
+    names = [r.label for r in cfg.regions] + ["open"]
+    region_id = np.full(x.shape, names.index("open"))
+    for r in reversed(cfg.regions):
+        region_id[r.contains(x, y)] = names.index(r.label)
+    used = np.bincount(region_id, minlength=len(names)) > 0
+    labels = tuple(name for name, kept in zip(names, used.tolist()) if kept)
     # math.hypot and math.log10, not numpy's: these differ in the last bit.
     tx_x, tx_y = cfg.tx
     dist = np.fromiter(map(math.hypot, (x - tx_x).tolist(), (y - tx_y).tolist()), float, x.size)
@@ -684,27 +699,21 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     snr_db = np.zeros((x.size, CARRIERS))
     _fading_into(cfg.fading, seed, snr_db)
     snr_db += base[:, None]
-    return ChannelGrid(
-        locations=tuple(map(Location, xs, ys, map(labels.__getitem__, region.tolist()))),
-        snr_db=snr_db,
-    )
+    return ChannelGrid(x, y, (np.cumsum(used) - 1)[region_id], labels, snr_db)
 
 
 # ---------------------------------------------------------------------------
 # File formats
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def write_grid_csv(grid: ChannelGrid, fh) -> None:
     """Write one row per location to a text file as it is formatted:
-    x, y, region, then the 64 SNR values in dB."""
+    x, y, region, then the 64 SNR values in dB, numbers to 6 significant digits."""
     fh.write("x,y,region," + ",".join(f"snr_{i:02d}" for i in range(CARRIERS)) + "\n")
-    snr_fmt = ",".join(["%.6g"] * CARRIERS)
-    for loc, snrs in zip(grid.locations, grid.snr_db):
-        fh.write(f"{_fmt(loc.x)},{_fmt(loc.y)},{loc.region}," + snr_fmt % tuple(snrs.tolist()) + "\n")
+    row = "%.6g,%.6g,%s" + ",%.6g" * CARRIERS + "\n"
+    regions = map(grid.labels.__getitem__, grid.region_id.tolist())
+    for x, y, region, snrs in zip(grid.x.tolist(), grid.y.tolist(), regions, grid.snr_db):
+        fh.write(row % (x, y, region, *snrs.tolist()))
 
 
 def grid_from_csv(text: str) -> ChannelGrid:
@@ -714,18 +723,23 @@ def grid_from_csv(text: str) -> ChannelGrid:
     header = lines[0].split(",")
     if header[:3] != ["x", "y", "region"] or len(header) != 3 + CARRIERS:
         raise ValueError(f"bad grid header: expected x,y,region,snr_00..snr_63, got {header[:4]}...")
-    locations = []
-    rows = []
+    if len(lines) == 1:
+        raise ValueError("grid file has no locations; expected rows after the header")
+    rows, region_id, ids = [], [], {}
     for ln, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 3 + CARRIERS:
             raise ValueError(f"line {ln}: expected {3 + CARRIERS} columns, got {len(parts)}")
         try:
-            locations.append(Location(x=float(parts[0]), y=float(parts[1]), region=parts[2]))
-            rows.append([float(v) for v in parts[3:]])
+            rows.append([float(v) for v in parts[:2] + parts[3:]])
         except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}") from None
-    return ChannelGrid(locations=tuple(locations), snr_db=np.array(rows, dtype=float))
+        region_id.append(ids.setdefault(parts[2], len(ids)))
+    values = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ValueError(f"line {bad[0] + 2}: x, y and the SNRs must be finite")
+    return ChannelGrid(values[:, 0], values[:, 1], region_id, tuple(ids), values[:, 2:])
 
 
 def load_capture(iq_path, sidecar_path) -> SoundingCapture:
@@ -748,61 +762,6 @@ def load_capture(iq_path, sidecar_path) -> SoundingCapture:
         raise ValueError(f"sample_rate_hz must be positive, got {rate}")
     iq = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
     return SoundingCapture(iq=iq, periods=meta.get("periods", 32))
-
-
-# ---------------------------------------------------------------------------
-# Heatmap emission
-
-
-def heatmap_csv(grid: ChannelGrid, values) -> str:
-    """Per-location scalar map as x,y,value rows."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(grid.locations),):
-        raise ValueError(f"need one value per location, got {values.shape}")
-    buf = io.StringIO()
-    buf.write("x,y,value\n")
-    for loc, v in zip(grid.locations, values):
-        buf.write(f"{_fmt(loc.x)},{_fmt(loc.y)},{_fmt(v)}\n")
-    return buf.getvalue()
-
-
-_RAMP = [(13, 8, 135), (126, 3, 168), (204, 71, 120), (248, 149, 64), (240, 249, 33)]
-_CELL_PX = 6.0  # side of one heatmap cell, SVG user units
-
-
-def _ramp_color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0) * (len(_RAMP) - 1)
-    i = min(int(t), len(_RAMP) - 2)
-    f = t - i
-    r, g, b = (
-        round(_RAMP[i][c] + f * (_RAMP[i + 1][c] - _RAMP[i][c])) for c in range(3)
-    )
-    return f"#{r:02x}{g:02x}{b:02x}"
-
-
-def heatmap_svg(grid: ChannelGrid, values) -> str:
-    """Fixed-ramp SVG rendering of a per-location scalar map (no metadata)."""
-    values = np.asarray(values, dtype=float)
-    lo, hi = float(values.min()), float(values.max())
-    span = hi - lo if hi > lo else 1.0
-    xs = sorted({loc.x for loc in grid.locations})
-    ys = sorted({loc.y for loc in grid.locations})
-    xi = {x: i for i, x in enumerate(xs)}
-    yi = {y: i for i, y in enumerate(ys)}
-    w, h = len(xs) * _CELL_PX, len(ys) * _CELL_PX
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:g}" height="{h:g}" '
-        f'viewBox="0 0 {w:g} {h:g}">'
-    ]
-    for loc, v in zip(grid.locations, values):
-        cx = xi[loc.x] * _CELL_PX
-        cy = (len(ys) - 1 - yi[loc.y]) * _CELL_PX
-        parts.append(
-            f'<rect x="{cx:g}" y="{cy:g}" width="{_CELL_PX:g}" height="{_CELL_PX:g}" '
-            f'fill="{_ramp_color((v - lo) / span)}"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 def default_environment() -> EnvironmentConfig:

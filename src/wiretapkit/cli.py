@@ -18,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, channel, codes, sweep as sweepmod, wiretap
+from . import __version__, channel, codes, maps, sweep as sweepmod, wiretap
 
 DEFAULT_TAUS = [25.0, 26.0, 27.0, 28.0, 29.0, 30.0, 31.0]
 
@@ -122,10 +122,7 @@ def sound(iq_file, sidecar, x, y, region, out_dir):
     out = _out_dir(out_dir)
     cap = _read(iq_file, channel.load_capture, sidecar)
     snrs = channel.snr_estimate(cap)
-    grid = channel.ChannelGrid(
-        locations=(channel.Location(x=x, y=y, region=region),),
-        snr_db=snrs[None, :],
-    )
+    grid = channel.ChannelGrid([x], [y], [0], (region,), snrs[None, :])
     with open(out / "snr_row.csv", "w") as fh:
         channel.write_grid_csv(grid, fh)
     _write_manifest(
@@ -159,16 +156,16 @@ def synth(config_path, seed, out_dir):
         {"seed": seed, "config": config_path or "builtin"},
         {"config": config_path or ""},
     )
-    click.echo(f"wrote {out / 'grid.csv'} ({len(grid.locations)} locations)")
+    click.echo(f"wrote {out / 'grid.csv'} ({grid.x.size} locations)")
 
 
 def _map_command(name: str, grid_path, out_dir, svg, values, options, extra_inputs=None):
     out = _out_dir(out_dir)
     grid = _load_grid(grid_path)
     vals = values(grid)
-    (out / f"{name}_map.csv").write_text(channel.heatmap_csv(grid, vals))
+    (out / f"{name}_map.csv").write_text(maps.heatmap_csv(grid, vals))
     if svg:
-        (out / f"{name}_map.svg").write_text(channel.heatmap_svg(grid, vals))
+        (out / f"{name}_map.svg").write_text(maps.heatmap_svg(grid, vals))
     inputs = {"grid": grid_path or ""}
     inputs.update(extra_inputs or {})
     _write_manifest(out, name, options, inputs)

@@ -78,22 +78,17 @@ class GHWProfile:
         return bisect.bisect_right(self.weights, mu)
 
 
-def _monomial_row(m: int, support: tuple[int, ...]) -> np.ndarray:
-    """Evaluation vector of prod_{i in support} x_i over all 2^m points.
+def _monomial_rows(u: int, m: int) -> np.ndarray:
+    """Evaluation vectors of the monomials of degree <= u over all 2^m points,
+    one row each, in graded lexicographic order of their supports.
 
     Point j assigns x_i the bit (j >> (m-1-i)) & 1, so variable 0 is the
-    leftmost bit of the point index, matching the global bit convention.
+    leftmost bit of the point index, matching the global bit convention; a
+    monomial is 1 where j covers its mask, the sum of 2^(m-1-i) over its support.
     """
-    mask = sum(1 << (m - 1 - i) for i in support)
-    return ((np.arange(2**m) & mask) == mask).astype(np.uint8)
-
-
-def _monomials(u: int, m: int) -> list[tuple[int, ...]]:
-    """Monomial supports of degree <= u in graded lexicographic order."""
-    out: list[tuple[int, ...]] = []
-    for deg in range(u + 1):
-        out.extend(itertools.combinations(range(m), deg))
-    return out
+    supports = itertools.chain.from_iterable(itertools.combinations(range(m), d) for d in range(u + 1))
+    masks = np.array([sum(1 << (m - 1 - i) for i in s) for s in supports])[:, None]
+    return ((np.arange(2**m) & masks) == masks).astype(np.uint8)
 
 
 def reed_muller(order: int, degree: int) -> LinearCode:
@@ -109,8 +104,7 @@ def reed_muller(order: int, degree: int) -> LinearCode:
     if not 0 <= order <= degree:
         raise ValueError(f"order must satisfy 0 <= order <= degree, got ({order}, {degree})")
     u, m = order, degree
-    rows = [_monomial_row(m, s) for s in _monomials(u, m)]
-    gen = BitMatrix(np.array(rows, dtype=np.uint8))
+    gen = BitMatrix(_monomial_rows(u, m))
     return LinearCode(
         n=2**m,
         dim=sum(comb(m, i) for i in range(u + 1)),

@@ -6,20 +6,22 @@ hierarchies by exhaustive subcode-support search over codeword tuples,
 and Eve's message posterior by matching her observation against all
 2^n coset words.  The sweep oracle is the plain loop over Eve locations
 that the vectorised sweep replaced; it finds regions, Eve locations and
-Bob's reference by its own scans of the locations.  The grid oracle is the
-per-location loop that ``channel.synth_grid``'s array passes replaced.
-The elimination oracle is the per-row numpy Gauss-Jordan that
-``bitlinalg``'s packed-row elimination replaced, and the wiretap-matrix
-oracle the greedy basis completion and GF(2) inverse that
-``wiretap.build``'s pivot rows replaced.  The Reed-Muller monomial oracle
-is the frozenset greedy search that ``codes._ghw_rm_monomial``'s closed
-form replaced.  The family oracle replays the rule of the candidate
-loop that ``sweep.default_code_family`` replaced on Reed-Muller
-parameters alone.  Library results are checked against these, never
-against themselves.
+Bob's reference by its own scans of each location's label.  The grid
+oracle is the per-location loop that ``channel.synth_grid``'s array
+passes replaced.  The elimination oracle is the per-row numpy
+Gauss-Jordan that ``bitlinalg``'s packed-row elimination replaced, and
+the wiretap-matrix oracle the greedy basis completion and GF(2) inverse
+that ``wiretap.build``'s pivot rows replaced.  The Reed-Muller generator
+oracle builds one monomial row at a time, where ``codes._monomial_rows``
+builds them in one broadcast; the Reed-Muller monomial oracle is the
+frozenset greedy search that ``codes._ghw_rm_monomial``'s closed form
+replaced.  The family oracle replays the rule of the candidate loop that
+``sweep.default_code_family`` replaced on Reed-Muller parameters alone.
+Library results are checked against these, never against themselves.
 
-The file-format helpers at the end write the inputs the commands read:
-synthetic sounding captures with their sidecars, and grids as CSV text.
+The helpers at the end build grids from (x, y, label) cells, read each
+location's label, and write the inputs the commands read: synthetic
+sounding captures with their sidecars, and grids as CSV text.
 """
 
 import io
@@ -254,15 +256,15 @@ def oracle_sweep_point(w, grid, regions, tau: float, interleave: bool = False) -
     interleaved scores block b as the carriers b, b + B, b + 2B, ... of
     the active list (B = max(1, ceil(a / n))) and keeps the worst block.
     A later Eve replaces the current one only when strictly worse.
-    Regions, Eve locations and Bob's reference come from scans of
-    ``grid.locations``, not from the grid's region ids.
+    Regions, Eve locations and Bob's reference come from scans of each
+    location's label (:func:`region_of`), not from ``region_indices``.
     """
-    labels = {loc.region for loc in grid.locations}
+    labels = set(region_of(grid))
     missing = ({regions.bob_region} | regions.eve_regions) - labels
     if missing:
         raise ValueError(f"regions {sorted(missing)} not present in grid")
     wanted = regions.eve_regions - regions.excluded_regions
-    eve_idxs = [i for i, loc in enumerate(grid.locations) if loc.region in wanted]
+    eve_idxs = [i for i, label in enumerate(region_of(grid)) if label in wanted]
     if not eve_idxs:
         raise ValueError("no candidate Eve locations")
     bob_idx = oracle_bob_reference(grid, regions.bob_region)
@@ -299,8 +301,8 @@ def oracle_bob_reference(grid, bob_region: str) -> int:
     """First location of ``bob_region`` with the most summed capacity
     0.5 log2(1 + 10^(x/10)) over its carriers, one location at a time."""
     best, best_cap = -1, -math.inf
-    for i, loc in enumerate(grid.locations):
-        if loc.region == bob_region:
+    for i, label in enumerate(region_of(grid)):
+        if label == bob_region:
             cap = float(np.sum(0.5 * np.log2(1.0 + 10.0 ** (grid.snr_db[i] / 10.0))))
             if cap > best_cap:
                 best, best_cap = i, cap
@@ -392,7 +394,7 @@ def oracle_synth_grid(cfg, seed: int) -> channel.ChannelGrid:
     transform per location.
     """
     nx, ny = cfg.lattice
-    locations: list[channel.Location] = []
+    cells: list[tuple[float, float, str]] = []
     rows: list[np.ndarray] = []
     for iy in range(ny):
         for ix in range(nx):
@@ -409,13 +411,9 @@ def oracle_synth_grid(cfg, seed: int) -> channel.ChannelGrid:
                 if _segments_cross(cfg.tx, (x, y), (w.x1, w.y1), (w.x2, w.y2))
             )
             base = cfg.ref_snr_db + cfg.tx_power_offset_db - path_loss - wall_loss
-            idx = len(locations)
-            rows.append(base + _fading_db(cfg.fading, seed, idx))
-            locations.append(channel.Location(x=x, y=y, region=label))
-    return channel.ChannelGrid(
-        locations=tuple(locations),
-        snr_db=np.array(rows, dtype=float),
-    )
+            rows.append(base + _fading_db(cfg.fading, seed, len(cells)))
+            cells.append((x, y, label))
+    return cells_grid(cells, rows)
 
 
 # The coset codebook holds all 2^n words: 1 MB of uint8 at n = 16.
@@ -489,6 +487,18 @@ def random_corpus(max_n: int, count: int, seed: int = 71) -> list[codes.LinearCo
     return out
 
 
+def oracle_rm_generator(u: int, m: int) -> np.ndarray:
+    """RM(u, m)'s generator one monomial row at a time, as uint8.
+
+    Supports come in graded lexicographic order; the row of support s is
+    the AND of the point-index bit columns of its variables (variable 0
+    the leftmost bit), all ones for the empty support.
+    """
+    points = np.arange(2**m)[:, None] >> (m - 1 - np.arange(m)) & 1
+    supports = [s for d in range(u + 1) for s in itertools.combinations(range(m), d)]
+    return np.array([points[:, list(s)].all(axis=1) for s in supports], dtype=np.uint8)
+
+
 def rm_family_codes(max_m: int) -> list[codes.LinearCode]:
     """All proper RM(u, m) codes with m <= max_m, both as given and dualized."""
     fam = []
@@ -517,6 +527,17 @@ def oracle_family_params(max_m: int) -> list[tuple[str, tuple[int, int]]]:
                     seen.add((order, m))
                     out.append((f"RM({u},{m})|{suffix}", (order, m)))
     return out
+
+
+@pytest.fixture
+def no_location_objects(monkeypatch):
+    """Make building a ``channel.Location`` fail, so a test shows that the
+    paths it runs use the grid's columns alone."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a channel.Location was built")
+
+    monkeypatch.setattr(channel, "Location", refuse)
 
 
 @pytest.fixture
@@ -577,6 +598,25 @@ def synth_capture(
         noise = (rng.standard_normal(iq.size) + 1j * rng.standard_normal(iq.size)) / np.sqrt(2)
         iq = iq + noise
     return SoundingCapture(iq=iq, periods=periods)
+
+
+def cells_grid(cells, snr_db) -> ChannelGrid:
+    """A grid of (x, y, label) cells and their SNR rows; labels get ids in
+    order of first appearance."""
+    xs, ys, names = zip(*cells)
+    labels = tuple(dict.fromkeys(names))
+    return ChannelGrid(
+        x=np.array(xs, dtype=float),
+        y=np.array(ys, dtype=float),
+        region_id=np.array([labels.index(name) for name in names], dtype=np.intp),
+        labels=labels,
+        snr_db=np.array(snr_db, dtype=float),
+    )
+
+
+def region_of(grid: ChannelGrid) -> list[str]:
+    """The region label of each location, read from the columns."""
+    return [grid.labels[i] for i in grid.region_id.tolist()]
 
 
 def grid_to_csv(grid: ChannelGrid) -> str:

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from wiretapkit import channel, codes, sweep, wiretap
-from wiretapkit.channel import ChannelGrid, Location, RegionMap
+from wiretapkit.channel import RegionMap
 
-from conftest import oracle_leakage, posterior_entropy, posterior_oracle, synth_capture
+from conftest import cells_grid, oracle_leakage, posterior_entropy, posterior_oracle, synth_capture
 
 GOLDEN = Path(__file__).parent / "data" / "golden_frontier.csv"
 
@@ -48,13 +48,7 @@ def bits(value, width):
 
 
 def two_location_grid(bob, eve):
-    return ChannelGrid(
-        locations=(
-            Location(x=0.0, y=0.0, region="bob_office"),
-            Location(x=1.0, y=0.0, region="eve_room"),
-        ),
-        snr_db=np.array([bob, eve], dtype=float),
-    )
+    return cells_grid([(0.0, 0.0, "bob_office"), (1.0, 0.0, "eve_room")], [bob, eve])
 
 
 TWO_REGIONS = RegionMap(bob_region="bob_office", eve_regions=frozenset({"eve_room"}))

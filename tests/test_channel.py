@@ -3,26 +3,34 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from wiretapkit import channel
+from wiretapkit import channel, maps
 from wiretapkit.channel import (
     CARRIERS,
     ChannelGrid,
     EnvironmentConfig,
     FadingModel,
-    Location,
     RegionMap,
     RegionRect,
     SoundingCapture,
     Wall,
 )
 
-from conftest import grid_to_csv, old_carrier_capacity, oracle_synth_grid, save_capture, synth_capture
+from conftest import (
+    cells_grid,
+    grid_to_csv,
+    old_carrier_capacity,
+    oracle_synth_grid,
+    region_of,
+    save_capture,
+    synth_capture,
+)
 
 
 def flat_env(**overrides):
@@ -182,14 +190,14 @@ class TestSynthGrid:
         g_wall = channel.synth_grid(cfg_wall, seed=0)
         g_open = channel.synth_grid(cfg_open, seed=0)
         # location x=2, y=0 is behind the wall; x=0 is not
-        idx = next(i for i, loc in enumerate(g_wall.locations) if loc.x == 2.0 and loc.y == 0.0)
+        [idx] = np.flatnonzero((g_wall.x == 2.0) & (g_wall.y == 0.0))
         assert np.allclose(g_open.snr_db[idx] - g_wall.snr_db[idx], 10.0)
 
     def test_path_loss_slope(self):
         cfg = flat_env(width=4.0, grid_spacing=1.0)
         grid = channel.synth_grid(cfg, seed=0)
-        at2 = next(i for i, loc in enumerate(grid.locations) if (loc.x, loc.y) == (2.0, 0.0))
-        at4 = next(i for i, loc in enumerate(grid.locations) if (loc.x, loc.y) == (4.0, 0.0))
+        [at2] = np.flatnonzero((grid.x == 2.0) & (grid.y == 0.0))
+        [at4] = np.flatnonzero((grid.x == 4.0) & (grid.y == 0.0))
         delta = grid.snr_db[at2, 0] - grid.snr_db[at4, 0]
         assert delta == pytest.approx(10.0 * 3.0 * math.log10(2.0), abs=1e-9)
 
@@ -236,7 +244,7 @@ class TestSynthGrid:
 
     def test_default_grid_is_deterministic_and_complete(self):
         grid = channel.default_grid()
-        assert len(grid.locations) > 2000
+        assert grid.x.size > 2000
         assert grid.region_labels() == {"hallway", "eve_west", "bob_office", "eve_east"}
         again = channel.default_grid()
         assert np.array_equal(grid.snr_db, again.snr_db)
@@ -289,21 +297,26 @@ def _oracle_cases():
     return cases
 
 
+def assert_same_grid(got: ChannelGrid, want: ChannelGrid) -> None:
+    """Equal coordinates, label per location and SNR bytes."""
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+    assert region_of(got) == region_of(want)
+    assert got.snr_db.tobytes() == want.snr_db.tobytes()
+
+
 class TestSynthGridMatchesOracle:
     """The array passes give exactly the grid of the per-location loop."""
 
     def test_default_grid(self):
         got = channel.default_grid()
         want = oracle_synth_grid(channel.default_environment(), channel.DEFAULT_GRID_SEED)
-        assert got.locations == want.locations
-        assert np.array_equal(got.snr_db, want.snr_db)
+        assert_same_grid(got, want)
 
     @pytest.mark.parametrize("cfg, seed", [c[1:] for c in _oracle_cases()], ids=[c[0] for c in _oracle_cases()])
     def test_equal(self, cfg, seed):
         got = channel.synth_grid(cfg, seed)
         want = oracle_synth_grid(cfg, seed)
-        assert got.locations == want.locations
-        assert np.array_equal(got.snr_db, want.snr_db)
+        assert_same_grid(got, want)
 
     def test_cases_cover_a_partial_chunk(self):
         nx, ny = dict((c[0], c[1]) for c in _oracle_cases())["chunk_remainder"].lattice
@@ -442,27 +455,24 @@ class TestRegionMap:
 def _region_id_grids() -> dict[str, ChannelGrid]:
     """Grids on which the region-id lookups are checked against scans."""
     bundled = channel.default_grid()
-    solo = ChannelGrid(
-        locations=tuple(
-            Location(x=float(i), y=0.0, region=r) for i, r in enumerate(["a", "b", "a", "solo", "b", "a"])
-        ),
-        snr_db=np.zeros((6, CARRIERS)),
+    solo = cells_grid(
+        [(float(i), 0.0, r) for i, r in enumerate(["a", "b", "a", "solo", "b", "a"])], np.zeros((6, CARRIERS))
     )
-    # Relabelled in place of the bundled labels: a stale id table would
-    # still report the old regions.
-    relabelled = tuple(
-        dataclasses.replace(loc, region="west" if loc.x < 2.0 else loc.region) for loc in bundled.locations
-    )
+    # Relabelled in place of the bundled labels, after the bundled grid's
+    # location view is built: a stale view would still report the old regions.
+    bundled.locations
+    names = ["west" if x < 2.0 else r for x, r in zip(bundled.x.tolist(), region_of(bundled))]
+    west = cells_grid(zip(bundled.x, bundled.y, names), bundled.snr_db)
     return {
         "bundled": bundled,
         "csv": channel.grid_from_csv(grid_to_csv(bundled)),
         "solo_label": solo,
-        "replaced": dataclasses.replace(bundled, locations=relabelled),
+        "replaced": dataclasses.replace(bundled, region_id=west.region_id, labels=west.labels),
     }
 
 
 def _scan(grid: ChannelGrid, labels) -> list[int]:
-    return [i for i, loc in enumerate(grid.locations) if loc.region in labels]
+    return [i for i, label in enumerate(region_of(grid)) if label in labels]
 
 
 class TestRegionIds:
@@ -473,8 +483,9 @@ class TestRegionIds:
     @pytest.mark.parametrize("name", ["bundled", "csv", "solo_label", "replaced"])
     def test_lookups_match_location_scan(self, grids, name):
         grid = grids[name]
-        labels = {loc.region for loc in grid.locations}
+        labels = set(region_of(grid))
         assert grid.region_labels() == labels
+        assert [loc.region for loc in grid.locations] == region_of(grid)
         for label in sorted(labels) + ["nowhere"]:
             assert grid.region_indices([label]).tolist() == _scan(grid, {label})
         ordered = sorted(labels)
@@ -500,18 +511,135 @@ class TestRegionIds:
         assert replaced.region_indices(["west"]).tolist() == _scan(replaced, {"west"}) != []
 
 
+def _columns(**overrides) -> dict:
+    """Columns of a valid three-location grid, with some replaced."""
+    cols = dict(
+        x=np.array([0.0, 1.0, 2.0]),
+        y=np.zeros(3),
+        region_id=np.array([0, 1, 0], dtype=np.intp),
+        labels=("office", "lobby"),
+        snr_db=np.zeros((3, CARRIERS)),
+    )
+    cols.update(overrides)
+    return cols
+
+
+class TestColumns:
+    def test_columns_are_arrays(self):
+        grid = ChannelGrid(**_columns(x=[0, 1, 2], region_id=[0, 1, 0], labels=["office", "lobby"]))
+        assert grid.x.dtype == np.float64 and grid.y.dtype == np.float64
+        assert grid.region_id.dtype == np.intp and grid.labels == ("office", "lobby")
+        assert grid.region_indices(["office"]).tolist() == [0, 2]
+
+    @pytest.mark.parametrize(
+        "field, value, shape",
+        [
+            ("x", np.zeros((3, 1)), "(3, 1) does not match (3,)"),
+            ("y", np.zeros(4), "(4,) does not match (3,)"),
+            ("y", np.zeros((3, 1)), "(3, 1) does not match (3,)"),
+            ("region_id", np.zeros(2, dtype=np.intp), "(2,) does not match (3,)"),
+            ("snr_db", np.zeros((2, CARRIERS)), "(2, 64) does not match (3, 64)"),
+            ("snr_db", np.zeros((3, 32)), "(3, 32) does not match (3, 64)"),
+        ],
+    )
+    def test_mismatched_column_lengths(self, field, value, shape):
+        with pytest.raises(ValueError, match=rf"^{field} shape {re.escape(shape)}$"):
+            ChannelGrid(**_columns(**{field: value}))
+
+    @pytest.mark.parametrize("ids", [[0, 2, 1], [-1, 1, 0], [1, 1, 1]], ids=["above", "negative", "label_unused"])
+    def test_region_id_must_index_every_label(self, ids):
+        with pytest.raises(ValueError, match=r"^region_id must take each value in \[0, 2\), one per label"):
+            ChannelGrid(**_columns(region_id=np.array(ids)))
+
+    def test_labels_distinct(self):
+        with pytest.raises(ValueError, match=r"^labels must be distinct, got \('office', 'office'\)$"):
+            ChannelGrid(**_columns(labels=("office", "office")))
+
+    @pytest.mark.parametrize("field", ["x", "y"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate(self, field, value):
+        column = np.zeros(3)
+        column[1] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            ChannelGrid(**_columns(**{field: column}))
+
+    def test_empty_grid(self):
+        grid = ChannelGrid(x=[], y=[], region_id=[], labels=(), snr_db=np.zeros((0, CARRIERS)))
+        assert grid.region_labels() == set() and grid.region_indices(["a"]).size == 0
+
+    def test_location_view(self):
+        grid = ChannelGrid(**_columns())
+        view = grid.locations
+        assert [(loc.x, loc.y, loc.region) for loc in view] == [
+            (0.0, 0.0, "office"), (1.0, 0.0, "lobby"), (2.0, 0.0, "office")
+        ]
+        assert grid.locations is view
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.locations = ()
+
+    def test_paths_build_no_location(self, no_location_objects):
+        cfg = flat_env(regions=(RegionRect("east", 0.6, 2.0, 0.0, 2.0),), fading=FadingModel())
+        grid = channel.synth_grid(cfg, seed=1)
+        text = grid_to_csv(grid)
+        back = channel.grid_from_csv(text)
+        assert grid_to_csv(back) == text and region_of(back) == region_of(grid)
+        values = channel.capacity_sum(grid.snr_db)
+        assert maps.heatmap_csv(grid, values).count("\n") == grid.x.size + 1
+        assert maps.heatmap_svg(grid, values).count("<rect") == grid.x.size
+        with pytest.raises(AssertionError, match="Location was built"):
+            grid.locations
+
+
+class TestSynthRegions:
+    def test_shared_label_is_one_region(self):
+        regions = (
+            RegionRect("office", 0.0, 0.6, 0.0, 0.6),
+            RegionRect("hall", 0.0, 0.6, 0.0, 2.0),
+            RegionRect("office", 0.6, 2.0, 0.6, 2.0),
+        )
+        grid = channel.synth_grid(flat_env(regions=regions), seed=0)
+        assert sorted(grid.labels) == ["hall", "office", "open"]
+        # x-fastest on the 3 x 3 lattice of spacing 0.5
+        assert region_of(grid) == ["office", "office", "open"] * 2 + ["hall", "hall", "office"]
+        assert grid.region_indices(["office"]).tolist() == [0, 1, 3, 4, 8]
+
+    def test_regions_without_locations_dropped(self):
+        regions = (RegionRect("void", 5.0, 6.0, 5.0, 6.0), RegionRect("all", -1.0, 2.0, -1.0, 2.0))
+        grid = channel.synth_grid(flat_env(regions=regions), seed=0)
+        assert grid.labels == ("all",) and grid.region_labels() == {"all"}
+        rm = RegionMap(bob_region="all", eve_regions=frozenset({"open"}))
+        with pytest.raises(ValueError, match=r"regions \['open'\] not present in grid \(has \['all'\]\)"):
+            rm.validate_against(grid)
+
+
 class TestFileFormats:
     def test_grid_csv_round_trip(self):
         grid = channel.synth_grid(flat_env(fading=FadingModel(enabled=True)), seed=3)
         text = grid_to_csv(grid)
         back = channel.grid_from_csv(text)
-        assert [loc.region for loc in back.locations] == [loc.region for loc in grid.locations]
+        assert region_of(back) == region_of(grid)
         # values survive at the 6-significant-digit precision of the format
         assert np.allclose(back.snr_db, grid.snr_db, rtol=1e-5, atol=1e-4)
 
     def test_grid_csv_bad_header(self):
         with pytest.raises(ValueError, match="header"):
             channel.grid_from_csv("a,b,c\n")
+
+    @pytest.mark.parametrize("column", [0, 1, 3, 66], ids=["x", "y", "snr_00", "snr_63"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_grid_csv_non_finite_value_reports_line(self, column, value):
+        lines = grid_to_csv(channel.synth_grid(flat_env(), seed=0)).splitlines()
+        for ln in (4, 6):
+            parts = lines[ln - 1].split(",")
+            parts[column] = value
+            lines[ln - 1] = ",".join(parts)
+        with pytest.raises(ValueError, match="^line 4: x, y and the SNRs must be finite$"):
+            channel.grid_from_csv("\n".join(lines))
+
+    def test_grid_csv_without_rows(self):
+        header = grid_to_csv(channel.synth_grid(flat_env(), seed=0)).splitlines()[0]
+        with pytest.raises(ValueError, match="^grid file has no locations"):
+            channel.grid_from_csv(header + "\n")
 
     def test_grid_csv_bad_row_reports_line(self):
         grid = channel.synth_grid(flat_env(), seed=0)
@@ -562,10 +690,10 @@ class TestFileFormats:
     def test_heatmap_csv_and_svg(self):
         grid = channel.synth_grid(flat_env(), seed=0)
         vals = [channel.capacity_sum(row) for row in grid.snr_db]
-        csv = channel.heatmap_csv(grid, vals)
+        csv = maps.heatmap_csv(grid, vals)
         assert csv.splitlines()[0] == "x,y,value"
-        assert len(csv.splitlines()) == len(grid.locations) + 1
-        svg = channel.heatmap_svg(grid, vals)
-        assert svg.startswith("<svg") and svg.count("<rect") == len(grid.locations)
+        assert len(csv.splitlines()) == grid.x.size + 1
+        svg = maps.heatmap_svg(grid, vals)
+        assert svg.startswith("<svg") and svg.count("<rect") == grid.x.size
         with pytest.raises(ValueError):
-            channel.heatmap_csv(grid, vals[:-1])
+            maps.heatmap_csv(grid, vals[:-1])

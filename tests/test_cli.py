@@ -10,9 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 from wiretapkit import channel, cli, codes
-from wiretapkit.channel import ChannelGrid, FadingModel, Location
 
-from conftest import grid_to_csv, save_capture, synth_capture
+from conftest import cells_grid, grid_to_csv, save_capture, synth_capture
 
 
 @pytest.fixture
@@ -25,13 +24,7 @@ def tiny_grid_file(tmp_path):
     """A two-location grid CSV plus a matching regions JSON."""
     bob = np.full(64, 30.0)
     eve = np.full(64, 22.0)
-    grid = ChannelGrid(
-        locations=(
-            Location(x=0.0, y=0.0, region="office"),
-            Location(x=1.0, y=0.0, region="lobby"),
-        ),
-        snr_db=np.array([bob, eve]),
-    )
+    grid = cells_grid([(0.0, 0.0, "office"), (1.0, 0.0, "lobby")], [bob, eve])
     grid_path = tmp_path / "grid.csv"
     grid_path.write_text(grid_to_csv(grid))
     regions_path = tmp_path / "regions.json"
@@ -95,7 +88,7 @@ def test_out_of_range_rm_spec_is_one_line_error(runner, tmp_path, monkeypatch, a
     def build_row(*_):
         raise AssertionError("a Reed-Muller generator row was built")
 
-    monkeypatch.setattr(codes, "_monomial_row", build_row)
+    monkeypatch.setattr(codes, "_monomial_rows", build_row)
     res = runner.invoke(cli.main, [*args, "--out-dir", str(tmp_path)])
     assert_one_line_error(res)
     assert res.output.startswith("Error: rm:")
@@ -230,6 +223,19 @@ class TestOneLineErrors:
         assert "--region must be a string with no comma or line break" in res.output
         assert not (tmp_path / "snr_row.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ["--x", "--y"])
+    def test_sound_non_finite_coordinate(self, runner, tmp_path, option, value):
+        iq_path, sidecar = tmp_path / "c.iq", tmp_path / "c.json"
+        save_capture(synth_capture(25.0, seed=3), iq_path, sidecar)
+        res = runner.invoke(
+            cli.main,
+            ["sound", str(iq_path), "--sidecar", str(sidecar), option, value, "--out-dir", str(tmp_path)],
+        )
+        assert_one_line_error(res)
+        assert res.output == f"Error: {option[2:]} must be finite\n"
+        assert not (tmp_path / "snr_row.csv").exists()
+
     @pytest.mark.parametrize("periods", [0, -3, 2.5, True, "32"])
     def test_sound_bad_periods(self, runner, tmp_path, periods):
         iq_path, sidecar = tmp_path / "c.iq", tmp_path / "c.json"
@@ -280,6 +286,12 @@ class TestGhw:
 
 
 class TestSynth:
+    def test_grid_csv_survives_a_round_trip(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["synth", "--out-dir", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        text = (tmp_path / "grid.csv").read_text()
+        assert grid_to_csv(channel.grid_from_csv(text)) == text
+
     def test_deterministic_outputs(self, runner, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -349,6 +361,36 @@ class TestMaps:
         res = runner.invoke(cli.main, ["heatmap", "--grid", str(bad), "--out-dir", str(tmp_path)])
         assert res.exit_code != 0
 
+    @pytest.mark.parametrize("command", ["heatmap", "capacity", "secrecy"])
+    @pytest.mark.parametrize("custom", [False, True], ids=["builtin", "custom"])
+    def test_map_paths_build_no_location(self, runner, tmp_path, tiny_grid_file, no_location_objects, command, custom):
+        grid_path, regions_path = tiny_grid_file
+        args = [command, "--svg", "--out-dir", str(tmp_path)]
+        if custom:
+            args += ["--grid", str(grid_path)] + (["--regions", str(regions_path)] if command == "secrecy" else [])
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == 0, res.output
+        name = "reliable" if command == "heatmap" else command
+        rows = (tmp_path / f"{name}_map.csv").read_text().count("\n") - 1
+        assert rows == (2 if custom else channel.default_grid().x.size)
+        assert (tmp_path / f"{name}_map.svg").read_text().count("<rect") == rows
+
+    @pytest.mark.parametrize("column, value", [(0, "nan"), (0, "inf"), (1, "-inf")])
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_non_finite_coordinate_in_grid_file(self, runner, tmp_path, tiny_grid_file, column, value, svg):
+        grid_path, _ = tiny_grid_file
+        lines = grid_path.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[column] = value
+        lines[2] = ",".join(parts)
+        grid_path.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(
+            cli.main, ["capacity", "--grid", str(grid_path), "--out-dir", str(tmp_path)] + ["--svg"] * svg
+        )
+        assert_one_line_error(res)
+        assert res.output == f"Error: {grid_path}: line 3: x, y and the SNRs must be finite\n"
+        assert not (tmp_path / "capacity_map.csv").exists() and not (tmp_path / "capacity_map.svg").exists()
+
 
 class TestSweepAndSimulate:
     def test_sweep_custom_grid(self, runner, tmp_path, tiny_grid_file):
@@ -369,13 +411,7 @@ class TestSweepAndSimulate:
 
     def test_sweep_reports_no_secure_point(self, runner, tmp_path):
         bob = np.full(64, 30.0)
-        grid = ChannelGrid(
-            locations=(
-                Location(x=0.0, y=0.0, region="office"),
-                Location(x=1.0, y=0.0, region="lobby"),
-            ),
-            snr_db=np.array([bob, bob]),
-        )
+        grid = cells_grid([(0.0, 0.0, "office"), (1.0, 0.0, "lobby")], [bob, bob])
         grid_path = tmp_path / "grid.csv"
         grid_path.write_text(grid_to_csv(grid))
         regions_path = tmp_path / "regions.json"
@@ -424,10 +460,7 @@ class TestSweepAndSimulate:
         # C (one bit leaks), independent columns of its dual (none leaks)
         eve = np.full(64, 10.0)
         eve[1:3] = 30.0
-        grid = ChannelGrid(
-            locations=(Location(x=0.0, y=0.0, region="office"), Location(x=1.0, y=0.0, region="lobby")),
-            snr_db=np.array([np.full(64, 30.0), eve]),
-        )
+        grid = cells_grid([(0.0, 0.0, "office"), (1.0, 0.0, "lobby")], [np.full(64, 30.0), eve])
         grid_path = tmp_path / "grid.csv"
         grid_path.write_text(grid_to_csv(grid))
         regions_path = tmp_path / "regions.json"
@@ -510,6 +543,17 @@ class TestSweepInputErrors:
         )
         assert_one_line_error(res)
         assert res.output.startswith(f"Error: {regions_path}: {message}"), res.output
+
+    def test_grid_file_without_locations(self, runner, tmp_path, tiny_grid_file):
+        grid_path, regions_path = tiny_grid_file
+        header = tmp_path / "header.csv"
+        header.write_text(grid_path.read_text().splitlines()[0] + "\n")
+        res = runner.invoke(
+            cli.main,
+            ["sweep", "--grid", str(header), "--regions", str(regions_path), "--out-dir", str(tmp_path)],
+        )
+        assert_one_line_error(res)
+        assert res.output == f"Error: {header}: grid file has no locations; expected rows after the header\n"
 
     def test_empty_grid_file(self, runner, tmp_path, tiny_grid_file):
         _, regions_path = tiny_grid_file

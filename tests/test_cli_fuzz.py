@@ -21,9 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wiretapkit import channel, cli, codes
-from wiretapkit.channel import ChannelGrid, Location
 
-from conftest import grid_to_csv, save_capture, synth_capture
+from conftest import cells_grid, grid_to_csv, save_capture, synth_capture
 
 GOOD_GRID = "grid.csv"
 MISSING = "missing.json"
@@ -101,10 +100,7 @@ def files(tmp_path_factory):
         for name, content in table.items():
             if content is not None:
                 _write(root / sub / name, content)
-    grid = ChannelGrid(
-        locations=(Location(x=0.0, y=0.0, region="office"), Location(x=1.0, y=0.0, region="lobby")),
-        snr_db=np.array([np.full(64, 30.0), np.full(64, 22.0)]),
-    )
+    grid = cells_grid([(0.0, 0.0, "office"), (1.0, 0.0, "lobby")], [np.full(64, 30.0), np.full(64, 22.0)])
     (root / "grid" / GOOD_GRID).write_text(grid_to_csv(grid))
     save_capture(synth_capture(25.0, seed=3), root / "cap.iq", root / "sidecar" / "cap.json")
     np.zeros(33, dtype="<f4").tofile(root / "odd.iq")

@@ -17,6 +17,7 @@ from conftest import (
     oracle_ghw,
     oracle_ghw_rm_monomial,
     oracle_rank,
+    oracle_rm_generator,
     oracle_subset_rank_tallies,
 )
 
@@ -220,6 +221,16 @@ class TestWeiDuality:
             for u in range(m + 1):
                 dual_weights = () if u == m else codes._ghw_rm_monomial(m - u - 1, m).weights
                 self.assert_partition(2**m, codes._ghw_rm_monomial(u, m).weights, dual_weights)
+
+
+class TestReedMullerGenerator:
+    def test_rows_match_per_monomial_oracle(self):
+        for m in range(1, codes.RM_MAX_DEGREE + 1):
+            for u in range(m + 1):
+                got = codes.reed_muller(u, m).generator.a
+                want = oracle_rm_generator(u, m)
+                assert got.dtype == want.dtype and got.shape == want.shape, (u, m)
+                assert got.tobytes() == want.tobytes(), (u, m)
 
 
 class TestGHW:

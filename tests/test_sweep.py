@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from wiretapkit import channel, codes, sweep, wiretap
 from wiretapkit.bitlinalg import BitMatrix
-from wiretapkit.channel import ChannelGrid, Location, RegionMap
+from wiretapkit.channel import RegionMap
 
 from conftest import (
+    cells_grid,
     oracle_family_params,
     oracle_leakage,
     oracle_rref,
@@ -27,13 +28,7 @@ from conftest import (
 
 
 def two_location_grid(bob_snrs, eve_snrs):
-    return ChannelGrid(
-        locations=(
-            Location(x=0.0, y=0.0, region="bob_office"),
-            Location(x=1.0, y=0.0, region="eve_room"),
-        ),
-        snr_db=np.array([bob_snrs, eve_snrs], dtype=float),
-    )
+    return cells_grid([(0.0, 0.0, "bob_office"), (1.0, 0.0, "eve_room")], [bob_snrs, eve_snrs])
 
 
 REGIONS = RegionMap(bob_region="bob_office", eve_regions=frozenset({"eve_room"}))
@@ -109,13 +104,9 @@ class TestEvaluate:
             assert inter.min_equivocation_pct >= worst.min_equivocation_pct
 
     def test_bob_reference_is_capacity_argmax(self):
-        grid = ChannelGrid(
-            locations=(
-                Location(x=0.0, y=0.0, region="bob_office"),
-                Location(x=0.5, y=0.0, region="bob_office"),
-                Location(x=1.0, y=0.0, region="eve_room"),
-            ),
-            snr_db=np.array([np.full(64, 20.0), np.full(64, 30.0), np.full(64, 5.0)]),
+        grid = cells_grid(
+            [(0.0, 0.0, "bob_office"), (0.5, 0.0, "bob_office"), (1.0, 0.0, "eve_room")],
+            [np.full(64, 20.0), np.full(64, 30.0), np.full(64, 5.0)],
         )
         assert sweep.bob_reference_index(grid, REGIONS) == 1
 
@@ -135,10 +126,7 @@ class TestEvaluate:
         snr[bob[0]] = -300.0
         snr[bob[1], ::2] = -300.0
         snr[bob[2]] = snr[bob[-1]] = rng.uniform(40.0, 50.0, size=64)
-        grid = ChannelGrid(
-            locations=tuple(Location(x=float(i), y=0.0, region=r) for i, r in enumerate(labels)),
-            snr_db=snr,
-        )
+        grid = cells_grid([(float(i), 0.0, r) for i, r in enumerate(labels)], snr)
         caps = [channel.capacity_sum(snr[i]) for i in bob]
         assert caps[0] == 0.0 and caps.count(max(caps)) == 2
         assert sweep.bob_reference_index(grid, REGIONS) == bob[caps.index(max(caps))] == bob[2]
@@ -230,12 +218,9 @@ def small_scenarios(draw):
     if draw(st.booleans()):
         eves = np.vstack([eves, eves[:1]])
     rooms = [("eve_room", "eve_annex")[i % 2] for i in range(len(eves))]
-    locations = [Location(x=0.0, y=0.0, region="hallway"), Location(x=1.0, y=0.0, region="bob_office")]
-    locations += [Location(x=2.0 + i, y=0.0, region=r) for i, r in enumerate(rooms)]
-    grid = ChannelGrid(
-        locations=tuple(locations),
-        snr_db=np.vstack([np.full(64, 40.0), bob, eves]),
-    )
+    cells = [(0.0, 0.0, "hallway"), (1.0, 0.0, "bob_office")]
+    cells += [(2.0 + i, 0.0, r) for i, r in enumerate(rooms)]
+    grid = cells_grid(cells, np.vstack([np.full(64, 40.0), bob, eves]))
     regions = RegionMap(
         bob_region="bob_office",
         eve_regions=frozenset(rooms),
@@ -283,7 +268,7 @@ class TestSweepMatchesOracle:
             assert got == oracle_sweep(family, grid, regions, self.TAUS, interleave)
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["bundled", "perturbed"])
-    def test_full_family_frontier(self, perturbed):
+    def test_full_family_frontier(self, perturbed, no_location_objects):
         env = channel.default_environment()
         seed = channel.DEFAULT_GRID_SEED
         if perturbed:
