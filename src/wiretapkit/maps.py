@@ -5,11 +5,17 @@ import numpy as np
 from .channel import ChannelGrid
 
 
-def heatmap_csv(grid: ChannelGrid, values) -> str:
-    """Per-location scalar map as x,y,value rows."""
+def _per_location(grid: ChannelGrid, values) -> np.ndarray:
+    """``values`` as a float array, refused unless it holds one value per location."""
     values = np.asarray(values, dtype=float)
     if values.shape != grid.x.shape:
         raise ValueError(f"need one value per location, got {values.shape}")
+    return values
+
+
+def heatmap_csv(grid: ChannelGrid, values) -> str:
+    """Per-location scalar map as x,y,value rows."""
+    values = _per_location(grid, values)
     rows = zip(grid.x.tolist(), grid.y.tolist(), values.tolist())
     return "x,y,value\n" + "".join("%.6g,%.6g,%.6g\n" % row for row in rows)
 
@@ -30,7 +36,7 @@ def _ramp_color(t: float) -> str:
 
 def heatmap_svg(grid: ChannelGrid, values) -> str:
     """Fixed-ramp SVG rendering of a per-location scalar map (no metadata)."""
-    values = np.asarray(values, dtype=float)
+    values = _per_location(grid, values)
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
     xs, xi = np.unique(grid.x, return_inverse=True)

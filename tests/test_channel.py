@@ -697,3 +697,12 @@ class TestFileFormats:
         assert svg.startswith("<svg") and svg.count("<rect") == grid.x.size
         with pytest.raises(ValueError):
             maps.heatmap_csv(grid, vals[:-1])
+
+    @pytest.mark.parametrize("render", [maps.heatmap_csv, maps.heatmap_svg], ids=["csv", "svg"])
+    @pytest.mark.parametrize("shape", [(6,), (10,), (9, 1), ()], ids=["6", "10", "9x1", "scalar"])
+    def test_heatmap_needs_one_value_per_location(self, render, shape):
+        """A 9-location grid refuses 6, 10, a (9, 1) column or a scalar,
+        where the SVG's zip would draw as many cells as the shorter input."""
+        grid = cells_grid([(float(i % 3), float(i // 3), "room") for i in range(9)], np.zeros((9, 64)))
+        with pytest.raises(ValueError, match=re.escape(f"need one value per location, got {shape}")):
+            render(grid, np.ones(shape))

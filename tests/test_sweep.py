@@ -15,6 +15,7 @@ from wiretapkit.channel import RegionMap
 
 from conftest import (
     cells_grid,
+    oracle_bob_reference,
     oracle_family_params,
     oracle_leakage,
     oracle_rref,
@@ -132,6 +133,105 @@ class TestEvaluate:
         assert sweep.bob_reference_index(grid, REGIONS) == bob[caps.index(max(caps))] == bob[2]
 
 
+def bob_grid(bob_rows):
+    """Bob's rows in grid order, then one Eve cell."""
+    cells = [(float(i), 0.0, "bob_office") for i in range(len(bob_rows))] + [(-1.0, 0.0, "eve_room")]
+    return cells_grid(cells, [*bob_rows, np.zeros(64)])
+
+
+@pytest.fixture
+def capacity_rows(monkeypatch):
+    """The row count of every ``channel.capacity_sum`` call made during the test."""
+    rows = []
+    real = channel.capacity_sum
+
+    def counting(snrs):
+        rows.append(int(np.prod(np.shape(snrs)[:-1])))
+        return real(snrs)
+
+    monkeypatch.setattr(channel, "capacity_sum", counting)
+    return rows
+
+
+def perturbed_plan(seed):
+    """The bundled plan with its transmitter, reference SNR, wall losses
+    and fading seed redrawn from ``seed``."""
+    env = channel.default_environment()
+    rng = np.random.default_rng(seed)
+    walls = tuple(dataclasses.replace(w, loss_db=float(rng.uniform(3.0, 14.0))) for w in env.walls)
+    env = dataclasses.replace(
+        env,
+        tx=(float(rng.uniform(0.5, 4.5)), float(rng.uniform(0.2, 3.0))),
+        ref_snr_db=float(rng.uniform(26.0, 40.0)),
+        walls=walls,
+    )
+    return channel.synth_grid(env, seed=seed), env.region_map
+
+
+class TestBobReference:
+    """The bound-pruned argmax against the per-location oracle.
+
+    A carrier at x dB holds between 0.5 max(0, s) and that plus 0.5 b/cu
+    (s = x log2(10) / 10), so a row's floor, its summed lower ends, is
+    within 32 b/cu of its capacity."""
+
+    def test_lower_floor_wins_on_capacity(self):
+        """All 64 carriers at 0 dB: floor 0, capacity exactly 32.  One
+        carrier just under 32 b/cu of floor, the rest silent: floor and
+        capacity just under 32.  The row with the best floor loses."""
+        flat = np.zeros(64)
+        spike = np.full(64, -300.0)
+        spike[0] = (32.0 - 1e-9) / (0.05 * np.log2(10.0))
+        grid = bob_grid([spike, flat, spike])
+        assert channel.capacity_sum(spike) < channel.capacity_sum(flat) == 32.0
+        assert sweep.bob_reference_index(grid, REGIONS) == oracle_bob_reference(grid, "bob_office") == 1
+
+    def test_far_floor_is_pruned(self, capacity_rows):
+        """A row whose floor is 32 b/cu or more below the best never
+        reaches the exact capacity sum."""
+        grid = bob_grid([np.zeros(64), np.full(64, 7.0), np.full(64, 6.0)])
+        assert sweep.bob_reference_index(grid, REGIONS) == oracle_bob_reference(grid, "bob_office") == 1
+        assert capacity_rows == [2]
+
+    def test_exact_ties_pick_lowest_index(self):
+        rng = np.random.default_rng(3)
+        best = rng.uniform(20.0, 40.0, size=64)
+        rows = [rng.uniform(0.0, 30.0, size=64), best, rng.uniform(0.0, 30.0, size=64), best, best]
+        grid = bob_grid(rows)
+        assert sweep.bob_reference_index(grid, REGIONS) == oracle_bob_reference(grid, "bob_office") == 1
+
+    def test_all_below_0_db_keeps_every_cell(self, capacity_rows):
+        rng = np.random.default_rng(4)
+        grid = bob_grid(list(rng.uniform(-30.0, -0.1, size=(9, 64))))
+        assert sweep.bob_reference_index(grid, REGIONS) == oracle_bob_reference(grid, "bob_office")
+        assert capacity_rows == [9]
+
+    def test_one_cell_region(self):
+        grid = bob_grid([np.full(64, 12.0)])
+        assert sweep.bob_reference_index(grid, REGIONS) == oracle_bob_reference(grid, "bob_office") == 0
+
+    def test_overflowing_capacity_scores_every_cell(self, capacity_rows):
+        """At 3,100 dB 10^(x/10) overflows, so one such carrier makes the
+        capacity inf, above a row whose floor is far higher."""
+        huge = np.full(64, -300.0)
+        huge[5] = 3100.0
+        grid = bob_grid([np.full(64, 1000.0), huge])
+        with np.errstate(over="ignore"):
+            assert sweep.bob_reference_index(grid, REGIONS) == oracle_bob_reference(grid, "bob_office") == 1
+        assert capacity_rows == [2]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_perturbed_plans(self, seed):
+        grid, regions = perturbed_plan(seed)
+        assert sweep.bob_reference_index(grid, regions) == oracle_bob_reference(grid, regions.bob_region)
+
+    def test_bundled_grid_scores_few_rows(self, capacity_rows):
+        grid, regions = channel.default_grid(), channel.default_environment().region_map
+        assert sweep.bob_reference_index(grid, regions) == oracle_bob_reference(grid, regions.bob_region)
+        assert grid.region_indices((regions.bob_region,)).size == 600
+        assert sum(capacity_rows) <= 8
+
+
 class TestSweepAndSelect:
     def test_single_point_equals_evaluate(self, analog_grid, rate34):
         pts = sweep.sweep([rate34], analog_grid, REGIONS, [27.0])
@@ -229,6 +329,28 @@ def small_scenarios(draw):
     return grid, regions
 
 
+@st.composite
+def repeated_mask_scenarios(draw):
+    """Two Bob cells and 2-12 Eve cells over two rooms, each Eve a copy
+    of one of 1-3 patterns of 10/20/25/30 dB carriers.  Copies are
+    jittered by under 0.9 dB, which crosses none of the thresholds 20,
+    25, 30, 31 dB, and redrawn on the carriers Bob reads at none of
+    them, so many Eves share a read mask while their SNRs differ."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = np.array([10.0, 20.0, 25.0, 30.0])
+    bob = rng.choice(levels, size=(2, 64))
+    patterns = rng.choice(levels, size=(draw(st.integers(1, 3)), 64))
+    eves = patterns[rng.integers(len(patterns), size=draw(st.integers(2, 12)))]
+    eves = eves + rng.uniform(0.0, 0.9, size=eves.shape)
+    unread = bob.max(axis=0) < 20.0
+    eves[:, unread] = rng.choice(levels, size=(len(eves), int(unread.sum())))
+    rooms = [("eve_room", "eve_annex")[int(i)] for i in rng.integers(2, size=len(eves))]
+    cells = [(0.0, 0.0, "bob_office"), (0.5, 0.0, "bob_office")]
+    cells += [(1.0 + i, 0.0, r) for i, r in enumerate(rooms)]
+    grid = cells_grid(cells, np.vstack([bob, eves]))
+    return grid, RegionMap(bob_region="bob_office", eve_regions=frozenset(rooms))
+
+
 class TestBlockLayout:
     def test_round_robin_blocks(self):
         """Block b holds carriers b, b + B, ...; bit i sits on its carrier
@@ -266,6 +388,31 @@ class TestSweepMatchesOracle:
         for interleave in (False, True):
             got = sweep.sweep(family, grid, regions, self.TAUS, interleave=interleave)
             assert got == oracle_sweep(family, grid, regions, self.TAUS, interleave)
+
+    @given(repeated_mask_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_read_masks(self, family, scenario):
+        grid, regions = scenario
+        for interleave in (False, True):
+            got = sweep.sweep(family, grid, regions, self.TAUS, interleave=interleave)
+            assert got == oracle_sweep(family, grid, regions, self.TAUS, interleave)
+
+    @pytest.mark.parametrize("interleave", [False, True], ids=["worst_case", "interleaved"])
+    @pytest.mark.parametrize("early, late", [(63, 0), (0, 63)], ids=["early_sorts_last", "early_sorts_first"])
+    def test_tied_masks_blame_first_eve(self, family, interleave, early, late):
+        """Bob reads carriers 0 and 63; two Eves read one of them each and
+        so leak alike.  The earlier one is blamed whichever mask sorts
+        first, and an even earlier blind Eve is not."""
+        bob = np.full(64, 10.0)
+        bob[[0, 63]] = 30.0
+        eves = np.full((3, 64), 10.0)
+        eves[1, early] = eves[2, late] = 30.0
+        cells = [(0.0, 0.0, "bob_office")] + [(1.0 + i, 0.0, "eve_room") for i in range(3)]
+        grid = cells_grid(cells, np.vstack([bob, eves]))
+        got = sweep.sweep(family, grid, REGIONS, [25.0], interleave=interleave)
+        assert got == oracle_sweep(family, grid, REGIONS, [25.0], interleave)
+        leaky = [p for p in got if p.min_equivocation_pct < 100.0]
+        assert leaky and all(p.worst_eve_location == 2 for p in leaky)
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["bundled", "perturbed"])
     def test_full_family_frontier(self, perturbed, no_location_objects):
