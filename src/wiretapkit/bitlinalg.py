@@ -124,19 +124,6 @@ def mulvec(a: Sequence[int], b: BitMatrix) -> np.ndarray:
     return ((v @ b.a.astype(np.float64)).astype(np.int64) & 1).astype(np.uint8)
 
 
-def column_select(m: BitMatrix, indices: Sequence[int]) -> BitMatrix:
-    """Submatrix of the selected columns, order preserved."""
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate column indices: {idx}")
-    for i in idx:
-        if not 0 <= i < m.cols:
-            raise ValueError(f"column index {i} out of range for {m.cols} columns")
-    if not idx:
-        return BitMatrix(np.zeros((m.rows, 0), dtype=np.uint8))
-    return BitMatrix(m.a[:, idx])
-
-
 def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     """Reduced row-echelon form over GF(2) and the pivot column list.
 

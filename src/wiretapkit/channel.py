@@ -18,9 +18,9 @@ import numpy as np
 
 CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
-# At the cap on 2 shared vCPUs, synth_grid takes 0.28-0.44 s and 101 MB peak
-# RSS, 0.21-0.33 s of it the seeded fading; the synth command, which also
-# writes the CSV, takes 2.1-2.8 s.
+# At the cap on 2 shared vCPUs, synth_grid takes 0.27-0.49 s and 101 MB peak
+# RSS, 0.20-0.35 s of it the seeded fading; the synth command, which also
+# writes the CSV, takes 2.8-2.9 s.
 MAX_GRID_LOCATIONS = 100_000
 
 
@@ -271,7 +271,8 @@ class EnvironmentConfig:
                   "ref_distance_m": self.ref_distance, "tx.x": self.tx[0], "tx.y": self.tx[1],
                   "ref_snr_db": self.ref_snr_db, "tx_power_offset_db": self.tx_power_offset_db,
                   "path_loss_exponent": self.path_loss_exponent,
-                  "fading sigma_scale": self.fading.sigma_scale}
+                  "fading sigma_scale": self.fading.sigma_scale,
+                  "fading delay_spread": self.fading.delay_spread}
         for i, w in enumerate(self.walls):
             finite.update({f"walls[{i}].{f}": getattr(w, f) for f in ("x1", "y1", "x2", "y2", "loss_db")})
         for i, r in enumerate(self.regions):
@@ -293,7 +294,7 @@ class EnvironmentConfig:
         taps = self.fading.taps
         if isinstance(taps, bool) or not isinstance(taps, int) or not 1 <= taps <= CARRIERS:
             raise ValueError(f"fading taps must be an integer in [1, {CARRIERS}], got {taps!r}")
-        if not (isinstance(self.fading.delay_spread, numbers.Real) and self.fading.delay_spread > 0):
+        if not self.fading.delay_spread > 0:
             raise ValueError(f"fading delay_spread must be > 0, got {self.fading.delay_spread}")
         nx, ny = self.lattice
         if nx * ny > MAX_GRID_LOCATIONS:
@@ -467,18 +468,6 @@ def _seed_words(seed: int, count: int) -> np.ndarray:
     return state.view("<u8")
 
 
-def _pcg64_start(words: list[int]) -> dict:
-    """PCG64's (state, inc) after seeding from one row of :func:`_seed_words`.
-
-    The first two words are initstate, the last two initseq (high word
-    first); the setseq rule sets inc = 2 initseq + 1 and
-    state = (inc + initstate) MULT + inc, all mod 2^128.
-    """
-    initstate = words[0] << 64 | words[1]
-    inc = (words[2] << 65 | words[3] << 1 | 1) & _MASK128
-    return {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
-
-
 def _tap_sum(taps: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """``(taps[:, None, :] * phase[None]).sum(axis=-1)`` bit for bit, per tap.
 
@@ -567,27 +556,38 @@ def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.n
     hi += lo < inc_lo
 
 
-def _pcg64_outputs(words: np.ndarray, raw: np.ndarray) -> None:
-    """Write the first outputs of seed row ``words[i]``'s PCG64 into ``raw[i]``.
+def _pcg64_seeded(words: np.ndarray) -> np.ndarray:
+    """PCG64's start state for each row of :func:`_seed_words`, as a (rows, 4)
+    uint64 array: the state's high and low words, then inc's.
 
-    Every row starts as :func:`_pcg64_start` sets it, from
-    initstate + inc stepped once, and steps once per column, all rows at
-    once; each output is XSL-RR, the xor of the state's words rotated
-    right by its top 6 bits.
+    The first two words are initstate, the last two initseq (high word
+    first); the setseq rule sets inc = 2 initseq + 1 and
+    state = (inc + initstate) MULT + inc, all mod 2^128.
     """
     w0, w1, w2, w3 = words.T
     inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
     lo = w1 + inc_lo
     hi = w0 + inc_hi + (lo < inc_lo)
     _pcg64_step(hi, lo, inc_hi, inc_lo)
+    return np.stack([hi, lo, inc_hi, inc_lo], axis=1)
+
+
+def _pcg64_outputs(states: np.ndarray, raw: np.ndarray) -> None:
+    """Write the first outputs of the PCG64 in row i of ``states`` into ``raw[i]``.
+
+    Copies of the :func:`_pcg64_seeded` states step once per column, all
+    rows at once; each output is XSL-RR, the xor of the state's words
+    rotated right by its top 6 bits.
+    """
+    hi, lo, inc_hi, inc_lo = states.T.copy()
     for out in raw.T:
         _pcg64_step(hi, lo, inc_hi, inc_lo)
         x, rot = hi ^ lo, hi >> 58
         np.bitwise_or(x >> rot, x << (-rot & 63), out=out)
 
 
-def _bulk_normals(words: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Draw row i of ``z`` from the stream of seed row ``words[i]``; True where it holds.
+def _bulk_normals(states: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Draw row i of ``z`` from the PCG64 in row i of ``states``; True where it holds.
 
     Each output of :func:`_pcg64_outputs` becomes numpy's ziggurat
     fast-path normal, -/+ rabs wi[idx].  A row holds numpy's draws
@@ -596,7 +596,7 @@ def _bulk_normals(words: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
     wi, bound = _ziggurat()
     raw = np.empty(z.shape, dtype=np.uint64)
-    _pcg64_outputs(words, raw)
+    _pcg64_outputs(states, raw)
     # Little-endian bytes 0 and 1 of each output hold idx and the sign.
     idx, sign = raw.view(np.uint8)[:, 0::8], raw.view(np.uint8)[:, 1::8]
     rabs = raw >> 9 & (1 << 52) - 1
@@ -613,13 +613,14 @@ def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     across the 64 subcarriers, so each row depends on its own index
     alone.  The seeding is done for all rows at once by
     :func:`_seed_words`.  Rows are drawn a block at a time, as many
-    ``FADING_CHUNK``s as keep the block's draws within ``_DRAW_BYTES``:
-    :func:`_bulk_normals` steps every row's PCG64 as uint64 array passes
-    and keeps numpy's ziggurat fast path, whose table :func:`_ziggurat`
-    reads from numpy once per process.  A row with any draw off that path
-    (one in eight at 4 taps), and every row above ``_BULK_MAX_TAPS``
-    taps, is redrawn whole by numpy: one reused Generator set to the
-    row's start state from :func:`_pcg64_start`.  Each block is then
+    ``FADING_CHUNK``s as keep the block's draws within ``_DRAW_BYTES``,
+    from its rows' PCG64 start states, computed once by
+    :func:`_pcg64_seeded`.  :func:`_bulk_normals` steps copies of them as
+    uint64 array passes and keeps numpy's ziggurat fast path, whose table
+    :func:`_ziggurat` reads from numpy once per process.  A row with any
+    draw off that path (one in eight at 4 taps), and every row above
+    ``_BULK_MAX_TAPS`` taps, is redrawn whole by numpy: one reused
+    Generator set to the row's start state.  Each block is then
     transformed ``FADING_CHUNK`` rows at a time.  The transform
     H(f) = sum_j tap_j e^(-2 pi i f j / 64), :func:`_tap_sum`, adds the
     per-tap products in numpy's own pairwise order (four lanes of every
@@ -641,11 +642,12 @@ def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     bit_generator = rng.bit_generator
     start_state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     for start in range(0, out.shape[0], block_rows):
-        words = seeds[start:start + block_rows]
-        z = draws[: words.shape[0]]
-        drawn = _bulk_normals(words, z) if cfg.taps <= _BULK_MAX_TAPS else np.zeros(z.shape[0], dtype=bool)
+        states = _pcg64_seeded(seeds[start:start + block_rows])
+        z = draws[: states.shape[0]]
+        drawn = _bulk_normals(states, z) if cfg.taps <= _BULK_MAX_TAPS else np.zeros(z.shape[0], dtype=bool)
         for i in np.flatnonzero(~drawn).tolist():
-            start_state["state"] = _pcg64_start(words[i].tolist())
+            hi, lo, inc_hi, inc_lo = states[i].tolist()
+            start_state["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
             bit_generator.state = start_state
             rng.standard_normal(out=z[i])
         for at in range(0, z.shape[0], FADING_CHUNK):
@@ -757,9 +759,9 @@ def load_capture(iq_path, sidecar_path) -> SoundingCapture:
     raw = np.fromfile(iq_path, dtype="<f4")
     if raw.size % 2:
         raise ValueError(f"odd sample count {raw.size}, expected interleaved I,Q pairs")
-    rate = float(meta.get("sample_rate_hz", 20e6))
-    if not rate > 0:
-        raise ValueError(f"sample_rate_hz must be positive, got {rate}")
+    rate = meta.get("sample_rate_hz", 20e6)
+    if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and math.isfinite(rate) and rate > 0):
+        raise ValueError(f"sample_rate_hz must be positive and finite, got {rate!r}")
     iq = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
     return SoundingCapture(iq=iq, periods=meta.get("periods", 32))
 

@@ -287,14 +287,7 @@ def sweep_cmd(grid_path, regions_path, taus, max_m, interleave, require_full_equ
     try:
         best = sweepmod.select_best(points, require_full_equivocation=require_full_equivocation)
         best_payload = {
-            "code_label": best.code_label,
-            "n": best.n,
-            "k": best.k,
-            "rate": best.rate,
-            "tau_db": best.tau_db,
-            "active_carriers": best.active_carriers,
-            "throughput": best.throughput,
-            "min_equivocation_pct": best.min_equivocation_pct,
+            name: getattr(best, name) for name in sweepmod.FRONTIER_COLUMNS if name != "worst_eve_location"
         }
         click.echo(
             f"best: {best.code_label} at tau={best.tau_db:g} dB -> "

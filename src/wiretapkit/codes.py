@@ -131,16 +131,13 @@ def enumerate_codewords(c: LinearCode, cap: int = DEFAULT_ENUM_CAP) -> np.ndarra
     """All 2^dim codewords as a (2^dim, n) uint8 array.
 
     Row t is the XOR combination of generator rows selected by the
-    dim-bit binary expansion of t (leftmost bit selects row 0).
+    dim-bit binary expansion of t (leftmost bit selects row 0), one
+    :func:`bitlinalg.mulvec` product; dim 0 gives the zero word alone.
     """
     if c.dim > cap:
         raise ValueError(f"dim {c.dim} exceeds enumeration cap {cap} (2^{c.dim} codewords)")
-    if c.dim == 0:
-        return np.zeros((1, c.n), dtype=np.uint8)
-    counters = np.arange(2**c.dim, dtype=np.uint64)
-    shifts = np.arange(c.dim - 1, -1, -1, dtype=np.uint64)
-    bits = ((counters[:, None] >> shifts[None, :]) & 1).astype(np.uint64)
-    return ((bits @ c.generator.a.astype(np.uint64)) & 1).astype(np.uint8)
+    bits = np.arange(2**c.dim)[:, None] >> np.arange(c.dim - 1, -1, -1) & 1
+    return bitlinalg.mulvec(bits, c.generator)
 
 
 def _zeta_pass(a: np.ndarray, stride: int) -> None:

@@ -34,6 +34,12 @@ def _ramp_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
+def svg_document(width: float, height: float, elements) -> str:
+    """An SVG of the given size in user units holding ``elements``, one line each."""
+    size = f'width="{width:g}" height="{height:g}" viewBox="0 0 {width:g} {height:g}"'
+    return "\n".join([f'<svg xmlns="http://www.w3.org/2000/svg" {size}>', *elements, "</svg>"]) + "\n"
+
+
 def heatmap_svg(grid: ChannelGrid, values) -> str:
     """Fixed-ramp SVG rendering of a per-location scalar map (no metadata)."""
     values = _per_location(grid, values)
@@ -41,16 +47,10 @@ def heatmap_svg(grid: ChannelGrid, values) -> str:
     span = hi - lo if hi > lo else 1.0
     xs, xi = np.unique(grid.x, return_inverse=True)
     ys, yi = np.unique(grid.y, return_inverse=True)
-    w, h = len(xs) * _CELL_PX, len(ys) * _CELL_PX
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:g}" height="{h:g}" '
-        f'viewBox="0 0 {w:g} {h:g}">'
-    ]
     cols, rows = (xi * _CELL_PX).tolist(), ((len(ys) - 1 - yi) * _CELL_PX).tolist()
-    for cx, cy, v in zip(cols, rows, values.tolist()):
-        parts.append(
-            f'<rect x="{cx:g}" y="{cy:g}" width="{_CELL_PX:g}" height="{_CELL_PX:g}" '
-            f'fill="{_ramp_color((v - lo) / span)}"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    cells = (
+        f'<rect x="{cx:g}" y="{cy:g}" width="{_CELL_PX:g}" height="{_CELL_PX:g}" '
+        f'fill="{_ramp_color((v - lo) / span)}"/>'
+        for cx, cy, v in zip(cols, rows, values.tolist())
+    )
+    return svg_document(len(xs) * _CELL_PX, len(ys) * _CELL_PX, cells)

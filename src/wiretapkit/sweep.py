@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel, codes, wiretap
+from . import channel, codes, maps, wiretap
 from .channel import ChannelGrid, RegionMap
 from .wiretap import WiretapCode
 
@@ -185,7 +186,7 @@ def sweep(
                     n=w.n,
                     k=w.k,
                     rate=w.k / w.n,
-                    tau_db=tau,
+                    tau_db=float(tau),
                     active_carriers=a,
                     throughput=w.k * a / w.n,
                     min_equivocation_pct=100.0 * (w.k - int(per_mask[worst])) / w.k,
@@ -298,28 +299,27 @@ def default_code_family(max_m: int = 5) -> list[WiretapCode]:
     return family
 
 
+# The frontier CSV's columns, in order: SweepPoint fields.  best.json
+# holds all but worst_eve_location.
+FRONTIER_COLUMNS = (
+    "code_label", "n", "k", "rate", "tau_db", "active_carriers",
+    "throughput", "min_equivocation_pct", "worst_eve_location",
+)
+
+
 def frontier_csv(points: list[SweepPoint]) -> str:
-    """Sweep output schema used by the CLI and the golden-file tests.
+    """Sweep output schema used by the CLI and the golden-file tests:
+    ``FRONTIER_COLUMNS``, floats to 6 significant digits.
 
     Code labels contain commas (e.g. "RM(1,2)|C"), so rows go through a
     real CSV writer with minimal quoting.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "code_label", "n", "k", "rate", "tau_db", "active_carriers",
-            "throughput", "min_equivocation_pct", "worst_eve_location",
-        ]
-    )
+    writer.writerow(FRONTIER_COLUMNS)
+    row = operator.attrgetter(*FRONTIER_COLUMNS)
     for p in points:
-        writer.writerow(
-            [
-                p.code_label, p.n, p.k, f"{p.rate:.6g}", f"{p.tau_db:.6g}",
-                p.active_carriers, f"{p.throughput:.6g}",
-                f"{p.min_equivocation_pct:.6g}", p.worst_eve_location,
-            ]
-        )
+        writer.writerow(["%.6g" % v if isinstance(v, float) else v for v in row(p)])
     return buf.getvalue()
 
 
@@ -333,19 +333,14 @@ def frontier_svg(points: list[SweepPoint]) -> str:
     taus = sorted({p.tau_db for p in points})
     tmax = max(p.throughput for p in points) or 1.0
     width, height, pad = _SVG_WIDTH, _SVG_HEIGHT, 30.0
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
-        f'viewBox="0 0 {width:g} {height:g}">',
-        f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
-    ]
+    parts = [f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>']
     span = max(len(taus) - 1, 1)
     for p in points:
         t = taus.index(p.tau_db) / span
         cx = pad + (width - 2 * pad) * p.min_equivocation_pct / 100.0
         cy = height - pad - (height - 2 * pad) * p.throughput / tmax
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="{_tau_color(t)}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return maps.svg_document(width, height, parts)
 
 
 def _tau_color(t: float) -> str:

@@ -135,9 +135,14 @@ def decode(w: WiretapCode, y) -> np.ndarray:
 
 def leakage(w: WiretapCode, revealed: tuple[int, ...]) -> int:
     """Bits of message information the revealed positions R give Eve: |R| - rank(G_R).
-    ``bitlinalg.column_select`` refuses duplicate or out-of-range positions."""
-    g_r = bitlinalg.column_select(w.base_code.generator, revealed)
-    return g_r.cols - bitlinalg.rank(g_r)
+    Refuses duplicate or out-of-range positions."""
+    idx = list(revealed)
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"duplicate column indices: {idx}")
+    for i in idx:
+        if not 0 <= i < w.n:
+            raise ValueError(f"column index {i} out of range for {w.n} columns")
+    return len(idx) - bitlinalg.rank(BitMatrix(w.base_code.generator.a[:, idx]))
 
 
 def equivocation_matrix(w: WiretapCode) -> EquivocationMatrix:

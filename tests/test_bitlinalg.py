@@ -142,23 +142,6 @@ class TestMul:
             assert np.array_equal(got, want(v))
 
 
-class TestColumnSelect:
-    def test_order_preserved(self):
-        m = BitMatrix.from_strings(["0111", "1110"])
-        assert bitlinalg.column_select(m, [2, 0]).to_strings() == ["10", "11"]
-
-    def test_empty_selection(self):
-        assert bitlinalg.column_select(BitMatrix.identity(3), []).cols == 0
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            bitlinalg.column_select(BitMatrix.identity(3), [1, 1])
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            bitlinalg.column_select(BitMatrix.identity(3), [3])
-
-
 class TestRrefNullSpace:
     @given(bit_matrices)
     @settings(max_examples=150, deadline=None)

@@ -225,6 +225,8 @@ class TestSynthGrid:
             (FadingModel(sigma_scale=-math.inf), "sigma_scale"),
             (FadingModel(sigma_scale="1"), "sigma_scale"),
             (FadingModel(delay_spread="1.5"), "delay_spread"),
+            (FadingModel(delay_spread=True), "delay_spread"),
+            (FadingModel(delay_spread=math.inf), "delay_spread"),
         ],
     )
     def test_bad_fading_refused_naming_field(self, fading, field):
@@ -333,7 +335,8 @@ class TestSynthGridMatchesOracle:
         env = channel.default_environment()
         nx, ny = env.lattice
         z = np.empty((nx * ny, 2 * env.fading.taps))
-        drawn = channel._bulk_normals(channel._seed_words(channel.DEFAULT_GRID_SEED, nx * ny), z)
+        states = channel._pcg64_seeded(channel._seed_words(channel.DEFAULT_GRID_SEED, nx * ny))
+        drawn = channel._bulk_normals(states, z)
         assert (np.count_nonzero(drawn), np.count_nonzero(~drawn)) == (2070, 290)
 
 
@@ -372,10 +375,12 @@ class TestSeeding:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matches_default_rng(self, seed):
-        words = channel._seed_words(seed, 100_000)
+        states = channel._pcg64_seeded(channel._seed_words(seed, 100_000))
+        assert states.shape == (100_000, 4) and states.dtype == np.uint64
         for i in (0, 1, 127, 128, 99_999):
             want = np.random.default_rng([seed, i]).bit_generator.state
-            got = {"bit_generator": "PCG64", "state": channel._pcg64_start(words[i].tolist()),
+            hi, lo, inc_hi, inc_lo = (int(v) for v in states[i])
+            got = {"bit_generator": "PCG64", "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
                    "has_uint32": 0, "uinteger": 0}
             assert got == want, (seed, i)
 
@@ -383,7 +388,10 @@ class TestSeeding:
     def test_array_stepping_matches_random_raw(self, seed):
         draws = 2 * FadingModel().taps
         raw = np.empty((100_000, draws), dtype=np.uint64)
-        channel._pcg64_outputs(channel._seed_words(seed, 100_000), raw)
+        states = channel._pcg64_seeded(channel._seed_words(seed, 100_000))
+        start = states.copy()
+        channel._pcg64_outputs(states, raw)
+        assert np.array_equal(states, start), "stepped the start states themselves"
         for i in (0, 1, 127, 128, 99_999):
             want = np.random.default_rng([seed, i]).bit_generator.random_raw(draws)
             assert np.array_equal(raw[i], want), (seed, i)
@@ -666,7 +674,7 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="32 carriers; captures have 64"):
             channel.load_capture(iq_path, sidecar)
 
-    @pytest.mark.parametrize("rate", [0, -20e6])
+    @pytest.mark.parametrize("rate", [0, -20e6, True, math.inf, "20e6"])
     def test_capture_rejects_nonpositive_sample_rate(self, tmp_path, rate):
         iq_path, sidecar = tmp_path / "cap.iq", tmp_path / "cap.json"
         save_capture(synth_capture(20.0, seed=4), iq_path, sidecar, sample_rate_hz=rate)

@@ -185,6 +185,8 @@ class TestOneLineErrors:
             (("fading",), [1], "fading"),
             (("region_map",), ["x"], "region_map"),
             (("regions", 0, "label"), "bob,office", "regions[0].label"),
+            (("fading", "delay_spread"), True, "delay_spread"),
+            (("fading", "delay_spread"), math.inf, "delay_spread"),
         ],
     )
     def test_synth_config_bad_value_names_field(self, runner, tmp_path, path, value, field):

@@ -10,12 +10,13 @@ and says why.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wiretapkit import cli
+from wiretapkit import channel, cli
 
 from conftest import save_capture, synth_capture
 
@@ -41,6 +42,8 @@ INVOCATIONS = {
     "simulate": ["simulate"],
     "simulate_best": ["simulate", "--code", "rm:4,5", "--orientation", "Cperp", "--tau", "29"],
     "simulate_rm15": ["simulate", "--code", "rm:1,5", "--tau", "25", "--trials", "300", "--seed", "4"],
+    # The bundled grid read back from the CSV that synth writes.
+    "sweep_grid_csv": ["sweep", "--grid", "{tmp}/g/grid.csv", "--regions", "{tmp}/regions.json"],
 }
 
 GOLDEN = {
@@ -63,6 +66,7 @@ GOLDEN = {
     "simulate": "f278545ba7f9b5745dbbc3f1ceafc1bcfa075272cddfde10024bbf310ba28e24",
     "simulate_rm15": "5e6f8ef7b297beff296ce288be1e8ea049ed5349675533c070e0e7bca5daa2aa",
     "simulate_best": "667aead281e4ad154d77cce288681690dd65f95a9977872526e9fc8580b53cdb",
+    "sweep_grid_csv": "910f4f7ed90ef9c2c55ce7f7c09234b599497f754ef959de5c8da87df9e3e5aa",
 }
 
 
@@ -72,6 +76,10 @@ def run_digest(name: str, tmp_path) -> str:
     if name == "sound":
         cap = synth_capture(np.linspace(10.0, 40.0, 64), seed=5)
         save_capture(cap, tmp_path / "c.iq", tmp_path / "c.json")
+    if name == "sweep_grid_csv":
+        res = CliRunner().invoke(cli.main, ["synth", "--out-dir", str(tmp_path / "g")])
+        assert res.exit_code == 0, res.output
+        (tmp_path / "regions.json").write_text(json.dumps(channel.default_environment().region_map.to_dict()))
     out = tmp_path / name
     args = [a.format(tmp=tmp) for a in INVOCATIONS[name]] + ["--out-dir", str(out)]
     res = CliRunner().invoke(cli.main, args)
