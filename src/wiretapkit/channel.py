@@ -512,28 +512,43 @@ def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
     numpy's Generator makes a standard normal from one PCG64 output r:
     layer idx = r & 0xff, sign = (r >> 8) & 1 and rabs = (r >> 9) &
     (2^52 - 1).  It returns -/+ rabs wi[idx] when rabs < ki[idx], and
-    otherwise tests the wedge or the tail with more outputs.  ``wi`` is
-    read from numpy itself, once per process: from a state whose next
-    output has layer idx and rabs = 2^40, the draw is 2^40 wi[idx]
-    exactly (layer 1, whose ki is 0, passes its wedge test on the second
-    output).  For idx >= 2, ki[idx] is floor(2^52 wi[idx-1] / wi[idx])
-    or one more; ``bound`` keeps 2 below that, and is 0 for layers 0 and
-    1, so a draw with rabs < bound[idx] is one that numpy returns from
-    its one output.
+    otherwise tests the wedge or the tail with more outputs.  Both tables
+    are read from numpy itself, once per process, by drawing from a state
+    whose next output is chosen.  From an output with layer idx and
+    rabs = 2^40, the draw is 2^40 wi[idx] exactly (layer 1, whose ki is
+    0, passes its wedge test on the second output).  For idx >= 2,
+    ki[idx] is floor(2^52 wi[idx-1] / wi[idx]) or one more, and
+    ``bound`` keeps 2 below that.  Layer 0's ki has no such formula, so
+    ``bound[0]`` is found by bisection as the least rabs whose draw takes
+    more than its one output: ki[0] itself.  Layer 1's bound is 0.  So a
+    draw with rabs < bound[idx] is one that numpy returns from its one
+    output.
     """
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     inc = state["state"]["inc"]
-    rabs = 1 << 40
-    wi = np.empty(256)
-    for idx in range(256):
+
+    def draw(output: int) -> tuple[float, bool]:
+        """numpy's normal from the state just before ``output``, and whether
+        it took that one output alone."""
         # A state with high word 0 outputs its low word, unrotated; the
         # state before it is one step back.
-        state["state"]["state"] = ((rabs << 9 | idx) - inc) * _PCG64_MULT_INV & _MASK128
+        state["state"]["state"] = (output - inc) * _PCG64_MULT_INV & _MASK128
         rng.bit_generator.state = state
-        wi[idx] = rng.standard_normal() / rabs
+        return rng.standard_normal(), rng.bit_generator.state["state"]["state"] == output
+
+    rabs = 1 << 40
+    wi = np.array([draw(rabs << 9 | idx)[0] / rabs for idx in range(256)])
     bound = np.zeros(256, dtype=np.uint64)
     bound[2:] = np.floor(wi[1:-1] / wi[2:] * 2.0**52) - 2
+    taken, refused = 0, 1 << 52
+    while refused - taken > 1:
+        mid = (taken + refused) // 2
+        if draw(mid << 9)[1]:
+            taken = mid
+        else:
+            refused = mid
+    bound[0] = refused
     wi.flags.writeable = bound.flags.writeable = False
     return wi, bound
 

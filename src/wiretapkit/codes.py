@@ -19,15 +19,32 @@ from . import bitlinalg
 from .bitlinalg import BitMatrix
 
 DEFAULT_ENUM_CAP = 24
-# The subset-rank tally holds one uint16 count per coordinate subset
-# (32 MB at n = 24) and finishes the transform and the tally in blocks of
-# 2^_BLOCK_BITS subsets (64 KB, cache-resident).  On 2 vCPUs it takes
-# 10-13 ms at n = 20 and 0.18-0.26 s at n = 24, and its memory peak stays
-# within 0.5 MB of the count array.  It bounds equivocation matrices and
-# the exhaustive GHW search, which any code but a Reed-Muller code takes;
-# Reed-Muller codes take the closed form at every n.
+# Subset-rank tallies (equivocation matrices, and the exhaustive GHW search
+# that any code but a Reed-Muller code takes) run one of two ways, picked
+# by a cost estimate in seconds fitted to best-of-7 timings on 2 vCPUs at
+# n = 8-64 and d = 1-9, where d is the dimension of the smaller of C and
+# C-perp; the fit is within about 25 % of each timing.
+# - The zeta transform holds one uint16 count per coordinate subset (32 MB
+#   at n = 24) and finishes in blocks of 2^_BLOCK_BITS subsets (64 KB,
+#   cache-resident): 0.7-1.0 ms at n = 16, 9-16 ms at n = 20 and
+#   0.17-0.27 s at n = 24, whatever d.
+# - Subcode enumeration costs about one OR per subspace of the smaller
+#   side, a few numpy calls per pivot set and a triangular solve:
+#   0.25-0.5 ms at d = 5, 2.7-7 ms at d = 8 and 44-80 ms at d = 9 (36 MB
+#   peak), whatever n up to _SUBCODE_MAX_N, where a support fills a uint64.
+# So subcode enumeration runs for d <= 6 at n = 16, d <= 8 at n = 20 and
+# d <= 9 at n = 24, the transform for the rest.
+# A code is refused only where the cheaper way would cost more than the
+# transform at n = SUBSET_RANK_CAP; above that n this leaves d <= 9.
 SUBSET_RANK_CAP = 24
 _BLOCK_BITS = 15
+_SUBCODE_MAX_N = 64
+_ZETA_S = 1.2e-4
+_ZETA_S_PER_SUBSET_BIT = 7e-10
+_SUBCODE_S = 1e-4
+_SUBCODE_S_PER_PIVOT_SET = 6e-6
+_SUBCODE_S_PER_SUBSPACE = 8e-9
+_SUBCODE_S_PER_PRODUCT = 2.7e-8
 # Largest Reed-Muller degree m (n = 2^m) anything here builds: on 2 vCPUs
 # the sweep's candidate family with its dual GHW profiles, all in closed
 # form, takes 0.13-0.15 s at m = 9 and 0.49-0.56 s at m = 10.
@@ -62,7 +79,7 @@ class GHWProfile:
 
     ``source`` records which path produced the numbers, "monomial" or
     "exact": closed form for every Reed-Muller code, exhaustive search
-    for any other code up to n = 24.
+    for any other code the subset-rank tally takes.
     """
 
     weights: tuple[int, ...]
@@ -147,47 +164,71 @@ def _zeta_pass(a: np.ndarray, stride: int) -> None:
     pairs[:, 1, :] += pairs[:, 0, :]
 
 
-def subset_rank_tallies(c: LinearCode) -> np.ndarray:
-    """Tally GF(2) ranks of the generator's column-subset submatrices.
+def _gaussian_binomials(d: int) -> list[list[int]]:
+    """g[f][j] = [f choose j]_2, the number of j-dimensional subspaces of GF(2)^f."""
+    g = [[1]]
+    for f in range(1, d + 1):
+        prev = g[-1] + [0]
+        g.append([1] + [prev[j - 1] + (1 << j) * prev[j] for j in range(1, f + 1)])
+    return g
 
-    Returns an (n+1) x (n+1) int64 array ``out`` with ``out[s, r]`` the
-    number of s-subsets S of coordinates whose columns G_S have rank r.
 
-    Let F(S) count the codewords of D, the smaller of C and C-perp, whose
-    support lies inside S.  One subset-sum (zeta) transform of D's
-    support indicator gives F for every S at once, and F(S) is a power
-    of two: log2 F(S) = |S| - rank(G_S) when D = C-perp, and
-    log2 F(complement of S) = dim - rank(G_S) when D = C.  Enumerating
-    the smaller side keeps every count at or below 2^(n/2).
+def _zeta_cost(n: int) -> float:
+    return _ZETA_S + _ZETA_S_PER_SUBSET_BIT * n * 2**n
 
-    The transform's per-bit passes commute, so they run in the order that
+
+def _subcode_cost(n: int, d: int) -> float:
+    """Estimated seconds of :func:`_subcode_free_counts`: 2^d pivot sets,
+    every subspace, and the solve's products over at most n + 1 weights."""
+    subspaces = sum(_gaussian_binomials(d)[d])
+    products = (d + 1) * min(n + 1, subspaces) * (n + 1)
+    return (
+        _SUBCODE_S
+        + _SUBCODE_S_PER_PIVOT_SET * 2**d
+        + _SUBCODE_S_PER_SUBSPACE * subspaces
+        + _SUBCODE_S_PER_PRODUCT * products
+    )
+
+
+def _subcode_max_dim(n: int) -> int:
+    """Largest d whose subcode enumeration at n stays within the cap."""
+    d = 0
+    while _subcode_cost(n, d + 1) <= _zeta_cost(SUBSET_RANK_CAP):
+        d += 1
+    return d
+
+
+def _support_masks(side: LinearCode) -> np.ndarray:
+    """Support bitmask (bit i = coordinate i) of each of the 2^dim codewords,
+    in the order of :func:`enumerate_codewords`."""
+    return enumerate_codewords(side, cap=side.dim) @ (np.uint64(1) << np.arange(side.n, dtype=np.uint64))
+
+
+def _zeta_free_counts(side: LinearCode) -> np.ndarray:
+    """h[s, f] for D = ``side`` by one subset-sum (zeta) transform.
+
+    The transform of D's support indicator gives F(S), the number of
+    codewords supported inside S, for every S at once, and log2 F(S) is
+    dim D(S).  Its per-bit passes commute, so they run in the order that
     suits the cache.  The passes for bits at or above ``_BLOCK_BITS`` run
     over the whole array, where they are long and contiguous.  Then each
     block of 2^_BLOCK_BITS consecutive subsets gets its remaining passes
     and is tallied while it is still in cache; the lowest bits, whose
     passes would run in short inner loops, go through a transposed copy.
     """
-    n = c.n
-    if n > SUBSET_RANK_CAP:
-        raise ValueError(f"blocklength {n} exceeds subset-rank cap {SUBSET_RANK_CAP} (2^{n} subsets)")
-    use_dual = 2 * c.dim > n
-    side = dual(c) if use_dual else c
-    supports = enumerate_codewords(side, cap=side.dim).astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    n, d = side.n, side.dim
+    supports = _support_masks(side)
     counts = np.zeros(1 << n, dtype=np.uint16)
     counts[supports] = 1
     block_bits = min(n, _BLOCK_BITS)
     low_bits = min(block_bits, 5)
     for i in range(block_bits, n):
         _zeta_pass(counts, 1 << i)
-    # The tally key of S is size * (n+1) + rank of the subset it stands for:
-    # S itself when D = C-perp (rank |S| - free), its complement when D = C
-    # (size n - |S|, rank dim - free), with free = log2 F(S).  Either way
-    # key = base + step * |S| - free, and |S| = popcount(block) + popcount(offset),
-    # so each block is one bincount of offset keys, tallied by block popcount.
-    base, step = (0, n + 2) if use_dual else (n * (n + 1) + c.dim, -(n + 1))
-    shift = side.dim - min(0, step) * block_bits  # keeps offset keys >= 0
-    offset_keys = step * np.bitwise_count(np.arange(1 << block_bits)).astype(np.int16) + shift
-    width = int(offset_keys.max()) + 1
+    # Within a block, S is keyed by popcount(offset) * (d+1) + log2 F(S),
+    # and F(S) - 1 has log2 F(S) one bits; the block's own popcount
+    # shifts |S| for the whole block.
+    offset_keys = np.bitwise_count(np.arange(1 << block_bits)).astype(np.int16) * (d + 1)
+    width = (block_bits + 1) * (d + 1)
     by_popcount = np.zeros((n - block_bits + 1, width), dtype=np.int64)
     for b, block in enumerate(counts.reshape(-1, 1 << block_bits)):
         low = block.reshape(-1, 1 << low_bits).T.copy()
@@ -197,12 +238,105 @@ def subset_rank_tallies(c: LinearCode) -> np.ndarray:
         for i in range(low_bits, block_bits):
             _zeta_pass(block, 1 << i)
         block -= 1
-        by_popcount[b.bit_count()] += np.bincount(offset_keys - np.bitwise_count(block), minlength=width)
-    keys = base - shift + step * np.arange(len(by_popcount))[:, None] + np.arange(width)
-    hit = by_popcount > 0
-    out = np.zeros((n + 1) ** 2, dtype=np.int64)
-    np.add.at(out, keys[hit], by_popcount[hit])
-    return out.reshape(n + 1, n + 1)
+        by_popcount[b.bit_count()] += np.bincount(offset_keys + np.bitwise_count(block), minlength=width)
+    h = np.zeros((n + 1, d + 1), dtype=np.int64)
+    for p, rows in enumerate(by_popcount.reshape(len(by_popcount), block_bits + 1, d + 1)):
+        h[p : p + block_bits + 1] += rows
+    return h
+
+
+def _subcode_free_counts(side: LinearCode) -> np.ndarray:
+    """h[s, f] for D = ``side`` by enumerating the subspaces of D.
+
+    Every subspace E of D is one reduced echelon basis of coefficient
+    vectors, the pivot of a vector being its lowest set bit.  Choosing
+    pivots from the highest down, a vector with pivot p is free in the
+    coordinates above p that are not pivots already, so each subspace is
+    reached once, and its support is the OR of its basis vectors' codeword
+    masks.  cnt[j, w] counts the j-dimensional subspaces by support size
+    w.  An s-subset S holds E iff it covers E's support, and D(S) holds
+    [f choose j]_2 subspaces of dimension j when dim D(S) = f, so
+
+        A[s, j] = sum_w cnt[j, w] C(n - w, s - w) = sum_f h[s, f] [f choose j]_2,
+
+    a unit triangle in f, solved from f = dim downward.  Every term is at
+    most C(n, n/2) max_j [dim choose j]_2; the solve runs in int64 while
+    that stays below 2^63 and in Python ints beyond (about 2^78 at
+    n = 64, dim = 8), and h itself stays below C(64, 32) < 2^63.
+    """
+    n, d = side.n, side.dim
+    vectors = np.arange(1, 1 << d)
+    vectors = vectors[np.argsort(np.bitwise_count((vectors & -vectors) - 1), kind="stable")]
+    masks = _support_masks(side)[vectors]
+    # A node holds the supports of every subspace with the pivot set
+    # ``pivots``, all at or above ``bound``.  It adds one vector with a
+    # lower pivot to each; vectors are sorted by pivot, so those with a
+    # pivot below ``bound`` come first, 2^d - 2^(d-bound) of them, and
+    # the ones with pivot p free in the d-1-p-|pivots| coordinates.
+    found = [[] for _ in range(d + 1)]
+    stack = [(d, 0, np.zeros(1, dtype=np.uint64))] if d else []
+    while stack:
+        bound, pivots, supports = stack.pop()
+        head = slice((1 << d) - (1 << (d - bound)))
+        grown = (masks[head][(vectors[head] & pivots) == 0][:, None] | supports).ravel()
+        found[pivots.bit_count() + 1].append(np.bitwise_count(grown))
+        start = 0
+        for p in range(bound):
+            end = start + (len(supports) << (d - 1 - p - pivots.bit_count()))
+            if p:
+                stack.append((p, pivots | 1 << p, grown[start:end]))
+            start = end
+    cnt = np.zeros((d + 1, n + 1), dtype=np.int64)
+    cnt[0, 0] = 1
+    for j in range(1, d + 1):
+        cnt[j] = np.bincount(np.concatenate(found[j]), minlength=n + 1)
+    g = _gaussian_binomials(d)
+    exact = np.int64 if comb(n, n // 2) * max(g[d]) < 2**63 else object
+    weights = np.flatnonzero(cnt.any(axis=0))
+    covers = np.array([[0] * w + [comb(n - w, k) for k in range(n - w + 1)] for w in weights], dtype=exact)
+    a = cnt[:, weights].astype(exact) @ covers
+    h = [0] * (d + 1)
+    for f in range(d, -1, -1):
+        h[f] = a[f] - sum(g[e][f] * h[e] for e in range(f + 1, d + 1))
+    return np.array(h, dtype=np.int64).T
+
+
+def subset_rank_tallies(c: LinearCode) -> np.ndarray:
+    """Tally GF(2) ranks of the generator's column-subset submatrices.
+
+    Returns an (n+1) x (n+1) int64 array ``out`` with ``out[s, r]`` the
+    number of s-subsets S of coordinates whose columns G_S have rank r.
+
+    Let D be the smaller of C and C-perp, of dimension d, and D(S) its
+    subcode supported inside S.  Both ways of counting give h[s, f], the
+    number of s-subsets S with dim D(S) = f: a subset-sum (zeta)
+    transform over all 2^n subsets, or an enumeration of D's subspaces
+    that costs about G_d, the number of subspaces, whatever n is.  Then
+    rank(G_S) = |S| - f when D = C-perp, and rank of the complement of S
+    is dim - f when D = C.  The cheaper way by a cost estimate runs, and
+    a code is refused only where both would cost more than the transform
+    at n = ``SUBSET_RANK_CAP``.
+    """
+    n = c.n
+    use_dual = 2 * c.dim > n
+    d = n - c.dim if use_dual else c.dim
+    zeta = _zeta_cost(n)
+    subcode = _subcode_cost(n, d) if n <= _SUBCODE_MAX_N else np.inf
+    if min(zeta, subcode) > _zeta_cost(SUBSET_RANK_CAP):
+        raise ValueError(
+            f"({n}, {c.dim}) code exceeds the subset-rank cap: above n = {SUBSET_RANK_CAP} the tally "
+            f"enumerates the subcodes of the smaller of C and C-perp, which needs n <= {_SUBCODE_MAX_N} "
+            f"and dimension <= {_subcode_max_dim(n)}, here {d}"
+        )
+    side = dual(c) if use_dual else c
+    h = _subcode_free_counts(side) if subcode < zeta else _zeta_free_counts(side)
+    s, f = np.nonzero(h)
+    out = np.zeros((n + 1, n + 1), dtype=np.int64)
+    if use_dual:
+        out[s, s - f] = h[s, f]
+    else:
+        out[n - s, c.dim - f] = h[s, f]
+    return out
 
 
 def ghw_exact(c: LinearCode) -> GHWProfile:
@@ -212,7 +346,9 @@ def ghw_exact(c: LinearCode) -> GHWProfile:
     set S has dimension dim - rank(G restricted to the complement of S),
     so d_r is the smallest |S| for which that dimension reaches r.  The
     smallest rank at each subset size is the first nonzero column of the
-    subset-rank tally, which bounds n (``SUBSET_RANK_CAP``).
+    subset-rank tally, which takes every n <= ``SUBSET_RANK_CAP`` and, up
+    to n = 64, codes whose smaller side (the code or its dual) has
+    dimension <= 9.
     """
     minrank = (subset_rank_tallies(c) > 0).argmax(axis=1)
     weights = []
@@ -243,8 +379,8 @@ def ghw_of(c: LinearCode) -> GHWProfile:
     """Hierarchy of an arbitrary code.
 
     Closed form for every Reed-Muller code, exhaustive search for any
-    other code up to n = ``SUBSET_RANK_CAP``.  The profile's ``source``
-    records which ran.
+    other code the subset-rank tally takes (see :func:`ghw_exact`).  The
+    profile's ``source`` records which ran.
     """
     if c.dim == 0:
         return GHWProfile(weights=())

@@ -171,7 +171,13 @@ def sweep(
         a = int(active.size)
         eve_read = channel.erase_mask(eve_snr, tau)
         keys = _mask_keys(eve_read) & _mask_keys(bob_read)
-        first = np.sort(np.unique(keys, return_index=True)[1])
+        # A stable sort keeps each key's Eves in grid order, so each run
+        # of equal keys starts at its first Eve.
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        run_start = np.ones(order.size, dtype=bool)
+        run_start[1:] = ranked[1:] != ranked[:-1]
+        first = np.sort(order[run_start])
         read = eve_read[first[:, None], active]
         readable = np.count_nonzero(read, axis=1)
         revealed: dict[int, np.ndarray] = {}

@@ -149,8 +149,10 @@ def equivocation_matrix(w: WiretapCode) -> EquivocationMatrix:
     """Tally leakage over every erasure pattern of every weight.
 
     counts[k - leakage, mu] accumulates one entry per mu-subset of
-    positions; column mu sums to C(n, mu).  The subset-rank tally bounds
-    n (``codes.SUBSET_RANK_CAP``).
+    positions; column mu sums to C(n, mu).  The subset-rank tally takes
+    every n <= ``codes.SUBSET_RANK_CAP`` and, up to n = 64, base codes
+    whose smaller side (C or C-perp) has dimension <= 9, such as RM(1,5),
+    RM(3,5), RM(1,6) and RM(4,6).
     """
     tallies = codes.subset_rank_tallies(w.base_code)
     counts = np.zeros((w.k + 1, w.n + 1), dtype=np.int64)

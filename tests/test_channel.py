@@ -337,7 +337,7 @@ class TestSynthGridMatchesOracle:
         z = np.empty((nx * ny, 2 * env.fading.taps))
         states = channel._pcg64_seeded(channel._seed_words(channel.DEFAULT_GRID_SEED, nx * ny))
         drawn = channel._bulk_normals(states, z)
-        assert (np.count_nonzero(drawn), np.count_nonzero(~drawn)) == (2070, 290)
+        assert (np.count_nonzero(drawn), np.count_nonzero(~drawn)) == (2128, 232)
 
 
 class TestTapSum:
@@ -409,27 +409,41 @@ class TestSeeding:
 class TestZiggurat:
     """The draws kept from array passes are those numpy returns from one output."""
 
-    def test_layers_0_and_1_never_admitted(self):
+    def test_layer_1_never_admitted(self):
         _, bound = channel._ziggurat()
-        assert bound[0] == bound[1] == 0 and bound.dtype == np.uint64
+        assert bound[1] == 0 and bound.dtype == np.uint64
+
+    @staticmethod
+    def draw_after(rng, output: int) -> float:
+        """numpy's normal from the state whose next output is ``output``."""
+        mult = 0x2360ED051FC65DA44385DF649FCCF645
+        state = rng.bit_generator.state
+        # A state with high word 0 outputs its low word.
+        state["state"]["state"] = (output - state["state"]["inc"]) * pow(mult, -1, 2**128) % 2**128
+        rng.bit_generator.state = state
+        return rng.standard_normal()
 
     @pytest.mark.parametrize("sign", [0, 1])
     def test_largest_admitted_draw_is_numpys_fast_path(self, sign):
         wi, bound = channel._ziggurat()
-        mult = 0x2360ED051FC65DA44385DF649FCCF645
         rng = np.random.default_rng(1)
-        state = rng.bit_generator.state
-        inc = state["state"]["inc"]
-        for idx in range(2, 256):
+        inc = rng.bit_generator.state["state"]["inc"]
+        for idx in [0, *range(2, 256)]:
             rabs = int(bound[idx]) - 1
-            # A state with high word 0 outputs its low word.
             after = rabs << 9 | sign << 8 | idx
-            state["state"]["state"] = (after - inc) * pow(mult, -1, 2**128) % 2**128
-            rng.bit_generator.state = state
-            got = rng.standard_normal()
+            got = self.draw_after(rng, after)
             want = -(rabs * wi[idx]) if sign else rabs * wi[idx]
             assert got == want and math.copysign(1.0, got) == (-1.0) ** sign, idx
             assert rng.bit_generator.state["state"] == {"state": after, "inc": inc}, idx
+
+    @pytest.mark.parametrize("sign", [0, 1])
+    def test_layer_0_bound_is_exact(self, sign):
+        # one output at bound - 1 (above), more than one at bound itself
+        _, bound = channel._ziggurat()
+        rng = np.random.default_rng(2)
+        at_bound = int(bound[0]) << 9 | sign << 8
+        self.draw_after(rng, at_bound)
+        assert rng.bit_generator.state["state"]["state"] != at_bound
 
 
 class TestRegionMap:

@@ -261,7 +261,7 @@ class TestOneLineErrors:
         assert f"bound {codes.RM_MAX_DEGREE}" in res.output
 
     def test_eqmatrix_above_subset_rank_cap(self, runner, tmp_path):
-        res = runner.invoke(cli.main, ["eqmatrix", "--code", "rm:1,5", "--out-dir", str(tmp_path)])
+        res = runner.invoke(cli.main, ["eqmatrix", "--code", "rm:2,5", "--out-dir", str(tmp_path)])
         assert_one_line_error(res)
         assert "subset-rank cap" in res.output
 

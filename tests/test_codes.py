@@ -22,6 +22,13 @@ from conftest import (
 )
 
 
+def free_counts_both_ways(c: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """h[s, f] of the smaller of c and its dual, by the zeta transform and
+    by subcode enumeration."""
+    side = codes.dual(c) if 2 * c.dim > c.n else c
+    return codes._zeta_free_counts(side), codes._subcode_free_counts(side)
+
+
 class TestLinearCode:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -156,8 +163,25 @@ class TestSubsetRankTallies:
 
     @staticmethod
     def assert_matches_oracle(c: LinearCode):
+        """The tally matches the oracle, and so do both of its ways, each
+        called directly on the smaller side."""
         expected = oracle_subset_rank_tallies(c.generator.a)
         assert np.array_equal(codes.subset_rank_tallies(c), expected), (c.n, c.dim, c.label)
+        zeta, subcode = free_counts_both_ways(c)
+        assert np.array_equal(zeta, subcode), (c.n, c.dim, c.label)
+
+    @given(st.integers(1, 14).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_both_ways_agree_on_random_codes(self, shape, seed):
+        n, dim = shape
+        if dim == 0:
+            c = LinearCode(n=n, dim=0, generator=BitMatrix(np.zeros((0, n), dtype=np.uint8)))
+        else:
+            c = codes.random_code(n, dim, np.random.default_rng(seed))
+        zeta, subcode = free_counts_both_ways(c)
+        assert zeta.shape == (n + 1, min(dim, n - dim) + 1)
+        assert np.array_equal(zeta, subcode), (n, dim)
 
     @pytest.mark.parametrize("n", [15, 16, 17, 18])
     def test_matches_dfs_oracle_over_blocks(self, n):
@@ -192,7 +216,26 @@ class TestSubsetRankTallies:
         assert peak <= 2**25 + 2**20, peak
 
     def test_cap(self):
-        c = codes.random_code(codes.SUBSET_RANK_CAP + 1, 2, np.random.default_rng(0))
+        # above n = 24 only subcode enumeration runs, and d = 12 is over its budget
+        c = codes.random_code(codes.SUBSET_RANK_CAP + 1, 12, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="subset-rank cap"):
+            codes.subset_rank_tallies(c)
+
+    def test_over_budget_refused_before_allocating(self):
+        c = codes.reed_muller(2, 6)  # (64, 22): d = 22
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="subset-rank cap"):
+                codes.subset_rank_tallies(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    @pytest.mark.parametrize("n", [65, 128])
+    def test_subcode_enumeration_stops_at_64(self, n):
+        # a support must fit one uint64, however small the smaller side
+        c = LinearCode(n=n, dim=1, generator=BitMatrix(np.ones((1, n), dtype=np.uint8)))
         with pytest.raises(ValueError, match="subset-rank cap"):
             codes.subset_rank_tallies(c)
 
@@ -215,6 +258,12 @@ class TestWeiDuality:
     def test_exact_above_twenty(self):
         c = codes.random_code(22, 11, np.random.default_rng(22))
         self.assert_partition(22, codes.ghw_exact(c).weights, codes.ghw_exact(codes.dual(c)).weights)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_exact_above_the_transform(self, dim):
+        n = codes.SUBSET_RANK_CAP + 1
+        c = codes.random_code(n, dim, np.random.default_rng(0))
+        self.assert_partition(n, codes.ghw_exact(c).weights, codes.ghw_exact(codes.dual(c)).weights)
 
     def test_monomial_reed_muller(self):
         for m in range(1, codes.RM_MAX_DEGREE + 1):
@@ -252,7 +301,7 @@ class TestGHW:
         assert codes.ghw_exact(full).weights == (1, 2)
 
     def test_exact_cap(self):
-        c = codes.random_code(codes.SUBSET_RANK_CAP + 1, 3, np.random.default_rng(0))
+        c = codes.random_code(codes.SUBSET_RANK_CAP + 1, 12, np.random.default_rng(0))
         with pytest.raises(ValueError, match="subset-rank cap"):
             codes.ghw_exact(c)
 
@@ -295,9 +344,9 @@ class TestGHWReedMuller:
     def test_auto_source_switch(self):
         for m in range(1, codes.RM_MAX_DEGREE + 1):
             assert codes.ghw_of(codes.reed_muller(1, m)).source == "monomial", m
-        for n in (4, 16, codes.SUBSET_RANK_CAP):
+        for n in (4, 16, codes.SUBSET_RANK_CAP, codes.SUBSET_RANK_CAP + 1):
             assert codes.ghw_of(codes.random_code(n, 2, np.random.default_rng(n))).source == "exact", n
-        above = codes.random_code(codes.SUBSET_RANK_CAP + 1, 2, np.random.default_rng(0))
+        above = codes.random_code(codes.SUBSET_RANK_CAP + 1, 12, np.random.default_rng(0))
         with pytest.raises(ValueError, match="subset-rank cap"):
             codes.ghw_of(above)
 
@@ -321,6 +370,10 @@ class TestGHWReedMuller:
     def test_first_order_length32_hierarchy(self):
         # classical hierarchy of the (32, 6) first-order code
         assert codes.ghw_of(codes.reed_muller(1, 5)).weights == (16, 24, 28, 30, 31, 32)
+
+    def test_monomial_equals_exact_above_24(self):
+        # subcode enumeration counts the hierarchy independently of the closed form
+        assert codes.ghw_exact(codes.reed_muller(1, 5)).weights == codes._ghw_rm_monomial(1, 5).weights
 
 
 class TestRandomCode:

@@ -229,6 +229,18 @@ class TestEquivocationMatrix:
         with pytest.raises(ValueError, match="subset-rank cap"):
             wiretap.equivocation_matrix(w)
 
+    @pytest.mark.parametrize("u, m", [(1, 5), (3, 5), (1, 6), (4, 6)])
+    def test_reed_muller_above_24_agrees_with_wei_duality(self, u, m):
+        # worst-case leakage at mu is the number of dual GHWs <= mu (Wei 1991)
+        w = wiretap.build(codes.reed_muller(u, m))
+        mat = wiretap.equivocation_matrix(w)
+        assert mat.column_sums_ok()
+        profile = w.dual_ghw()
+        assert profile.source == "monomial"
+        assert [mat.worst_case_leakage(mu) for mu in range(w.n + 1)] == [
+            profile.leakage_at(mu) for mu in range(w.n + 1)
+        ]
+
 
 class TestWorstCaseLeakage:
     def test_demo_values(self, demo):
