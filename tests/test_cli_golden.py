@@ -33,6 +33,10 @@ INVOCATIONS = {
     # Above n = 24: subcode enumeration of the smaller side (d = 6 and 7).
     "eqmatrix_rm15": ["eqmatrix", "--code", "rm:1,5"],
     "eqmatrix_rm16": ["eqmatrix", "--code", "rm:1,6"],
+    # Bases larger than their duals (dims 26 and 57): the dual is tallied
+    # and flipped, with the Python-int solve at n = 64.
+    "eqmatrix_rm35": ["eqmatrix", "--code", "rm:3,5"],
+    "eqmatrix_rm46": ["eqmatrix", "--code", "rm:4,6"],
     "ghw_exact": ["ghw", "--code", "rm:1,4"],
     "ghw_table1": ["ghw", "--code", "table1"],
     "ghw_monomial": ["ghw", "--code", "rm:2,7"],
@@ -59,6 +63,8 @@ GOLDEN = {
     "eqmatrix": "5de8b0d4b1d9b0877f036086d46b68dfec4714b984323e1d2bbd9b6f32ac3dbf",
     "eqmatrix_rm15": "8cbbace093ea744d3da3f2659f2bb8a699348bf896dcab67b3c513e587eda46f",
     "eqmatrix_rm16": "24fe7432ca8ffc3c8974c5609b0640858eb405e3c4ef5fc16f07036a1fd708fb",
+    "eqmatrix_rm35": "7fe8f9e6b2186c026c685e647c46762568d9e180b5f0d14c5e4f174421cc6d32",
+    "eqmatrix_rm46": "49d7754cae6235f97335f78825d30fdf6aff0b4bde50e3f9e62c4a84cc88e14f",
     "ghw_exact": "17a9283adb753c028039a46eb298a4c4eee8b16ffe9374e507a59e13de4ad0b8",
     "ghw_table1": "e3512a1163bd27cf71c0d5b3863daa382e78a22cc941b141e27ec5725c95e237",
     "ghw_monomial": "67572c9337feffc3d9720dcd634e279dec7134475d9bc1a2ea61dd688e2bceaf",
