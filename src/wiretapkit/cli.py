@@ -237,11 +237,11 @@ def secrecy(grid_path, regions_path, svg, out_dir):
 def eqmatrix(code_spec, orientation, out_dir):
     """Exact equivocation matrix of a wiretap code, as CSV."""
     out = _out_dir(out_dir)
-    mat = wiretap.equivocation_matrix(_resolve_code(code_spec, orientation))
+    csv = wiretap.equivocation_matrix(_resolve_code(code_spec, orientation)).to_csv()
     path = out / "eqmatrix.csv"
-    path.write_text(mat.to_csv())
+    path.write_text(csv)
     _write_manifest(out, "eqmatrix", {"code": code_spec, "orientation": orientation}, {})
-    click.echo(mat.to_csv().rstrip("\n"))
+    click.echo(csv.rstrip("\n"))
     click.echo(f"wrote {path}")
 
 

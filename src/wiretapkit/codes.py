@@ -19,7 +19,7 @@ from . import bitlinalg
 from .bitlinalg import BitMatrix
 
 DEFAULT_ENUM_CAP = 24
-# Subset-rank tallies (equivocation matrices, and the exhaustive GHW search
+# Subcode tallies (equivocation matrices, and the exhaustive GHW search
 # that any code but a Reed-Muller code takes) run one of two ways, picked
 # by a cost estimate in seconds fitted to best-of-7 timings on 2 vCPUs at
 # n = 8-64 and d = 1-9, where d is the dimension of the smaller of C and
@@ -79,7 +79,7 @@ class GHWProfile:
 
     ``source`` records which path produced the numbers, "monomial" or
     "exact": closed form for every Reed-Muller code, exhaustive search
-    for any other code the subset-rank tally takes.
+    for any other code the subcode tally takes.
     """
 
     weights: tuple[int, ...]
@@ -301,21 +301,19 @@ def _subcode_free_counts(side: LinearCode) -> np.ndarray:
     return np.array(h, dtype=np.int64).T
 
 
-def subset_rank_tallies(c: LinearCode) -> np.ndarray:
-    """Tally GF(2) ranks of the generator's column-subset submatrices.
+def subcode_tally(c: LinearCode) -> np.ndarray:
+    """Tally the subcodes of c by support: an (n+1) x (dim+1) int64 array
+    ``h`` with ``h[s, f]`` the number of s-subsets S of coordinates whose
+    subcode C(S), the codewords supported inside S, has dimension f.
 
-    Returns an (n+1) x (n+1) int64 array ``out`` with ``out[s, r]`` the
-    number of s-subsets S of coordinates whose columns G_S have rank r.
-
-    Let D be the smaller of C and C-perp, of dimension d, and D(S) its
-    subcode supported inside S.  Both ways of counting give h[s, f], the
-    number of s-subsets S with dim D(S) = f: a subset-sum (zeta)
-    transform over all 2^n subsets, or an enumeration of D's subspaces
-    that costs about G_d, the number of subspaces, whatever n is.  Then
-    rank(G_S) = |S| - f when D = C-perp, and rank of the complement of S
-    is dim - f when D = C.  The cheaper way by a cost estimate runs, and
-    a code is refused only where both would cost more than the transform
-    at n = ``SUBSET_RANK_CAP``.
+    Both ways of counting run on D, the smaller of C and C-perp: a
+    subset-sum (zeta) transform over all 2^n subsets, or an enumeration of
+    D's subspaces that costs about G_d, the number of subspaces, whatever
+    n is.  The cheaper way by a cost estimate runs, and a code is refused
+    only where both would cost more than the transform at
+    n = ``SUBSET_RANK_CAP``.  When D = C-perp, one flip turns D's tally
+    into C's: dim C(S) = dim C - |S^c| + dim C-perp(S^c), so
+    h[n - t, dim - t + g] = h_D[t, g].
     """
     n = c.n
     use_dual = 2 * c.dim > n
@@ -330,34 +328,26 @@ def subset_rank_tallies(c: LinearCode) -> np.ndarray:
         )
     side = dual(c) if use_dual else c
     h = _subcode_free_counts(side) if subcode < zeta else _zeta_free_counts(side)
-    s, f = np.nonzero(h)
-    out = np.zeros((n + 1, n + 1), dtype=np.int64)
-    if use_dual:
-        out[s, s - f] = h[s, f]
-    else:
-        out[n - s, c.dim - f] = h[s, f]
+    if not use_dual:
+        return h
+    t, g = np.nonzero(h)
+    out = np.zeros((n + 1, c.dim + 1), dtype=np.int64)
+    out[n - t, c.dim - t + g] = h[t, g]
     return out
 
 
 def ghw_exact(c: LinearCode) -> GHWProfile:
     """Weight hierarchy by exhaustive search over coordinate subsets.
 
-    Uses the identity: the largest subcode supported inside a coordinate
-    set S has dimension dim - rank(G restricted to the complement of S),
-    so d_r is the smallest |S| for which that dimension reaches r.  The
-    smallest rank at each subset size is the first nonzero column of the
-    subset-rank tally, which takes every n <= ``SUBSET_RANK_CAP`` and, up
-    to n = 64, codes whose smaller side (the code or its dual) has
-    dimension <= 9.
+    d_r is the smallest |S| whose subcode C(S) reaches dimension r.  The
+    largest dimension at each subset size is the last nonzero column of
+    the subcode tally, nondecreasing in |S|, which takes every
+    n <= ``SUBSET_RANK_CAP`` and, up to n = 64, codes whose smaller side
+    (the code or its dual) has dimension <= 9.
     """
-    minrank = (subset_rank_tallies(c) > 0).argmax(axis=1)
-    weights = []
-    for r in range(1, c.dim + 1):
-        for mu in range(1, c.n + 1):
-            if c.dim - minrank[c.n - mu] >= r:
-                weights.append(mu)
-                break
-    return GHWProfile(weights=tuple(weights), source="exact")
+    reach = c.dim - (subcode_tally(c)[:, ::-1] > 0).argmax(axis=1)
+    weights = np.searchsorted(reach, np.arange(1, c.dim + 1))
+    return GHWProfile(weights=tuple(weights.tolist()), source="exact")
 
 
 def _ghw_rm_monomial(u: int, m: int) -> GHWProfile:
@@ -379,7 +369,7 @@ def ghw_of(c: LinearCode) -> GHWProfile:
     """Hierarchy of an arbitrary code.
 
     Closed form for every Reed-Muller code, exhaustive search for any
-    other code the subset-rank tally takes (see :func:`ghw_exact`).  The
+    other code the subcode tally takes (see :func:`ghw_exact`).  The
     profile's ``source`` records which ran.
     """
     if c.dim == 0:

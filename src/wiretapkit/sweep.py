@@ -171,13 +171,9 @@ def sweep(
         a = int(active.size)
         eve_read = channel.erase_mask(eve_snr, tau)
         keys = _mask_keys(eve_read) & _mask_keys(bob_read)
-        # A stable sort keeps each key's Eves in grid order, so each run
-        # of equal keys starts at its first Eve.
-        order = np.argsort(keys, kind="stable")
-        ranked = keys[order]
-        run_start = np.ones(order.size, dtype=bool)
-        run_start[1:] = ranked[1:] != ranked[:-1]
-        first = np.sort(order[run_start])
+        # np.unique returns each key's first index, so sorted they list
+        # the distinct masks in order of their first Eve.
+        first = np.sort(np.unique(keys, return_index=True)[1])
         read = eve_read[first[:, None], active]
         readable = np.count_nonzero(read, axis=1)
         revealed: dict[int, np.ndarray] = {}

@@ -146,20 +146,20 @@ def leakage(w: WiretapCode, revealed: tuple[int, ...]) -> int:
 
 
 def equivocation_matrix(w: WiretapCode) -> EquivocationMatrix:
-    """Tally leakage over every erasure pattern of every weight.
+    """Tally equivocation over every erasure pattern of every weight.
 
-    counts[k - leakage, mu] accumulates one entry per mu-subset of
-    positions; column mu sums to C(n, mu).  The subset-rank tally takes
+    A pattern that erases the set T (and reveals mu = n - |T| positions)
+    leaves |T| - dim C(T) bits of equivocation, C(T) being the subcode of
+    the base code supported inside T, so counts[t - f, n - t] is the
+    subcode tally's h[t, f]; column mu sums to C(n, mu).  The tally takes
     every n <= ``codes.SUBSET_RANK_CAP`` and, up to n = 64, base codes
     whose smaller side (C or C-perp) has dimension <= 9, such as RM(1,5),
     RM(3,5), RM(1,6) and RM(4,6).
     """
-    tallies = codes.subset_rank_tallies(w.base_code)
+    h = codes.subcode_tally(w.base_code)
+    t, f = np.nonzero(h)
     counts = np.zeros((w.k + 1, w.n + 1), dtype=np.int64)
-    for mu in range(w.n + 1):
-        for r in np.nonzero(tallies[mu])[0]:
-            leak = mu - int(r)
-            counts[w.k - leak, mu] += int(tallies[mu, r])
+    counts[t - f, w.n - t] = h[t, f]
     return EquivocationMatrix(n=w.n, k=w.k, counts=counts)
 
 

@@ -216,7 +216,7 @@ def oracle_ghw_rm_monomial(u: int, m: int) -> codes.GHWProfile:
     return codes.GHWProfile(weights=tuple(weights), source="monomial")
 
 
-def oracle_subset_rank_tallies(generator: np.ndarray) -> np.ndarray:
+def oracle_column_rank_tallies(generator: np.ndarray) -> np.ndarray:
     """out[s, r] = number of s-column subsets of rank r, by depth-first search.
 
     Walks every column subset, keeping a row-echelon basis of the chosen

@@ -14,12 +14,21 @@ from wiretapkit.codes import GHWProfile, LinearCode
 
 from conftest import (
     oracle_codeword_set,
+    oracle_column_rank_tallies,
     oracle_ghw,
     oracle_ghw_rm_monomial,
     oracle_rank,
     oracle_rm_generator,
-    oracle_subset_rank_tallies,
 )
+
+
+def oracle_subcode_tally(c: LinearCode) -> np.ndarray:
+    """The depth-first oracle's column-rank tally R read as c's subcode
+    tally: dim C(S) = dim - rank(G on the complement of S), so
+    h[s, dim - r] = R[n - s, r]."""
+    ranks = oracle_column_rank_tallies(c.generator.a)
+    assert not ranks[:, c.dim + 1 :].any()
+    return ranks[::-1, c.dim :: -1]
 
 
 def free_counts_both_ways(c: LinearCode) -> tuple[np.ndarray, np.ndarray]:
@@ -135,9 +144,11 @@ class TestEnumerate:
 
 
 class TestSubsetRankTallies:
+    """``codes.subcode_tally`` against the depth-first column-rank oracle."""
+
     def test_identity_code(self):
-        # every subset of independent columns has rank == size
-        t = codes.subset_rank_tallies(LinearCode(n=3, dim=3, generator=BitMatrix.identity(3)))
+        # every subset S of the coordinates holds a subcode of dimension |S|
+        t = codes.subcode_tally(LinearCode(n=3, dim=3, generator=BitMatrix.identity(3)))
         for s in range(4):
             assert t[s, s] == comb(3, s)
             assert t[s].sum() == comb(3, s)
@@ -150,23 +161,20 @@ class TestSubsetRankTallies:
                     c = LinearCode(n=n, dim=0, generator=BitMatrix(np.zeros((0, n), dtype=np.uint8)))
                 else:
                     c = codes.random_code(n, dim, rng)
-                expected = oracle_subset_rank_tallies(c.generator.a)
-                assert np.array_equal(codes.subset_rank_tallies(c), expected), (n, dim)
+                assert np.array_equal(codes.subcode_tally(c), oracle_subcode_tally(c)), (n, dim)
 
     def test_matches_dfs_oracle_up_to_14(self):
         rng = np.random.default_rng(14)
         for n in range(11, 15):
             for dim in (int(rng.integers(1, n // 2 + 1)), int(rng.integers(n // 2 + 1, n))):
                 c = codes.random_code(n, dim, rng)
-                expected = oracle_subset_rank_tallies(c.generator.a)
-                assert np.array_equal(codes.subset_rank_tallies(c), expected), (n, dim)
+                assert np.array_equal(codes.subcode_tally(c), oracle_subcode_tally(c)), (n, dim)
 
     @staticmethod
     def assert_matches_oracle(c: LinearCode):
         """The tally matches the oracle, and so do both of its ways, each
         called directly on the smaller side."""
-        expected = oracle_subset_rank_tallies(c.generator.a)
-        assert np.array_equal(codes.subset_rank_tallies(c), expected), (c.n, c.dim, c.label)
+        assert np.array_equal(codes.subcode_tally(c), oracle_subcode_tally(c)), (c.n, c.dim, c.label)
         zeta, subcode = free_counts_both_ways(c)
         assert np.array_equal(zeta, subcode), (c.n, c.dim, c.label)
 
@@ -182,6 +190,10 @@ class TestSubsetRankTallies:
         zeta, subcode = free_counts_both_ways(c)
         assert zeta.shape == (n + 1, min(dim, n - dim) + 1)
         assert np.array_equal(zeta, subcode), (n, dim)
+        h = codes.subcode_tally(c)
+        assert h.shape == (n + 1, dim + 1)
+        for tally in (zeta, h):
+            assert [int(row.sum()) for row in tally] == [comb(n, s) for s in range(n + 1)], (n, dim)
 
     @pytest.mark.parametrize("n", [15, 16, 17, 18])
     def test_matches_dfs_oracle_over_blocks(self, n):
@@ -209,7 +221,7 @@ class TestSubsetRankTallies:
         c = codes.random_code(24, dim, np.random.default_rng(24))
         tracemalloc.start()
         try:
-            codes.subset_rank_tallies(c)
+            codes.subcode_tally(c)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -219,14 +231,14 @@ class TestSubsetRankTallies:
         # above n = 24 only subcode enumeration runs, and d = 12 is over its budget
         c = codes.random_code(codes.SUBSET_RANK_CAP + 1, 12, np.random.default_rng(0))
         with pytest.raises(ValueError, match="subset-rank cap"):
-            codes.subset_rank_tallies(c)
+            codes.subcode_tally(c)
 
     def test_over_budget_refused_before_allocating(self):
         c = codes.reed_muller(2, 6)  # (64, 22): d = 22
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="subset-rank cap"):
-                codes.subset_rank_tallies(c)
+                codes.subcode_tally(c)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -237,7 +249,7 @@ class TestSubsetRankTallies:
         # a support must fit one uint64, however small the smaller side
         c = LinearCode(n=n, dim=1, generator=BitMatrix(np.ones((1, n), dtype=np.uint8)))
         with pytest.raises(ValueError, match="subset-rank cap"):
-            codes.subset_rank_tallies(c)
+            codes.subcode_tally(c)
 
 
 class TestWeiDuality:

@@ -454,7 +454,7 @@ class TestDefaultFamily:
         def refuse(c):
             raise AssertionError(f"subset-rank search on {c.label}")
 
-        monkeypatch.setattr(codes, "subset_rank_tallies", refuse)
+        monkeypatch.setattr(codes, "subcode_tally", refuse)
         for max_m in range(2, codes.RM_MAX_DEGREE + 1):
             sources = {w.dual_ghw().source for w in sweep.default_code_family(max_m)}
             assert sources == {"monomial"}, max_m
