@@ -30,6 +30,9 @@ INVOCATIONS = {
     "capacity": ["capacity", "--svg"],
     "secrecy": ["secrecy", "--svg"],
     "eqmatrix": ["eqmatrix", "--code", "rm:2,4", "--orientation", "Cperp"],
+    # Base dim 11 > 8: the dual (d = 5) is tallied by subcode enumeration
+    # at n <= 24 and flipped.
+    "eqmatrix_rm24": ["eqmatrix", "--code", "rm:2,4"],
     # Above n = 24: subcode enumeration of the smaller side (d = 6 and 7).
     "eqmatrix_rm15": ["eqmatrix", "--code", "rm:1,5"],
     "eqmatrix_rm16": ["eqmatrix", "--code", "rm:1,6"],
@@ -61,6 +64,7 @@ GOLDEN = {
     "capacity": "3278930ea8bae88754cf67ef64febf610e0cbb3ec7987be9e0c6cd2a95678b95",
     "secrecy": "392e2d2e5c88c5187de2bb7ea6c312e3d01dfcfde53d833b1cd76a8640afd60b",
     "eqmatrix": "5de8b0d4b1d9b0877f036086d46b68dfec4714b984323e1d2bbd9b6f32ac3dbf",
+    "eqmatrix_rm24": "3b45efd6e8944a5f56aa327d41b69ba301b9a3ddab5ffc3b9097f76a7174b892",
     "eqmatrix_rm15": "8cbbace093ea744d3da3f2659f2bb8a699348bf896dcab67b3c513e587eda46f",
     "eqmatrix_rm16": "24fe7432ca8ffc3c8974c5609b0640858eb405e3c4ef5fc16f07036a1fd708fb",
     "eqmatrix_rm35": "7fe8f9e6b2186c026c685e647c46762568d9e180b5f0d14c5e4f174421cc6d32",
