@@ -9,6 +9,7 @@ how many bits an eavesdropper's worst-case erasure pattern leaks.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb
@@ -23,15 +24,19 @@ DEFAULT_ENUM_CAP = 24
 # that any code but a Reed-Muller code takes) run one of two ways, picked
 # by a cost estimate in seconds fitted to best-of-7 timings on 2 vCPUs at
 # n = 8-64 and d = 1-9, where d is the dimension of the smaller of C and
-# C-perp; the fit is within about 25 % of each timing.
+# C-perp; the fit was within about 25 % of each timing.  Enumeration has
+# since got 15-40 % faster at d <= 7; re-timed at n = 16-64, d = 4-9, the
+# rule still takes the faster way in every cell (at n = 16, d = 7 the two
+# tie), so the constants stand.
 # - The zeta transform holds one uint16 count per coordinate subset (32 MB
 #   at n = 24) and finishes in blocks of 2^_BLOCK_BITS subsets (64 KB,
 #   cache-resident): 0.7-1.0 ms at n = 16, 9-16 ms at n = 20 and
 #   0.17-0.27 s at n = 24, whatever d.
 # - Subcode enumeration costs about one OR per subspace of the smaller
 #   side, a few numpy calls per pivot set and a triangular solve:
-#   0.25-0.5 ms at d = 5, 2.7-7 ms at d = 8 and 44-80 ms at d = 9 (36 MB
-#   peak), whatever n up to _SUBCODE_MAX_N, where a support fills a uint64.
+#   0.14-0.26 ms at d = 5 (0.5 ms at n = 64), 2.4-3.6 ms at d = 8 and
+#   36-53 ms at d = 9 (36 MB peak), whatever n up to _SUBCODE_MAX_N,
+#   where a support fills a uint64.
 # So subcode enumeration runs for d <= 6 at n = 16, d <= 8 at n = 20 and
 # d <= 9 at n = 24, the transform for the rest.
 # A code is refused only where the cheaper way would cost more than the
@@ -164,13 +169,31 @@ def _zeta_pass(a: np.ndarray, stride: int) -> None:
     pairs[:, 1, :] += pairs[:, 0, :]
 
 
-def _gaussian_binomials(d: int) -> list[list[int]]:
-    """g[f][j] = [f choose j]_2, the number of j-dimensional subspaces of GF(2)^f."""
+@functools.cache
+def _gaussian_binomials(d: int) -> np.ndarray:
+    """g[f, j] = [f choose j]_2, the number of j-dimensional subspaces of
+    GF(2)^f, for f, j <= d: read-only, built once per d, in int64 while
+    [d choose d/2]_2 fits (d <= 15) and in Python ints beyond."""
     g = [[1]]
     for f in range(1, d + 1):
         prev = g[-1] + [0]
         g.append([1] + [prev[j - 1] + (1 << j) * prev[j] for j in range(1, f + 1)])
-    return g
+    table = np.array([row + [0] * (d - f) for f, row in enumerate(g)], dtype=np.int64 if max(g[d]) < 2**63 else object)
+    table.setflags(write=False)
+    return table
+
+
+@functools.cache
+def _pascal(n: int) -> np.ndarray:
+    """p[w, s] = C(n - w, s - w), the number of s-subsets of n coordinates
+    that cover a given w-subset (0 for s < w): row w is row n - w of
+    Pascal's triangle shifted right by w.  Read-only, built once per n;
+    every entry is at most C(64, 32) < 2^63 for n <= _SUBCODE_MAX_N."""
+    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for w in range(n + 1):
+        table[w, w:] = [comb(n - w, k) for k in range(n - w + 1)]
+    table.setflags(write=False)
+    return table
 
 
 def _zeta_cost(n: int) -> float:
@@ -180,7 +203,7 @@ def _zeta_cost(n: int) -> float:
 def _subcode_cost(n: int, d: int) -> float:
     """Estimated seconds of :func:`_subcode_free_counts`: 2^d pivot sets,
     every subspace, and the solve's products over at most n + 1 weights."""
-    subspaces = sum(_gaussian_binomials(d)[d])
+    subspaces = sum(_gaussian_binomials(d)[d].tolist())
     products = (d + 1) * min(n + 1, subspaces) * (n + 1)
     return (
         _SUBCODE_S
@@ -245,24 +268,16 @@ def _zeta_free_counts(side: LinearCode) -> np.ndarray:
     return h
 
 
-def _subcode_free_counts(side: LinearCode) -> np.ndarray:
-    """h[s, f] for D = ``side`` by enumerating the subspaces of D.
+def _subspace_support_counts(side: LinearCode) -> np.ndarray:
+    """cnt[j, w], the number of j-dimensional subspaces of D = ``side``
+    whose support has w coordinates, by enumerating the subspaces of D.
 
     Every subspace E of D is one reduced echelon basis of coefficient
     vectors, the pivot of a vector being its lowest set bit.  Choosing
     pivots from the highest down, a vector with pivot p is free in the
     coordinates above p that are not pivots already, so each subspace is
     reached once, and its support is the OR of its basis vectors' codeword
-    masks.  cnt[j, w] counts the j-dimensional subspaces by support size
-    w.  An s-subset S holds E iff it covers E's support, and D(S) holds
-    [f choose j]_2 subspaces of dimension j when dim D(S) = f, so
-
-        A[s, j] = sum_w cnt[j, w] C(n - w, s - w) = sum_f h[s, f] [f choose j]_2,
-
-    a unit triangle in f, solved from f = dim downward.  Every term is at
-    most C(n, n/2) max_j [dim choose j]_2; the solve runs in int64 while
-    that stays below 2^63 and in Python ints beyond (about 2^78 at
-    n = 64, dim = 8), and h itself stays below C(64, 32) < 2^63.
+    masks.
     """
     n, d = side.n, side.dim
     vectors = np.arange(1, 1 << d)
@@ -290,18 +305,40 @@ def _subcode_free_counts(side: LinearCode) -> np.ndarray:
     cnt[0, 0] = 1
     for j in range(1, d + 1):
         cnt[j] = np.bincount(np.concatenate(found[j]), minlength=n + 1)
+    return cnt
+
+
+def _subcode_free_counts(side: LinearCode) -> np.ndarray:
+    """h[s, f] for D = ``side`` from its subspace counts cnt[j, w]
+    (:func:`_subspace_support_counts`).
+
+    An s-subset S holds a subspace E iff it covers E's support, and D(S)
+    holds [f choose j]_2 subspaces of dimension j when dim D(S) = f, so
+
+        A[j, s] = sum_w cnt[j, w] C(n - w, s - w) = sum_f [f choose j]_2 h[s, f],
+
+    a unit triangle in f.  The covers C(n - w, s - w) are one gather of
+    :func:`_pascal` rows at D's support sizes w, A is one product, and the
+    triangle is solved from f = dim downward, one array step per f:
+    h[:, f] = A[f] - sum_{e > f} [e choose f]_2 h[:, e].  Every term and
+    partial sum is at most C(n, n/2) max_j [dim choose j]_2; the solve runs
+    in int64 while that stays below 2^63 and in Python ints beyond (about
+    2^78 at n = 64, dim = 8), and h itself stays below C(64, 32) < 2^63.
+    """
+    n, d = side.n, side.dim
+    cnt = _subspace_support_counts(side)
     g = _gaussian_binomials(d)
-    exact = np.int64 if comb(n, n // 2) * max(g[d]) < 2**63 else object
+    exact = np.int64 if comb(n, n // 2) * max(g[d].tolist()) < 2**63 else object
+    g = g.astype(exact, copy=False)
     weights = np.flatnonzero(cnt.any(axis=0))
-    covers = np.array([[0] * w + [comb(n - w, k) for k in range(n - w + 1)] for w in weights], dtype=exact)
-    a = cnt[:, weights].astype(exact) @ covers
-    h = [0] * (d + 1)
+    a = cnt[:, weights].astype(exact, copy=False) @ _pascal(n)[weights].astype(exact, copy=False)
+    h = np.empty_like(a)
     for f in range(d, -1, -1):
-        h[f] = a[f] - sum(g[e][f] * h[e] for e in range(f + 1, d + 1))
-    return np.array(h, dtype=np.int64).T
+        h[f] = a[f] - g[f + 1 :, f] @ h[f + 1 :]
+    return h.astype(np.int64, copy=False).T
 
 
-def subcode_tally(c: LinearCode) -> np.ndarray:
+def subcode_tally(c: LinearCode, *, dual_code: LinearCode | None = None) -> np.ndarray:
     """Tally the subcodes of c by support: an (n+1) x (dim+1) int64 array
     ``h`` with ``h[s, f]`` the number of s-subsets S of coordinates whose
     subcode C(S), the codewords supported inside S, has dimension f.
@@ -309,11 +346,14 @@ def subcode_tally(c: LinearCode) -> np.ndarray:
     Both ways of counting run on D, the smaller of C and C-perp: a
     subset-sum (zeta) transform over all 2^n subsets, or an enumeration of
     D's subspaces that costs about G_d, the number of subspaces, whatever
-    n is.  The cheaper way by a cost estimate runs, and a code is refused
-    only where both would cost more than the transform at
+    n is, and then solves a (dim+1)-step triangle over tabled binomials.
+    The cheaper way by a cost estimate runs, and a code is refused only
+    where both would cost more than the transform at
     n = ``SUBSET_RANK_CAP``.  When D = C-perp, one flip turns D's tally
     into C's: dim C(S) = dim C - |S^c| + dim C-perp(S^c), so
-    h[n - t, dim - t + g] = h_D[t, g].
+    h[n - t, dim - t + g] = h_D[t, g].  ``dual_code``, if given, must be
+    C-perp (a ``WiretapCode`` holds it); otherwise it is derived when D
+    is C-perp.
     """
     n = c.n
     use_dual = 2 * c.dim > n
@@ -326,7 +366,9 @@ def subcode_tally(c: LinearCode) -> np.ndarray:
             f"enumerates the subcodes of the smaller of C and C-perp, which needs n <= {_SUBCODE_MAX_N} "
             f"and dimension <= {_subcode_max_dim(n)}, here {d}"
         )
-    side = dual(c) if use_dual else c
+    if use_dual and dual_code is None:
+        dual_code = dual(c)
+    side = dual_code if use_dual else c
     h = _subcode_free_counts(side) if subcode < zeta else _zeta_free_counts(side)
     if not use_dual:
         return h

@@ -151,12 +151,13 @@ def equivocation_matrix(w: WiretapCode) -> EquivocationMatrix:
     A pattern that erases the set T (and reveals mu = n - |T| positions)
     leaves |T| - dim C(T) bits of equivocation, C(T) being the subcode of
     the base code supported inside T, so counts[t - f, n - t] is the
-    subcode tally's h[t, f]; column mu sums to C(n, mu).  The tally takes
+    subcode tally's h[t, f]; column mu sums to C(n, mu).  The tally gets
+    the dual that ``w`` holds, so no ``codes.dual`` runs here.  It takes
     every n <= ``codes.SUBSET_RANK_CAP`` and, up to n = 64, base codes
     whose smaller side (C or C-perp) has dimension <= 9, such as RM(1,5),
     RM(3,5), RM(1,6) and RM(4,6).
     """
-    h = codes.subcode_tally(w.base_code)
+    h = codes.subcode_tally(w.base_code, dual_code=w.dual_code)
     t, f = np.nonzero(h)
     counts = np.zeros((w.k + 1, w.n + 1), dtype=np.int64)
     counts[t - f, w.n - t] = h[t, f]

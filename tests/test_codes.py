@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiretapkit import bitlinalg, codes
@@ -19,6 +19,7 @@ from conftest import (
     oracle_ghw_rm_monomial,
     oracle_rank,
     oracle_rm_generator,
+    oracle_subcode_solve,
 )
 
 
@@ -250,6 +251,26 @@ class TestSubsetRankTallies:
         c = LinearCode(n=n, dim=1, generator=BitMatrix(np.ones((1, n), dtype=np.uint8)))
         with pytest.raises(ValueError, match="subset-rank cap"):
             codes.subcode_tally(c)
+
+
+class TestSubcodeSolve:
+    """``codes._subcode_free_counts``'s tabled binomials and array solve
+    against the ``math.comb`` oracle, above the transform's reach."""
+
+    @given(st.integers(25, 64), st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(40, 9, False, 0)  # int64 solve
+    @example(64, 8, True, 0)  # Python-int solve, on the dual of the code
+    @settings(max_examples=15, deadline=None)
+    def test_matches_oracle_on_random_codes(self, n, d, larger, seed):
+        c = codes.random_code(n, n - d if larger else d, np.random.default_rng(seed))
+        dual = codes.dual(c)
+        side = dual if larger else c
+        h = codes._subcode_free_counts(side)
+        assert np.array_equal(h, oracle_subcode_solve(codes._subspace_support_counts(side), n, d)), (n, d)
+        assert [int(row.sum()) for row in h] == [comb(n, s) for s in range(n + 1)], (n, d)
+        TestWeiDuality.assert_partition(n, codes.ghw_exact(c).weights, codes.ghw_exact(dual).weights)
+        assert not codes._pascal(n).flags.writeable
+        assert not codes._gaussian_binomials(d).flags.writeable
 
 
 class TestWeiDuality:

@@ -255,6 +255,14 @@ class TestWorstCaseLeakage:
         assert sum(c is base for c in dual_calls) == 1
         assert profile == codes.ghw_of(codes.dual(base))
 
+    @pytest.mark.parametrize("order, degree", [(2, 4), (3, 5)])
+    def test_matrix_tallies_the_dual_it_holds(self, order, degree, dual_calls):
+        # both bases are larger than their duals, so the tally runs on C-perp
+        w = wiretap.build(codes.reed_muller(order, degree))
+        dual_calls.clear()
+        assert wiretap.equivocation_matrix(w).column_sums_ok()
+        assert dual_calls == []
+
     def test_agrees_with_matrix_worst_case(self, medium_corpus):
         for c in medium_corpus:
             if not 0 < c.dim < c.n or c.n > 16:
