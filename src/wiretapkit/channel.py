@@ -402,22 +402,23 @@ def _wall_loss(cfg: EnvironmentConfig, x: np.ndarray, y: np.ndarray) -> np.ndarr
     """Summed loss of the walls the ray from the transmitter to each location meets.
 
     A ray and a wall meet when they cross properly or when an endpoint of
-    one lies on the other (orientation signs); walls add in config order.
+    one lies on the other (orientation signs).  The tests run for every
+    wall at once, as (walls, locations) arrays; walls add in config order.
     """
     loss = np.zeros(x.shape)
-    tx, p = cfg.tx, (x, y)
-    for w in cfg.walls:
-        q1, q2 = (w.x1, w.y1), (w.x2, w.y2)
-        o1, o2 = _orient(tx, p, q1), _orient(tx, p, q2)
-        o3, o4 = _orient(q1, q2, tx), _orient(q1, q2, p)
-        meets = (
-            ((o1 != o2) & (o3 != o4))
-            | ((o1 == 0) & _on_segment(tx, p, q1))
-            | ((o2 == 0) & _on_segment(tx, p, q2))
-            | ((o3 == 0) & _on_segment(q1, q2, tx))
-            | ((o4 == 0) & _on_segment(q1, q2, p))
-        )
-        loss[meets] += w.loss_db
+    ends = np.array([(w.x1, w.y1, w.x2, w.y2) for w in cfg.walls], dtype=float).reshape(-1, 4, 1)
+    tx, p, q1, q2 = cfg.tx, (x, y), (ends[:, 0], ends[:, 1]), (ends[:, 2], ends[:, 3])
+    o1, o2 = _orient(tx, p, q1), _orient(tx, p, q2)
+    o3, o4 = _orient(q1, q2, tx), _orient(q1, q2, p)
+    meets = (
+        ((o1 != o2) & (o3 != o4))
+        | ((o1 == 0) & _on_segment(tx, p, q1))
+        | ((o2 == 0) & _on_segment(tx, p, q2))
+        | ((o3 == 0) & _on_segment(q1, q2, tx))
+        | ((o4 == 0) & _on_segment(q1, q2, p))
+    )
+    for w, hit in zip(cfg.walls, meets):
+        loss[hit] += w.loss_db
     return loss
 
 
@@ -468,6 +469,12 @@ def _seed_words(seed: int, count: int) -> np.ndarray:
     return state.view("<u8")
 
 
+def _tap_phase(taps: int) -> np.ndarray:
+    """e^(-2 pi i f j / 64) at subcarrier f (row) and tap j (column)."""
+    k = np.arange(CARRIERS)
+    return np.exp(-2j * np.pi * k[:, None] * np.arange(taps)[None, :] / CARRIERS)
+
+
 def _tap_sum(taps: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """``(taps[:, None, :] * phase[None]).sum(axis=-1)`` bit for bit, per tap.
 
@@ -479,12 +486,16 @@ def _tap_sum(taps: np.ndarray, phase: np.ndarray) -> np.ndarray:
     (L0 + L1) + (L2 + L3), and the last t mod 4 products are added one at
     a time.  2t never exceeds its block of 128, so it does not recurse.
     Here each lane is a (rows, 64) array and each product numpy's own
-    complex multiply, so every addition is the one numpy makes.
+    complex multiply, so every addition is the one numpy makes.  Column 0
+    of ``phase`` must be e^0 = 1 (:func:`_tap_phase`): numpy's product by
+    1 gives back any tap whose parts are finite and nonzero, so tap 0 is
+    copied into its lane, not multiplied.
     """
     t = taps.shape[1]
     tap_rows, phase_rows = taps.T[:, :, None], phase.T[:, None, :]
     lanes = np.empty((min(t, 4), taps.shape[0], CARRIERS), dtype=complex)
-    np.multiply(tap_rows[:4], phase_rows[:4], out=lanes)
+    lanes[0] = tap_rows[0]
+    np.multiply(tap_rows[1:4], phase_rows[1:4], out=lanes[1:])
     total = lanes[0]
     if t < 4:
         for lane in lanes[1:]:
@@ -648,8 +659,7 @@ def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     powers = np.exp(-np.arange(cfg.taps) / cfg.delay_spread)
     powers /= powers.sum()
     amp = np.sqrt(powers / 2)
-    k = np.arange(CARRIERS)
-    phase = np.exp(-2j * np.pi * k[:, None] * np.arange(cfg.taps)[None, :] / CARRIERS)
+    phase = _tap_phase(cfg.taps)
     block_rows = FADING_CHUNK * max(1, _DRAW_BYTES // (FADING_CHUNK * 2 * cfg.taps * 8))
     draws = np.empty((min(block_rows, out.shape[0]), 2 * cfg.taps))
     seeds = _seed_words(seed, out.shape[0])

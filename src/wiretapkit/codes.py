@@ -27,13 +27,16 @@ DEFAULT_ENUM_CAP = 24
 # C-perp; the fit was within about 25 % of each timing.  Enumeration has
 # since got 15-40 % faster at d <= 7; re-timed at n = 16-64, d = 4-9, the
 # rule still takes the faster way in every cell (at n = 16, d = 7 the two
-# tie), so the constants stand.
+# tie), so the constants stand.  The solve after the enumeration is d + 1
+# array steps, so it has no term of its own; dropping the per-product term
+# that priced its former back-substitution changed no choice at
+# n = 16-24, d = 1-12, nor the cap.
 # - The zeta transform holds one uint16 count per coordinate subset (32 MB
 #   at n = 24) and finishes in blocks of 2^_BLOCK_BITS subsets (64 KB,
 #   cache-resident): 0.7-1.0 ms at n = 16, 9-16 ms at n = 20 and
 #   0.17-0.27 s at n = 24, whatever d.
 # - Subcode enumeration costs about one OR per subspace of the smaller
-#   side, a few numpy calls per pivot set and a triangular solve:
+#   side and a few numpy calls per pivot set:
 #   0.14-0.26 ms at d = 5 (0.5 ms at n = 64), 2.4-3.6 ms at d = 8 and
 #   36-53 ms at d = 9 (36 MB peak), whatever n up to _SUBCODE_MAX_N,
 #   where a support fills a uint64.
@@ -49,7 +52,6 @@ _ZETA_S_PER_SUBSET_BIT = 7e-10
 _SUBCODE_S = 1e-4
 _SUBCODE_S_PER_PIVOT_SET = 6e-6
 _SUBCODE_S_PER_SUBSPACE = 8e-9
-_SUBCODE_S_PER_PRODUCT = 2.7e-8
 # Largest Reed-Muller degree m (n = 2^m) anything here builds: on 2 vCPUs
 # the sweep's candidate family with its dual GHW profiles, all in closed
 # form, takes 0.13-0.15 s at m = 9 and 0.49-0.56 s at m = 10.
@@ -201,16 +203,10 @@ def _zeta_cost(n: int) -> float:
 
 
 def _subcode_cost(n: int, d: int) -> float:
-    """Estimated seconds of :func:`_subcode_free_counts`: 2^d pivot sets,
-    every subspace, and the solve's products over at most n + 1 weights."""
+    """Estimated seconds of :func:`_subcode_free_counts`: 2^d pivot sets
+    and every subspace."""
     subspaces = sum(_gaussian_binomials(d)[d].tolist())
-    products = (d + 1) * min(n + 1, subspaces) * (n + 1)
-    return (
-        _SUBCODE_S
-        + _SUBCODE_S_PER_PIVOT_SET * 2**d
-        + _SUBCODE_S_PER_SUBSPACE * subspaces
-        + _SUBCODE_S_PER_PRODUCT * products
-    )
+    return _SUBCODE_S + _SUBCODE_S_PER_PIVOT_SET * 2**d + _SUBCODE_S_PER_SUBSPACE * subspaces
 
 
 def _subcode_max_dim(n: int) -> int:
@@ -378,16 +374,17 @@ def subcode_tally(c: LinearCode, *, dual_code: LinearCode | None = None) -> np.n
     return out
 
 
-def ghw_exact(c: LinearCode) -> GHWProfile:
+def ghw_exact(c: LinearCode, *, dual_code: LinearCode | None = None) -> GHWProfile:
     """Weight hierarchy by exhaustive search over coordinate subsets.
 
     d_r is the smallest |S| whose subcode C(S) reaches dimension r.  The
     largest dimension at each subset size is the last nonzero column of
     the subcode tally, nondecreasing in |S|, which takes every
     n <= ``SUBSET_RANK_CAP`` and, up to n = 64, codes whose smaller side
-    (the code or its dual) has dimension <= 9.
+    (the code or its dual) has dimension <= 9.  ``dual_code``, if given,
+    must be C-perp; the tally then derives no dual.
     """
-    reach = c.dim - (subcode_tally(c)[:, ::-1] > 0).argmax(axis=1)
+    reach = c.dim - (subcode_tally(c, dual_code=dual_code)[:, ::-1] > 0).argmax(axis=1)
     weights = np.searchsorted(reach, np.arange(1, c.dim + 1))
     return GHWProfile(weights=tuple(weights.tolist()), source="exact")
 
@@ -407,18 +404,19 @@ def _ghw_rm_monomial(u: int, m: int) -> GHWProfile:
     return GHWProfile(weights=tuple(itertools.accumulate(new_points)), source="monomial")
 
 
-def ghw_of(c: LinearCode) -> GHWProfile:
+def ghw_of(c: LinearCode, *, dual_code: LinearCode | None = None) -> GHWProfile:
     """Hierarchy of an arbitrary code.
 
     Closed form for every Reed-Muller code, exhaustive search for any
-    other code the subcode tally takes (see :func:`ghw_exact`).  The
-    profile's ``source`` records which ran.
+    other code the subcode tally takes (see :func:`ghw_exact`, which gets
+    ``dual_code``, C-perp if given).  The profile's ``source`` records
+    which ran.
     """
     if c.dim == 0:
         return GHWProfile(weights=())
     if c.rm_params is not None:
         return _ghw_rm_monomial(*c.rm_params)
-    return ghw_exact(c)
+    return ghw_exact(c, dual_code=dual_code)
 
 
 def random_code(n: int, dim: int, rng: np.random.Generator, label: str = "") -> LinearCode:

@@ -93,28 +93,39 @@ def _block_layout(n: int, a: int, blocks: int) -> np.ndarray:
     return b + blocks * (np.arange(n) % -(-(a - b) // blocks))
 
 
-def _revealed_bits(read: np.ndarray, readable: np.ndarray, n: int, interleave: bool) -> np.ndarray:
-    """Bits of an n-bit block Eve reads, per Eve (rows) and block (columns).
+def _worst_case_bits(readable: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
+    """Most bits of one n-bit block, laid out on all a active carriers,
+    that e readable carriers can hold, elementwise over (e, a).
 
-    ``read`` is her (Eve x active carrier) read mask and ``readable`` its
-    row counts; the blocks are laid out by :func:`_block_layout`.
-    Interleaved: B = ceil(a / n) blocks, each Eve charged her concrete
-    bits.  Worst case: one block on all a carriers, and Eve's e readable
-    carriers are charged as the e that carry the most bits.
+    Bit i sits on carrier i mod a (``_block_layout(n, a, 1)``), so n mod a
+    carriers carry floor(n / a) + 1 bits and the rest floor(n / a); the e
+    heaviest carry e floor(n / a) + min(e, n mod a).  With a = 0 Eve
+    reads nothing (e = 0), and so learns nothing.
     """
-    a = read.shape[1]
-    if a == 0:
-        return np.zeros((read.shape[0], 1), dtype=int)
-    if interleave:
-        return read[:, _block_layout(n, a, -(-a // n))].sum(axis=2)
-    heaviest = np.sort(np.bincount(_block_layout(n, a, 1)[0], minlength=a))[::-1]
-    return np.concatenate(([0], heaviest.cumsum()))[readable[:, None]]
+    a = np.maximum(a, 1)
+    return readable * (n // a) + np.minimum(readable, n % a)
+
+
+def _interleaved_bits(keys: np.ndarray, starts: np.ndarray, bob_read: np.ndarray, n: int) -> np.ndarray:
+    """Most bits any of B = max(1, ceil(a / n)) interleaved n-bit blocks
+    reveals, per read-mask key: threshold t owns the keys from starts[t]
+    to starts[t + 1], and its active carriers are those of
+    ``bob_read[t]``, laid out by :func:`_block_layout`."""
+    read = np.unpackbits(keys.view(np.uint8), bitorder="little").reshape(-1, bob_read.shape[1])
+    revealed = np.zeros(len(keys), dtype=np.intp)
+    for start, stop, bob in zip(starts.tolist(), starts[1:].tolist() + [len(keys)], bob_read):
+        active = np.flatnonzero(bob)
+        if active.size:
+            carriers = active[_block_layout(n, active.size, -(-active.size // n))]
+            revealed[start:stop] = read[start:stop, carriers].sum(axis=2).max(axis=1)
+    return revealed
 
 
 def _mask_keys(read: np.ndarray) -> np.ndarray:
     """Each row of a (..., 64) carrier mask packed into one uint64, carrier
-    c on bit c."""
-    return np.packbits(read, axis=-1, bitorder="little").view("<u8")[..., 0]
+    c on bit c.  Rows of 64 fill whole bytes, so the mask is packed flat,
+    several times faster than along its last axis."""
+    return np.packbits(read.ravel(), bitorder="little").view("<u8").reshape(read.shape[:-1])
 
 
 def sweep(
@@ -127,26 +138,31 @@ def sweep(
     """Score every code at every threshold, code-major then threshold-minor.
 
     Only subcarriers reliable at Bob's reference location are active.
-    For each Eve location, a block is charged the bits she reads (see
-    :func:`_revealed_bits`): the default worst-case rule assumes the
-    least favorable alignment of codeword bits onto her readable
-    carriers, counting every channel use when n exceeds the a active
-    carriers; ``interleave`` instead scores a concrete round-robin map
-    of B = max(1, ceil(a / n)) blocks, and the worst block counts.  A
-    point's equivocation is set by the first Eve location, in grid
-    order, that leaks the most.
+    For each Eve location, a block is charged the bits she reads: the
+    default worst-case rule assumes the least favorable alignment of
+    codeword bits onto her readable carriers, counting every channel use
+    when n exceeds the a active carriers (:func:`_worst_case_bits`);
+    ``interleave`` instead scores a concrete round-robin map of
+    B = max(1, ceil(a / n)) blocks, and the worst block counts
+    (:func:`_interleaved_bits`).  A point's equivocation is set by the
+    first Eve location, in grid order, that leaks the most.
 
     The regions are checked once, on the region ids the grid resolved
     at construction, and Eve's rows are gathered once by an index array.
-    Per threshold, her SNRs are compared once and each read mask is
-    ANDed with Bob's and packed into one 64-bit key; Eves sharing a key
-    leak alike, so only the distinct masks (1-12 of the bundled grid's
-    1,170 Eves at 25-31 dB), each standing for its first Eve, are
-    scored.  Their readable carriers are counted once, each
-    blocklength's revealed bits are built once, and a code's leakage at
-    each mu comes from a lookup table over its dual weight hierarchy.
-    The masks are kept in order of their first Eve, so the first mask
-    that leaks the most names the first such Eve in grid order.
+    Each threshold compares her SNRs once and packs each read mask, ANDed
+    with Bob's, into one 64-bit key.  Eves sharing a key leak alike, so
+    each distinct key (1-12 of the bundled grid's 1,170 Eves at 25-31 dB)
+    is one row, standing for the first Eve in grid order that reads it;
+    one stable sort of every threshold's keys finds the rows.
+
+    Cost: numpy passes per threshold (compare and pack) and per
+    blocklength, never per (threshold, code).  Per blocklength, each row
+    is reduced to the most bits a block reveals (in closed form in the
+    worst case; interleaved, one gather per threshold), one gather reads
+    every code's leakage at that count from a table of its dual weight
+    hierarchy, and two segmented reductions over each threshold's rows
+    give its most leakage and the first Eve that reaches it.  Building
+    the output takes one Python step per point.
     """
     if not code_list or not taus:
         raise ValueError("need at least one code and one threshold")
@@ -160,43 +176,54 @@ def sweep(
     if eve_idxs.size == 0:
         raise ValueError("no candidate Eve locations (empty or fully excluded Eve regions)")
     bob_idx = bob_reference_index(grid, regions)
-    eve_snr = grid.snr_db[eve_idxs]
-    leak_tables = [
-        np.array([w.dual_ghw().leakage_at(mu) for mu in range(w.n + 1)]) for w in code_list
+    bob_read = np.array([channel.erase_mask(grid.snr_db[bob_idx], tau) for tau in taus])
+    bob_keys = _mask_keys(bob_read)
+    eve_snr = np.take(grid.snr_db, eve_idxs, axis=0)
+    keys = np.array([_mask_keys(channel.erase_mask(eve_snr, tau)) for tau in taus])
+    keys &= bob_keys[:, None]
+    # Stably sorted, each run of equal keys starts at the first Eve, in
+    # grid order, that reads its mask; each run is one row.
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = np.take(keys, order + np.arange(0, keys.size, keys.shape[1])[:, None])
+    run_start = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=run_start[:, 1:])
+    row_tau, row_at = np.nonzero(run_start)
+    row_keys, first = keys[run_start], order[row_tau, row_at]
+    starts = np.flatnonzero(row_at == 0)
+    active = np.bitwise_count(bob_keys).astype(np.intp)
+    readable, row_active = np.bitwise_count(row_keys), active[row_tau]
+    # A row scores leakage * E + (E - 1 - its first Eve), E Eves in all, so
+    # the highest score among a threshold's rows holds its most leakage and
+    # the first Eve that reaches it.
+    eve_count = eve_idxs.size
+    tiebreak = eve_count - 1 - first
+    by_n: dict[int, list[int]] = {}
+    for i, w in enumerate(code_list):
+        by_n.setdefault(w.n, []).append(i)
+    leaked = np.empty((len(code_list), len(taus)), dtype=np.intp)
+    blamed = np.empty_like(leaked)
+    for n, members in by_n.items():
+        if interleave:
+            revealed = _interleaved_bits(row_keys, starts, bob_read, n)
+        else:
+            revealed = _worst_case_bits(readable, row_active, n)
+        # Column mu of a table is GHWProfile.leakage_at(mu), the weights <= mu;
+        # it never falls as mu grows, so a row's most revealed bits give its
+        # most leakage.
+        mus = np.arange(n + 1)
+        weights = [np.array(code_list[i].dual_ghw().weights) for i in members]
+        tables = np.array([np.searchsorted(ws, mus, side="right") for ws in weights])
+        score = np.maximum.reduceat(tables[:, revealed] * eve_count + tiebreak, starts, axis=1)
+        leaked[members], blamed[members] = np.divmod(score, eve_count)
+    worst_eve = eve_idxs[eve_count - 1 - blamed].tolist()
+    # Positional arguments in SweepPoint's field order: 98 points build in
+    # three quarters of the time keywords take.
+    tau_db, active = [float(tau) for tau in taus], active.tolist()
+    return [
+        SweepPoint(w.label, w.n, w.k, w.k / w.n, tau, a, w.k * a / w.n, 100.0 * (w.k - leak) / w.k, eve, bob_idx)
+        for w, leaks, eves in zip(code_list, leaked.tolist(), worst_eve)
+        for tau, a, leak, eve in zip(tau_db, active, leaks, eves)
     ]
-    per_code: list[list[SweepPoint]] = [[] for _ in code_list]
-    for tau in taus:
-        bob_read = channel.erase_mask(grid.snr_db[bob_idx], tau)
-        active = np.flatnonzero(bob_read)
-        a = int(active.size)
-        eve_read = channel.erase_mask(eve_snr, tau)
-        keys = _mask_keys(eve_read) & _mask_keys(bob_read)
-        # np.unique returns each key's first index, so sorted they list
-        # the distinct masks in order of their first Eve.
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        read = eve_read[first[:, None], active]
-        readable = np.count_nonzero(read, axis=1)
-        revealed: dict[int, np.ndarray] = {}
-        for w, table, points in zip(code_list, leak_tables, per_code):
-            if w.n not in revealed:
-                revealed[w.n] = _revealed_bits(read, readable, w.n, interleave)
-            per_mask = table[revealed[w.n]].max(axis=1)
-            worst = int(np.argmax(per_mask))
-            points.append(
-                SweepPoint(
-                    code_label=w.label,
-                    n=w.n,
-                    k=w.k,
-                    rate=w.k / w.n,
-                    tau_db=float(tau),
-                    active_carriers=a,
-                    throughput=w.k * a / w.n,
-                    min_equivocation_pct=100.0 * (w.k - int(per_mask[worst])) / w.k,
-                    worst_eve_location=int(eve_idxs[first[worst]]),
-                    bob_location=bob_idx,
-                )
-            )
-    return [p for points in per_code for p in points]
 
 
 def select_best(points: list[SweepPoint], require_full_equivocation: bool = True) -> SweepPoint:
@@ -301,28 +328,41 @@ def default_code_family(max_m: int = 5) -> list[WiretapCode]:
     return family
 
 
-# The frontier CSV's columns, in order: SweepPoint fields.  best.json
-# holds all but worst_eve_location.
+# The frontier CSV's columns, in order: SweepPoint fields, the label
+# first.  best.json holds all but worst_eve_location.
 FRONTIER_COLUMNS = (
     "code_label", "n", "k", "rate", "tau_db", "active_carriers",
     "throughput", "min_equivocation_pct", "worst_eve_location",
 )
 
 
+# One frontier row: floats to 6 significant digits, the other fields as
+# str() writes them, the label already quoted.
+_FRONTIER_ROW = ",".join(
+    "%.6g" if SweepPoint.__annotations__[c] == "float" else "%s" for c in FRONTIER_COLUMNS
+) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV writer with minimal quoting writes it in a row of
+    several fields: quoted only when it holds a comma, quote or newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def frontier_csv(points: list[SweepPoint]) -> str:
     """Sweep output schema used by the CLI and the golden-file tests:
     ``FRONTIER_COLUMNS``, floats to 6 significant digits.
 
-    Code labels contain commas (e.g. "RM(1,2)|C"), so rows go through a
-    real CSV writer with minimal quoting.
+    Code labels contain commas (e.g. "RM(1,2)|C"), so each distinct label
+    is quoted once by a real CSV writer with minimal quoting; every row is
+    then one ``%`` template.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FRONTIER_COLUMNS)
-    row = operator.attrgetter(*FRONTIER_COLUMNS)
-    for p in points:
-        writer.writerow(["%.6g" % v if isinstance(v, float) else v for v in row(p)])
-    return buf.getvalue()
+    labels = {label: _csv_field(label) for label in {p.code_label for p in points}}
+    rest = operator.attrgetter(*FRONTIER_COLUMNS[1:])
+    head = ",".join(FRONTIER_COLUMNS) + "\n"
+    return head + "".join(_FRONTIER_ROW % ((labels[p.code_label],) + rest(p)) for p in points)
 
 
 _SVG_WIDTH, _SVG_HEIGHT = 480.0, 360.0  # frontier plot size, SVG user units

@@ -87,9 +87,10 @@ class WiretapCode:
         return self._label or self.base_code.label
 
     def dual_ghw(self) -> GHWProfile:
-        """Weight hierarchy of the dual of the base code (cached)."""
+        """Weight hierarchy of the dual of the base code (cached).  Its
+        dual is the base code, held here, so no ``codes.dual`` runs."""
         if self._dual_ghw is None:
-            self._dual_ghw = codes.ghw_of(self.dual_code)
+            self._dual_ghw = codes.ghw_of(self.dual_code, dual_code=self.base_code)
         return self._dual_ghw
 
 

@@ -364,6 +364,58 @@ def oracle_sweep(code_list, grid, regions, taus, interleave: bool = False) -> li
     return [oracle_sweep_point(w, grid, regions, t, interleave) for w in code_list for t in taus]
 
 
+def oracle_sweep_by_eve(code_list, grid, regions, taus, interleave: bool = False) -> list:
+    """:func:`oracle_sweep` with each point's loop over Eve locations run
+    as array passes over all of them, fast enough for the bundled grid at
+    many thresholds.
+
+    Every Eve is scored on her own read mask, with no grouping of Eves
+    that read alike: worst case, her e readable carriers carry the e
+    heaviest loads of :func:`_oracle_carrier_bits` (sorted, summed);
+    interleaved, block b of B = ceil(a / n) holds active carriers b, b + B,
+    ... and the worst block counts.  ``np.argmax`` blames the first Eve
+    that leaks the most.
+    """
+    labels = region_of(grid)
+    wanted = regions.eve_regions - regions.excluded_regions
+    eve_idxs = [i for i, label in enumerate(labels) if label in wanted]
+    bob_idx = oracle_bob_reference(grid, regions.bob_region)
+    points = []
+    for w in code_list:
+        table = np.array([w.dual_ghw().leakage_at(mu) for mu in range(w.n + 1)])
+        for tau in taus:
+            active = np.nonzero(channel.erase_mask(grid.snr_db[bob_idx], tau))[0]
+            a = int(active.size)
+            read = channel.erase_mask(grid.snr_db[eve_idxs], tau)[:, active].astype(int)
+            if a == 0:
+                leak = np.zeros(len(eve_idxs), dtype=int)
+            elif interleave:
+                blocks = -(-a // w.n)
+                leak = np.max([
+                    table[read[:, b::blocks] @ _oracle_carrier_bits(w.n, read[:, b::blocks].shape[1])]
+                    for b in range(blocks)
+                ], axis=0)
+            else:
+                heaviest = np.cumsum([0] + sorted(_oracle_carrier_bits(w.n, a), reverse=True))
+                leak = table[heaviest[read.sum(axis=1)]]
+            worst = int(np.argmax(leak))
+            points.append(
+                sweep.SweepPoint(
+                    code_label=w.label,
+                    n=w.n,
+                    k=w.k,
+                    rate=w.k / w.n,
+                    tau_db=tau,
+                    active_carriers=a,
+                    throughput=w.k * a / w.n if a > 0 else 0.0,
+                    min_equivocation_pct=100.0 * (w.k - int(leak[worst])) / w.k,
+                    worst_eve_location=eve_idxs[worst],
+                    bob_location=bob_idx,
+                )
+            )
+    return points
+
+
 def _segments_cross(p1, p2, q1, q2) -> bool:
     """Proper/improper intersection test via orientation signs."""
 

@@ -346,12 +346,16 @@ class TestTapSum:
     @pytest.mark.parametrize("rows", [channel.FADING_CHUNK, 37])
     def test_matches_numpy_sum(self, rows):
         rng = np.random.default_rng(rows)
-        k = np.arange(CARRIERS)
         for t in range(1, CARRIERS + 1):
             taps = rng.standard_normal((rows, t)) + 1j * rng.standard_normal((rows, t))
-            phase = np.exp(-2j * np.pi * k[:, None] * np.arange(t)[None, :] / CARRIERS)
+            phase = channel._tap_phase(t)
             want = (taps[:, None, :] * phase[None]).sum(axis=-1)
             assert np.array_equal(channel._tap_sum(taps, phase), want), t
+
+    def test_tap_zero_phase_is_one(self):
+        # _tap_sum copies tap 0 into its lane instead of multiplying it
+        for t in range(1, CARRIERS + 1):
+            assert np.all(channel._tap_phase(t)[:, 0] == 1), t
 
     def test_fading_peak_memory(self):
         # a (chunk, 64, 64) complex product would take 8 MiB; the first

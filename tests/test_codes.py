@@ -245,6 +245,17 @@ class TestSubsetRankTallies:
             tracemalloc.stop()
         assert peak < 2**20, peak
 
+    # Largest smaller-side dimension d that subcode enumeration takes at
+    # each n; the transform takes the rest.  Taken when the cost rule still
+    # priced the back-substitution the array solve replaced.
+    ENUMERATION_UP_TO = {16: 6, 17: 7, 18: 7, 19: 8, 20: 8, 21: 8, 22: 8, 23: 9, 24: 9}
+
+    def test_cost_rule_choice(self):
+        for n, top in self.ENUMERATION_UP_TO.items():
+            chosen = [d for d in range(1, 13) if codes._subcode_cost(n, d) < codes._zeta_cost(n)]
+            assert chosen == list(range(1, top + 1)), n
+        assert {codes._subcode_max_dim(n) for n in range(1, 65)} == {9}
+
     @pytest.mark.parametrize("n", [65, 128])
     def test_subcode_enumeration_stops_at_64(self, n):
         # a support must fit one uint64, however small the smaller side

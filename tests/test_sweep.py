@@ -20,6 +20,8 @@ from conftest import (
     oracle_leakage,
     oracle_rref,
     oracle_sweep,
+    oracle_sweep_by_eve,
+    oracle_sweep_point,
     oracle_wiretap_matrices,
     posterior_entropy,
     posterior_oracle,
@@ -371,6 +373,16 @@ class TestBlockLayout:
                     if blocks == -(-a // n):
                         assert sorted(set(layout.ravel().tolist())) == list(range(a))
 
+    def test_worst_case_closed_form(self):
+        """e floor(n / a) + min(e, n mod a) is the sum of the e heaviest
+        carrier loads of one block laid out on all a active carriers."""
+        for a in range(1, 65):
+            readable = np.arange(a + 1)
+            for n in range(1, 513):
+                loads = np.sort(np.bincount(sweep._block_layout(n, a, 1)[0], minlength=a))[::-1]
+                want = np.concatenate(([0], loads.cumsum()))
+                assert np.array_equal(sweep._worst_case_bits(readable, a, n), want), (n, a)
+
 
 class TestSweepMatchesOracle:
     """The one-pass sweep equals the per-Eve loop in tests/conftest.py."""
@@ -380,6 +392,18 @@ class TestSweepMatchesOracle:
     @pytest.fixture(scope="class")
     def family(self):
         return sweep.default_code_family(max_m=4)
+
+    @pytest.fixture(scope="class")
+    def every_carrier_level(self):
+        """The bundled grid and the m <= 7 family (n = 4-128), with every
+        distinct SNR of Bob's reference row as a threshold, so that
+        carriers sit exactly on tau, and one more above them all that
+        leaves him no active carrier (a = 0), listed unsorted."""
+        env = channel.default_environment()
+        grid = channel.default_grid()
+        levels = np.unique(grid.snr_db[oracle_bob_reference(grid, env.region_map.bob_region)])
+        taus = np.random.default_rng(7).permutation(np.append(levels, levels[-1] + 1.0)).tolist()
+        return sweep.default_code_family(max_m=7), grid, env.region_map, taus
 
     @given(small_scenarios())
     @settings(max_examples=60, deadline=None)
@@ -430,6 +454,18 @@ class TestSweepMatchesOracle:
             want = oracle_sweep(fam, grid, env.region_map, taus, interleave)
             assert sweep.frontier_csv(got) == sweep.frontier_csv(want)
             assert got == want
+
+    @pytest.mark.parametrize("interleave", [False, True], ids=["worst_case", "interleaved"])
+    def test_bundled_grid_at_every_carrier_level(self, every_carrier_level, interleave):
+        fam, grid, regions, taus = every_carrier_level
+        got = sweep.sweep(fam, grid, regions, taus, interleave=interleave)
+        # the per-Eve loop, as array passes over the Eves, at every point
+        assert got == oracle_sweep_by_eve(fam, grid, regions, taus, interleave)
+        assert {p.active_carriers for p in got} >= {0, 1, 64}
+        # and as the loop itself on the shortest and longest code at three thresholds
+        for c in (0, len(fam) - 1):
+            for t in (0, taus.index(max(taus)), len(taus) - 1):
+                assert got[c * len(taus) + t] == oracle_sweep_point(fam[c], grid, regions, taus[t], interleave)
 
 
 class TestDefaultFamily:

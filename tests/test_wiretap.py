@@ -255,6 +255,14 @@ class TestWorstCaseLeakage:
         assert sum(c is base for c in dual_calls) == 1
         assert profile == codes.ghw_of(codes.dual(base))
 
+    def test_profile_tallies_the_base_it_holds(self, dual_calls):
+        # C-perp (16, 12) is the larger side, so its tally runs on its dual, C
+        w = wiretap.build(codes.random_code(16, 4, np.random.default_rng(16)))
+        dual_calls.clear()
+        profile = w.dual_ghw()
+        assert dual_calls == []
+        assert profile == codes.ghw_exact(w.dual_code)
+
     @pytest.mark.parametrize("order, degree", [(2, 4), (3, 5)])
     def test_matrix_tallies_the_dual_it_holds(self, order, degree, dual_calls):
         # both bases are larger than their duals, so the tally runs on C-perp
