@@ -18,9 +18,9 @@ import numpy as np
 
 CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
-# At the cap on 2 shared vCPUs, synth_grid takes 0.27-0.49 s and 101 MB peak
-# RSS, 0.20-0.35 s of it the seeded fading; the synth command, which also
-# writes the CSV, takes 2.8-2.9 s.
+# At the cap on 2 shared vCPUs, synth_grid takes 0.17-0.30 s and 107 MB peak
+# RSS, 0.12-0.21 s of it the seeded fading; the synth command, which also
+# writes the CSV, takes 1.75-1.95 s.
 MAX_GRID_LOCATIONS = 100_000
 
 
@@ -305,11 +305,13 @@ class EnvironmentConfig:
 
     @property
     def lattice(self) -> tuple[int, int]:
-        """Grid points along x and along y."""
-        return (
-            int(math.floor(self.width / self.grid_spacing)) + 1,
-            int(math.floor(self.height / self.grid_spacing)) + 1,
-        )
+        """Grid points along x and along y.
+
+        A side whose quotient by the spacing overflows to inf counts inf
+        points, never converted to an int, so the location cap refuses it.
+        """
+        spans = (self.width / self.grid_spacing, self.height / self.grid_spacing)
+        return tuple(math.floor(q) + 1 if q < math.inf else q for q in spans)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EnvironmentConfig":
@@ -350,11 +352,9 @@ class EnvironmentConfig:
 
 
 # Locations whose fading is drawn and transformed together.  Per chunk
-# the tap sum holds four complex (locations, 64) lanes, 512 KB, and from
-# 8 taps on a second 512 KB buffer of products; one lane of a whole grid
-# would take 100 MB at the cap.  perfbench's peak RSS stays below the
-# per-location loop's at 128 on both workloads; at 256 it rose 0.3 MB on
-# ``analysis``.
+# the FFT's complex (locations, 64) output takes 128 KB; one for a whole
+# grid would take 101 MB at the cap.  On the bundled plan, chunks of 256
+# and 512 locations timed within 10 % of 128 at 4 and at 64 taps.
 FADING_CHUNK = 128
 
 # default_rng([seed, i]) seeds PCG64 through numpy's SeedSequence: its hash
@@ -379,8 +379,8 @@ _DRAW_BYTES = 1 << 18
 # Taps up to which rows are drawn as array passes.  A row passes them when
 # all its 2 taps draws take numpy's fast path, about 0.982^(2 taps): on the
 # bundled plan's 2,360 rows 88 % at 4 taps, 65 % at 12 and 8 % at 64; numpy
-# redraws the rest.  There the fading took 0.37-0.41 of the per-row draw's
-# time at 4 taps, 0.66-0.85 at 12, 1.0-1.3 at 16 and 1.9-2.2 at 64.
+# redraws the rest.  There the fading took 0.38-0.44 of the per-row draw's
+# time at 4 taps, 0.70-0.77 at 12, 0.74-1.07 at 16 and 3.2-3.5 at 64.
 _BULK_MAX_TAPS = 12
 
 
@@ -467,53 +467,6 @@ def _seed_words(seed: int, count: int) -> np.ndarray:
         value = value * hash_const
         state[:, j] = value ^ (value >> _XSHIFT)
     return state.view("<u8")
-
-
-def _tap_phase(taps: int) -> np.ndarray:
-    """e^(-2 pi i f j / 64) at subcarrier f (row) and tap j (column)."""
-    k = np.arange(CARRIERS)
-    return np.exp(-2j * np.pi * k[:, None] * np.arange(taps)[None, :] / CARRIERS)
-
-
-def _tap_sum(taps: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """``(taps[:, None, :] * phase[None]).sum(axis=-1)`` bit for bit, per tap.
-
-    ``taps`` is (rows, t) and ``phase`` (64, t), t <= 64.  numpy's
-    pairwise sum reads a row of t complex products as 2t doubles.  Below
-    8 doubles (t < 4) it adds them left to right.  From 8 on it keeps 8
-    double accumulators, four complex lanes: lane j adds products j,
-    j + 4, j + 8, ... of the first 4 floor(t/4), the lanes combine as
-    (L0 + L1) + (L2 + L3), and the last t mod 4 products are added one at
-    a time.  2t never exceeds its block of 128, so it does not recurse.
-    Here each lane is a (rows, 64) array and each product numpy's own
-    complex multiply, so every addition is the one numpy makes.  Column 0
-    of ``phase`` must be e^0 = 1 (:func:`_tap_phase`): numpy's product by
-    1 gives back any tap whose parts are finite and nonzero, so tap 0 is
-    copied into its lane, not multiplied.
-    """
-    t = taps.shape[1]
-    tap_rows, phase_rows = taps.T[:, :, None], phase.T[:, None, :]
-    lanes = np.empty((min(t, 4), taps.shape[0], CARRIERS), dtype=complex)
-    lanes[0] = tap_rows[0]
-    np.multiply(tap_rows[1:4], phase_rows[1:4], out=lanes[1:])
-    total = lanes[0]
-    if t < 4:
-        for lane in lanes[1:]:
-            total += lane
-        return total
-    whole = t - t % 4
-    if whole > 4:
-        products = np.empty_like(lanes)
-        for j in range(4, whole, 4):
-            np.multiply(tap_rows[j:j + 4], phase_rows[j:j + 4], out=products)
-            lanes += products
-    total += lanes[1]
-    lanes[2] += lanes[3]
-    total += lanes[2]
-    for j in range(whole, t):
-        np.multiply(tap_rows[j], phase_rows[j], out=lanes[1])
-        total += lanes[1]
-    return total
 
 
 @functools.cache
@@ -648,18 +601,15 @@ def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     ``_BULK_MAX_TAPS`` taps, is redrawn whole by numpy: one reused
     Generator set to the row's start state.  Each block is then
     transformed ``FADING_CHUNK`` rows at a time.  The transform
-    H(f) = sum_j tap_j e^(-2 pi i f j / 64), :func:`_tap_sum`, adds the
-    per-tap products in numpy's own pairwise order (four lanes of every
-    fourth tap, combined as (L0 + L1) + (L2 + L3), then the last t mod 4
-    taps), so the grid is bit-exact with the per-location loop's ``sum``
-    without building the (rows, 64, taps) product it reduces.
+    H(f) = sum_j tap_j e^(-2 pi i f j / 64) is the 64-point DFT of the
+    tap profile, computed by FFT; taps never exceed 64, so ``n=64`` pads
+    and never truncates.
     """
     if not cfg.enabled:
         return
     powers = np.exp(-np.arange(cfg.taps) / cfg.delay_spread)
     powers /= powers.sum()
     amp = np.sqrt(powers / 2)
-    phase = _tap_phase(cfg.taps)
     block_rows = FADING_CHUNK * max(1, _DRAW_BYTES // (FADING_CHUNK * 2 * cfg.taps * 8))
     draws = np.empty((min(block_rows, out.shape[0]), 2 * cfg.taps))
     seeds = _seed_words(seed, out.shape[0])
@@ -679,7 +629,7 @@ def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
             block = out[start + at:start + at + FADING_CHUNK]
             zc = z[at:at + FADING_CHUNK]
             taps = (zc[:, : cfg.taps] + 1j * zc[:, cfg.taps:]) * amp
-            np.abs(_tap_sum(taps, phase), out=block)
+            np.abs(np.fft.fft(taps, CARRIERS, axis=1), out=block)
             np.maximum(block, 1e-6, out=block)
             np.log10(block, out=block)
             block *= cfg.sigma_scale * 20.0
@@ -700,8 +650,9 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     PCG64 stream and numpy's ziggurat fast path as uint64 array passes
     over blocks of locations, reading the ziggurat table from numpy once
     per process, and has numpy redraw each location with a draw off that
-    path, or every location above ``_BULK_MAX_TAPS`` taps (see
-    :func:`_fading_into`).
+    path, or every location above ``_BULK_MAX_TAPS`` taps.  Each
+    location's fading is the 64-point DFT of its tap profile, computed by
+    FFT over a chunk of locations at a time (see :func:`_fading_into`).
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

@@ -448,8 +448,9 @@ def _fading_db(cfg: channel.FadingModel, seed: int, loc_index: int) -> np.ndarra
     """Frequency-selective fading in dB from a seeded multipath draw.
 
     A short complex tap profile with exponentially decaying power gives
-    |H(f)|^2 across the 64 subcarriers; per-location seeds keep the grid
-    deterministic under any evaluation order.
+    |H(f)|^2 across the 64 subcarriers, H being the tap profile's 64-point
+    DFT; per-location seeds keep the grid deterministic under any
+    evaluation order.
     """
     if not cfg.enabled:
         return np.zeros(channel.CARRIERS)
@@ -457,9 +458,7 @@ def _fading_db(cfg: channel.FadingModel, seed: int, loc_index: int) -> np.ndarra
     powers = np.exp(-np.arange(cfg.taps) / cfg.delay_spread)
     powers /= powers.sum()
     taps = (rng.standard_normal(cfg.taps) + 1j * rng.standard_normal(cfg.taps)) * np.sqrt(powers / 2)
-    k = np.arange(channel.CARRIERS)
-    freq = taps[None, :] * np.exp(-2j * np.pi * k[:, None] * np.arange(cfg.taps)[None, :] / channel.CARRIERS)
-    h = np.abs(freq.sum(axis=1))
+    h = np.abs(np.fft.fft(taps, channel.CARRIERS))
     h = np.maximum(h, 1e-6)
     return cfg.sigma_scale * 20.0 * np.log10(h)
 

@@ -238,6 +238,12 @@ class TestSynthGrid:
             grid = channel.synth_grid(flat_env(fading=FadingModel(taps=taps)), seed=1)
             assert np.all(np.isfinite(grid.snr_db))
 
+    @pytest.mark.parametrize("side", [{"grid_spacing": 5e-324}, {"width": 1e308}, {"height": 1e308}])
+    def test_lattice_overflowing_to_inf_refused_at_cap(self, side):
+        cap = channel.MAX_GRID_LOCATIONS
+        with pytest.raises(ValueError, match=rf"gives .*inf.* locations, above the cap of {cap}"):
+            flat_env(**side)
+
     def test_region_labels(self):
         region = RegionRect(label="office", x_min=0.0, x_max=0.6, y_min=0.0, y_max=2.0)
         cfg = flat_env(regions=(region,))
@@ -290,8 +296,8 @@ def _oracle_cases():
         ("seed_two_words", env, 2**40 + 7),
         ("seed_above_2^96", chunks, 2**100 + 12345),
     ]
-    # Tap counts below, at and past numpy's four summation lanes, with and
-    # without a remainder, on the plan with a partial chunk.
+    # Tap profiles from 1 to 64 taps, each padded to the 64-point FFT, on
+    # the plan with a partial chunk.
     cases += [
         (f"taps_{t}", dataclasses.replace(chunks, fading=FadingModel(taps=t, delay_spread=3.0)), 40 + t)
         for t in (1, 3, 5, 8, 9, 64)
@@ -340,22 +346,26 @@ class TestSynthGridMatchesOracle:
         assert (np.count_nonzero(drawn), np.count_nonzero(~drawn)) == (2128, 232)
 
 
-class TestTapSum:
-    """The per-tap lanes add in numpy's own pairwise order."""
+class TestFadingTransform:
+    """The fading is |H(f)| in dB, H the 64-point DFT of each row's taps."""
 
-    @pytest.mark.parametrize("rows", [channel.FADING_CHUNK, 37])
-    def test_matches_numpy_sum(self, rows):
-        rng = np.random.default_rng(rows)
+    def test_matches_direct_sum(self):
+        # H(f) = sum_j tap_j e^(-2 pi i f j / 64), summed directly, on a
+        # partial chunk at every tap count
+        rows, seed = 37, 99
+        f = np.arange(CARRIERS)[:, None]
         for t in range(1, CARRIERS + 1):
-            taps = rng.standard_normal((rows, t)) + 1j * rng.standard_normal((rows, t))
-            phase = channel._tap_phase(t)
-            want = (taps[:, None, :] * phase[None]).sum(axis=-1)
-            assert np.array_equal(channel._tap_sum(taps, phase), want), t
-
-    def test_tap_zero_phase_is_one(self):
-        # _tap_sum copies tap 0 into its lane instead of multiplying it
-        for t in range(1, CARRIERS + 1):
-            assert np.all(channel._tap_phase(t)[:, 0] == 1), t
+            fading = FadingModel(taps=t, delay_spread=3.0)
+            got = np.zeros((rows, CARRIERS))
+            channel._fading_into(fading, seed, got)
+            powers = np.exp(-np.arange(t) / fading.delay_spread)
+            amp = np.sqrt(powers / powers.sum() / 2)
+            phase = np.exp(-2j * np.pi * f * np.arange(t) / CARRIERS)
+            for i in range(rows):
+                z = np.random.default_rng([seed, i]).standard_normal(2 * t)
+                h = np.abs(((z[:t] + 1j * z[t:]) * amp * phase).sum(axis=1))
+                want = 20.0 * np.log10(np.maximum(h, 1e-6))
+                assert np.max(np.abs(got[i] - want)) <= 1e-9, (t, i)
 
     def test_fading_peak_memory(self):
         # a (chunk, 64, 64) complex product would take 8 MiB; the first

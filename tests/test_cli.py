@@ -141,6 +141,16 @@ class TestOneLineErrors:
         assert f"cap of {channel.MAX_GRID_LOCATIONS}" in res.output
         assert not (tmp_path / "grid.csv").exists()
 
+    @pytest.mark.parametrize(("key", "value"), [("grid_spacing_m", 5e-324), ("width_m", 1e308), ("height_m", 1e308)])
+    def test_synth_lattice_overflowing_to_inf_refused(self, runner, tmp_path, key, value):
+        env = json.loads((Path(channel.__file__).parent / "data" / "default_env.json").read_text())
+        env[key] = value
+        config = tmp_path / "env.json"
+        config.write_text(json.dumps(env))
+        res = runner.invoke(cli.main, ["synth", "--config", str(config), "--out-dir", str(tmp_path)])
+        assert_one_line_error(res)
+        assert f"cap of {channel.MAX_GRID_LOCATIONS}" in res.output
+
     def test_synth_negative_seed(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["synth", "--seed", "-1", "--out-dir", str(tmp_path)])
         assert_one_line_error(res)

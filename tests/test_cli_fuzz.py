@@ -2,7 +2,9 @@
 
 Hypothesis draws a command and its arguments from good and bad values:
 code specs, thresholds (nan, inf, garbage), degree bounds, trial counts,
-and missing, empty or malformed grid, regions, config and capture files.
+and missing, empty or malformed grid, regions, config and capture files,
+among them configs whose points per side overflow to inf (a grid spacing
+of 5e-324, a width of 1e308).
 Every run must exit 0 (success), 1 (one-line ``Error:``) or 2 (usage
 error) within the per-example deadline.  Environment configs with one
 drawn value out of range (ref_distance_m <= 0, a non-finite transmitter
@@ -68,6 +70,9 @@ CONFIG_FILES = {
                      '"walls": [{"x1": NaN, "y1": 0.2, "x2": 0.5, "y2": 0.2, "loss_db": 10}]}',
     "taps_zero.json": {"width_m": 0.5, "height_m": 0.3, "tx": {"x": 0.1, "y": 0.1},
                        "ref_snr_db": 30, "fading": {"taps": 0}},
+    "spacing_tiny.json": {"width_m": 0.5, "height_m": 0.3, "tx": {"x": 0.1, "y": 0.1},
+                          "ref_snr_db": 30, "grid_spacing_m": 5e-324},
+    "width_huge.json": {"width_m": 1e308, "height_m": 0.3, "tx": {"x": 0.1, "y": 0.1}, "ref_snr_db": 30},
     "array.json": [],
     "empty.json": "",
     "truncated.json": "{",
