@@ -52,9 +52,11 @@ _ZETA_S_PER_SUBSET_BIT = 7e-10
 _SUBCODE_S = 1e-4
 _SUBCODE_S_PER_PIVOT_SET = 6e-6
 _SUBCODE_S_PER_SUBSPACE = 8e-9
-# Largest Reed-Muller degree m (n = 2^m) anything here builds: on 2 vCPUs
-# the sweep's candidate family with its dual GHW profiles, all in closed
-# form, takes 0.13-0.15 s at m = 9 and 0.49-0.56 s at m = 10.
+# Largest Reed-Muller degree m (n = 2^m) anything here builds.  No cost
+# measured on 2 vCPUs sets it any more: the sweep's candidate family with
+# its dual GHW profiles, all in closed form and with no encoder derived,
+# takes 10-16 ms at m = 9 and 34-50 ms at m = 10; the m = 10 sweep of the
+# bundled grid 54 ms, and deriving one member's encoder 25-28 ms.
 RM_MAX_DEGREE = 9
 
 
@@ -138,16 +140,20 @@ def reed_muller(order: int, degree: int) -> LinearCode:
     )
 
 
+def rm_dual_params(params: tuple[int, int] | None) -> tuple[int, int] | None:
+    """Parameters of the dual of RM(u, m), which is RM(m - u - 1, m); None
+    when ``params`` is None or u = m, whose dual is the zero code."""
+    if params is None or params[0] == params[1]:
+        return None
+    u, m = params
+    return (m - u - 1, m)
+
+
 def dual(c: LinearCode) -> LinearCode:
     """The dual code, generated by the reduced null-space basis of c's generator."""
     ns = bitlinalg.null_space(c.generator)
-    rm = None
-    label = f"{c.label}^perp" if c.label else ""
-    if c.rm_params is not None:
-        u, m = c.rm_params
-        if m - u - 1 >= 0:
-            rm = (m - u - 1, m)
-            label = f"RM({m - u - 1},{m})"
+    rm = rm_dual_params(c.rm_params)
+    label = f"RM({rm[0]},{rm[1]})" if rm else f"{c.label}^perp" if c.label else ""
     return LinearCode(n=c.n, dim=c.n - c.dim, generator=ns, label=label, rm_params=rm)
 
 
@@ -389,7 +395,7 @@ def ghw_exact(c: LinearCode, *, dual_code: LinearCode | None = None) -> GHWProfi
     return GHWProfile(weights=tuple(weights.tolist()), source="exact")
 
 
-def _ghw_rm_monomial(u: int, m: int) -> GHWProfile:
+def ghw_rm(u: int, m: int) -> GHWProfile:
     """Reed-Muller hierarchy in closed form from nested monomial spans.
 
     RM codes satisfy the chain condition and attain every d_r on a span of
@@ -415,7 +421,7 @@ def ghw_of(c: LinearCode, *, dual_code: LinearCode | None = None) -> GHWProfile:
     if c.dim == 0:
         return GHWProfile(weights=())
     if c.rm_params is not None:
-        return _ghw_rm_monomial(*c.rm_params)
+        return ghw_rm(*c.rm_params)
     return ghw_exact(c, dual_code=dual_code)
 
 

@@ -60,19 +60,23 @@ def bob_reference_index(grid: ChannelGrid, regions: RegionMap) -> int:
     (32 b/cu over 64) of its capacity, and one whose floor is that far
     or further below the best floor cannot win.  The exact
     ``channel.capacity_sum`` runs only on the others (8 of the bundled
-    grid's 600 cells); a 1e-6 margin absorbs rounding.  Should some SNR
-    reach ``_FINITE_CAPACITY_DB``, where capacities may overflow to inf,
-    every cell is scored.
+    grid's 600 cells); a 1e-6 margin absorbs rounding.  The floors take
+    one gather, one clip in place and one product.  A carrier at
+    ``_FINITE_CAPACITY_DB`` or above, whose capacity may overflow to inf,
+    lifts its row's floor to ``_FLOOR_PER_DB * _FINITE_CAPACITY_DB`` or
+    more; such a row is scored whatever its floor.
     """
     idxs = grid.region_indices((regions.bob_region,))
     if idxs.size == 0:
         raise ValueError(f"no grid locations in Bob region {regions.bob_region!r}")
-    snr = grid.snr_db[idxs]
-    if snr.max() < _FINITE_CAPACITY_DB:
-        floor = _FLOOR_PER_DB * np.maximum(snr, 0.0).sum(axis=1)
-        near = floor >= floor.max() - 0.5 * snr.shape[1] - 1e-6
-        idxs, snr = idxs[near], snr[near]
-    return int(idxs[np.argmax(channel.capacity_sum(snr))])
+    pos = np.take(grid.snr_db, idxs, axis=0)
+    np.maximum(pos, 0.0, out=pos)
+    floor = _FLOOR_PER_DB * (pos @ np.ones(pos.shape[1]))
+    near = floor >= floor.max() - 0.5 * pos.shape[1] - 1e-6
+    hot = np.flatnonzero(~near & (floor >= _FLOOR_PER_DB * _FINITE_CAPACITY_DB))
+    near[hot] = pos[hot].max(axis=1) >= _FINITE_CAPACITY_DB
+    idxs = idxs[near]
+    return int(idxs[np.argmax(channel.capacity_sum(grid.snr_db[idxs]))])
 
 
 def evaluate(
@@ -272,6 +276,8 @@ def simulate_mc(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     point = evaluate(w, grid, regions, tau)
     active = np.nonzero(channel.erase_mask(grid.snr_db[point.bob_location], tau))[0]
     if active.size == 0:
@@ -302,12 +308,14 @@ def default_code_family(max_m: int = 5) -> list[WiretapCode]:
     """Reed-Muller wiretap candidates in both coset orientations.
 
     For each RM(u, m) with 0 < u < m <= max_m the code is tried both as
-    the base code C and, through the dual its C member carries, as
-    C-perp, since either role is a legitimate reading of an RM-labelled
-    coset code.  The dual of RM(u, m) is RM(m - u - 1, m), so a code
-    already in the family as an earlier dual, or as its own, is skipped.
-    ``max_m`` below 2 or above ``codes.RM_MAX_DEGREE`` is refused before
-    anything is built.
+    the base code C and as C-perp, since either role is a legitimate
+    reading of an RM-labelled coset code.  The dual of RM(u, m) is
+    RM(m - u - 1, m), so the Cperp member is built on that code, and a
+    code already in the family as an earlier dual, or as its own, is
+    skipped.  Members are chosen and built from their parameters alone:
+    no dual is derived here, nor by ``dual_ghw``, and each member's
+    encoder follows on first read.  ``max_m`` below 2 or above
+    ``codes.RM_MAX_DEGREE`` is refused before anything is built.
     """
     if max_m < 2:
         raise ValueError(f"max_m must be at least 2, got {max_m}: every Reed-Muller base with m <= 1 is degenerate")
@@ -319,12 +327,11 @@ def default_code_family(max_m: int = 5) -> list[WiretapCode]:
         for u in range(1, m):
             if (u, m) in seen:
                 continue
-            member = wiretap.build(codes.reed_muller(u, m), label=f"RM({u},{m})|C")
-            family.append(member)
-            perp = member.dual_code
-            if perp.rm_params != (u, m):
-                family.append(wiretap.build(perp, label=f"RM({u},{m})|Cperp"))
-            seen.update({(u, m), perp.rm_params})
+            perp = codes.rm_dual_params((u, m))
+            family.append(wiretap.build(codes.reed_muller(u, m), label=f"RM({u},{m})|C"))
+            if perp != (u, m):
+                family.append(wiretap.build(codes.reed_muller(*perp), label=f"RM({u},{m})|Cperp"))
+            seen.update({(u, m), perp})
     return family
 
 

@@ -11,6 +11,7 @@ pattern weight given by the generalized Hamming weights of the dual code.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 from math import comb
@@ -48,6 +49,25 @@ class EquivocationMatrix:
         return buf.getvalue()
 
 
+def _checked_encoder(
+    base_code: LinearCode, dual_code: LinearCode, gprime: BitMatrix
+) -> tuple[LinearCode, BitMatrix, BitMatrix]:
+    """(C-perp, G', decoder H^T) once H is found orthogonal to the base
+    generator and G'.H^T = I; refuses anything else."""
+    n = base_code.n
+    k = n - base_code.dim
+    if gprime.rows != k or gprime.cols != n:
+        raise ValueError(f"gprime must be {k}x{n}, got {gprime.rows}x{gprime.cols}")
+    if dual_code.dim != k or dual_code.n != n:
+        raise ValueError(f"dual code must be ({n}, {k}), got ({dual_code.n}, {dual_code.dim})")
+    ht = BitMatrix(dual_code.generator.a.T)
+    if np.any(bitlinalg.mul(base_code.generator, ht).a):
+        raise ValueError("dual code is not orthogonal to the base code")
+    if bitlinalg.mul(gprime, ht) != BitMatrix.identity(k):
+        raise ValueError("gprime.h^T must be the identity")
+    return dual_code, gprime, ht
+
+
 class WiretapCode:
     """Coset wiretap code built on a base code C of dimension n - k.
 
@@ -55,28 +75,45 @@ class WiretapCode:
     matrix; ``gprime`` carries the message part of the encoder, with
     G'.H^T = I.  A received word y has syndrome y.H^T = m.G'.H^T = m, so
     ``decoder`` = H^T.  G'.H^T = I also makes G' a complement of C.
+
+    The constructor takes C-perp and G' and checks both at once.  A code
+    from :func:`build` derives them, by the same checks, when one of
+    ``dual_code``, ``h``, ``gprime`` or ``decoder`` is first read, so
+    ``codes.dual`` runs at most once in its life and never for a code
+    whose encoder is not read.
     """
 
     def __init__(self, base_code: LinearCode, dual_code: LinearCode, gprime: BitMatrix, label: str | None = None):
-        n = base_code.n
-        k = n - base_code.dim
-        if gprime.rows != k or gprime.cols != n:
-            raise ValueError(f"gprime must be {k}x{n}, got {gprime.rows}x{gprime.cols}")
-        if dual_code.dim != k or dual_code.n != n:
-            raise ValueError(f"dual code must be ({n}, {k}), got ({dual_code.n}, {dual_code.dim})")
-        ht = BitMatrix(dual_code.generator.a.T)
-        if np.any(bitlinalg.mul(base_code.generator, ht).a):
-            raise ValueError("dual code is not orthogonal to the base code")
-        if bitlinalg.mul(gprime, ht) != BitMatrix.identity(k):
-            raise ValueError("gprime.h^T must be the identity")
+        self._hold(base_code, label)
+        self._encoder = _checked_encoder(base_code, dual_code, gprime)
+
+    def _hold(self, base_code: LinearCode, label: str | None) -> None:
         self.base_code = base_code
-        self.dual_code = dual_code
-        self.gprime = gprime
-        self.decoder = ht
-        self.n = n
-        self.k = k
+        self.n = base_code.n
+        self.k = base_code.n - base_code.dim
         self._label = label
         self._dual_ghw: GHWProfile | None = None
+
+    @functools.cached_property
+    def _encoder(self) -> tuple[LinearCode, BitMatrix, BitMatrix]:
+        """H is the dual's RREF generator and G' the identity rows at H's
+        pivot columns.  H is the identity on those columns, so G'.H^T = I
+        and the syndrome is the message itself."""
+        d = codes.dual(self.base_code)
+        gprime = BitMatrix(np.eye(self.n, dtype=np.uint8)[d.generator.a.argmax(axis=1)])
+        return _checked_encoder(self.base_code, d, gprime)
+
+    @property
+    def dual_code(self) -> LinearCode:
+        return self._encoder[0]
+
+    @property
+    def gprime(self) -> BitMatrix:
+        return self._encoder[1]
+
+    @property
+    def decoder(self) -> BitMatrix:
+        return self._encoder[2]
 
     @property
     def h(self) -> BitMatrix:
@@ -87,25 +124,30 @@ class WiretapCode:
         return self._label or self.base_code.label
 
     def dual_ghw(self) -> GHWProfile:
-        """Weight hierarchy of the dual of the base code (cached).  Its
-        dual is the base code, held here, so no ``codes.dual`` runs."""
+        """Weight hierarchy of C-perp (cached).  For a Reed-Muller base it
+        is the closed form of RM(m - u - 1, m), read off C's parameters,
+        so no dual is built; otherwise the tally gets the base code as
+        C-perp's dual, so no second ``codes.dual`` runs."""
         if self._dual_ghw is None:
-            self._dual_ghw = codes.ghw_of(self.dual_code, dual_code=self.base_code)
+            perp = codes.rm_dual_params(self.base_code.rm_params)
+            if perp is None:
+                self._dual_ghw = codes.ghw_of(self.dual_code, dual_code=self.base_code)
+            else:
+                self._dual_ghw = codes.ghw_rm(*perp)
         return self._dual_ghw
 
 
 def build(c: LinearCode, label: str | None = None) -> WiretapCode:
-    """Construct the wiretap code with base code C = c.
+    """The wiretap code with base code C = c; refuses c unless 0 < dim < n.
 
-    H is the dual's RREF generator and G' the identity rows at H's pivot
-    columns.  H is the identity on those columns, so G'.H^T = I and the
-    syndrome is the message itself.
+    Nothing else is derived here: C-perp, H, G' and the decoder follow on
+    first read (see :class:`WiretapCode`).
     """
     if not 0 < c.dim < c.n:
         raise ValueError(f"base code must satisfy 0 < dim < n, got dim={c.dim}, n={c.n}")
-    d = codes.dual(c)
-    gprime = BitMatrix(np.eye(c.n, dtype=np.uint8)[d.generator.a.argmax(axis=1)])
-    return WiretapCode(c, d, gprime, label=label)
+    w = WiretapCode.__new__(WiretapCode)
+    w._hold(c, label)
+    return w
 
 
 def encode(w: WiretapCode, m, mprime) -> np.ndarray:

@@ -14,7 +14,7 @@ the wiretap-matrix oracle the greedy basis completion and GF(2) inverse
 that ``wiretap.build``'s pivot rows replaced.  The Reed-Muller generator
 oracle builds one monomial row at a time, where ``codes._monomial_rows``
 builds them in one broadcast; the Reed-Muller monomial oracle is the
-frozenset greedy search that ``codes._ghw_rm_monomial``'s closed form
+frozenset greedy search that ``codes.ghw_rm``'s closed form
 replaced.  The subcode-solve oracle is the ``math.comb`` covers and
 generator back-substitution that ``codes._subcode_free_counts``'s
 binomial tables and array solve replaced.  The family oracle replays the rule of the candidate loop that
@@ -628,6 +628,20 @@ def dual_calls(monkeypatch):
         return real_dual(c)
 
     monkeypatch.setattr(codes, "dual", counting_dual)
+    return calls
+
+
+@pytest.fixture
+def null_space_calls(monkeypatch):
+    """The arguments of every ``bitlinalg.null_space`` call made during the test."""
+    calls = []
+    real_null_space = bitlinalg.null_space
+
+    def counting_null_space(m):
+        calls.append(m)
+        return real_null_space(m)
+
+    monkeypatch.setattr(bitlinalg, "null_space", counting_null_space)
     return calls
 
 

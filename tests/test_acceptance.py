@@ -120,7 +120,7 @@ def test_criterion_4_ghw_consistency(capsys, medium_corpus):
     for m in range(1, 5):  # every 2^m <= 20
         for u in range(0, m + 1):
             exact = codes.ghw_exact(codes.reed_muller(u, m))
-            mono = codes._ghw_rm_monomial(u, m)
+            mono = codes.ghw_rm(u, m)
             assert exact.weights == mono.weights, (u, m)
             rm_pairs += 1
     report(

@@ -157,6 +157,12 @@ class TestOneLineErrors:
         assert res.output == "Error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "grid.csv").exists()
 
+    def test_simulate_negative_seed(self, runner, tmp_path):
+        res = runner.invoke(cli.main, ["simulate", "--seed", "-1", "--out-dir", str(tmp_path)])
+        assert_one_line_error(res)
+        assert res.output == "Error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "simulate.json").exists()
+
     @pytest.mark.parametrize(
         ("path", "value", "field"),
         [

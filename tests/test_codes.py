@@ -312,8 +312,8 @@ class TestWeiDuality:
     def test_monomial_reed_muller(self):
         for m in range(1, codes.RM_MAX_DEGREE + 1):
             for u in range(m + 1):
-                dual_weights = () if u == m else codes._ghw_rm_monomial(m - u - 1, m).weights
-                self.assert_partition(2**m, codes._ghw_rm_monomial(u, m).weights, dual_weights)
+                dual_weights = () if u == m else codes.ghw_rm(m - u - 1, m).weights
+                self.assert_partition(2**m, codes.ghw_rm(u, m).weights, dual_weights)
 
 
 class TestReedMullerGenerator:
@@ -376,14 +376,14 @@ class TestGHWReedMuller:
     def test_monomial_equals_exact_at_desk_scale(self):
         for m in range(1, 5):
             for u in range(0, m + 1):
-                mono = codes._ghw_rm_monomial(u, m)
+                mono = codes.ghw_rm(u, m)
                 exact = codes.ghw_exact(codes.reed_muller(u, m))
                 assert mono.weights == exact.weights, (u, m)
 
     def test_monomial_closed_form_equals_greedy_oracle(self):
         for m in range(1, codes.RM_MAX_DEGREE + 1):
             for u in range(0, m + 1):
-                assert codes._ghw_rm_monomial(u, m) == oracle_ghw_rm_monomial(u, m), (u, m)
+                assert codes.ghw_rm(u, m) == oracle_ghw_rm_monomial(u, m), (u, m)
 
     def test_auto_source_switch(self):
         for m in range(1, codes.RM_MAX_DEGREE + 1):
@@ -409,7 +409,7 @@ class TestGHWReedMuller:
                         continue
                     cu, cm = c.rm_params
                     assert cm == m and c.dim == sum(comb(m, i) for i in range(cu + 1)), c.label
-                    assert codes._ghw_rm_monomial(cu, cm).weights == codes.ghw_exact(c).weights, c.label
+                    assert codes.ghw_rm(cu, cm).weights == codes.ghw_exact(c).weights, c.label
 
     def test_first_order_length32_hierarchy(self):
         # classical hierarchy of the (32, 6) first-order code
@@ -417,7 +417,7 @@ class TestGHWReedMuller:
 
     def test_monomial_equals_exact_above_24(self):
         # subcode enumeration counts the hierarchy independently of the closed form
-        assert codes.ghw_exact(codes.reed_muller(1, 5)).weights == codes._ghw_rm_monomial(1, 5).weights
+        assert codes.ghw_exact(codes.reed_muller(1, 5)).weights == codes.ghw_rm(1, 5).weights
 
 
 class TestRandomCode:

@@ -482,9 +482,11 @@ class TestDefaultFamily:
         # no duplicate base codes
         assert len(fam) == len({(w.n, w.base_code.generator) for w in fam})
 
-    @pytest.mark.parametrize("max_m,members", [(5, 14), (7, 27)])
-    def test_one_dual_per_member(self, dual_calls, max_m, members):
-        assert len(sweep.default_code_family(max_m)) == len(dual_calls) == members
+    def test_family_and_profiles_run_no_elimination(self, dual_calls, null_space_calls):
+        for max_m in range(2, codes.RM_MAX_DEGREE + 1):
+            for w in sweep.default_code_family(max_m):
+                w.dual_ghw()
+        assert dual_calls == [] and null_space_calls == []
 
     def test_profiles_run_no_subset_search(self, monkeypatch):
         def refuse(c):
@@ -501,7 +503,7 @@ class TestDefaultFamily:
         assert got == oracle_family_params(codes.RM_MAX_DEGREE)
 
     def test_syndrome_is_message(self):
-        for w in sweep.default_code_family(max_m=7):
+        for w in sweep.default_code_family(max_m=codes.RM_MAX_DEGREE):
             prod = w.gprime.a.astype(int) @ w.h.a.T.astype(int) % 2
             assert np.array_equal(prod, np.eye(w.k)), w.label
             assert w.decoder == BitMatrix(w.h.a.T), w.label
