@@ -488,6 +488,16 @@ class TestDefaultFamily:
                 w.dual_ghw()
         assert dual_calls == [] and null_space_calls == []
 
+    @pytest.mark.parametrize("max_m,members", [(5, 14), (7, 27)])
+    def test_one_dual_per_member(self, dual_calls, max_m, members):
+        fam = sweep.default_code_family(max_m)
+        assert dual_calls == []
+        for _ in range(2):
+            for w in fam:
+                w.dual_code, w.h, w.gprime, w.decoder
+        assert len(fam) == members
+        assert dual_calls == [w.base_code for w in fam]
+
     def test_profiles_run_no_subset_search(self, monkeypatch):
         def refuse(c):
             raise AssertionError(f"subset-rank search on {c.label}")
