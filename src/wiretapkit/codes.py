@@ -180,13 +180,13 @@ def _zeta_pass(a: np.ndarray, stride: int) -> None:
 @functools.cache
 def _gaussian_binomials(d: int) -> np.ndarray:
     """g[f, j] = [f choose j]_2, the number of j-dimensional subspaces of
-    GF(2)^f, for f, j <= d: read-only, built once per d, in int64 while
-    [d choose d/2]_2 fits (d <= 15) and in Python ints beyond."""
+    GF(2)^f, for f, j <= d: read-only, built once per d, in uint64, which
+    holds them up to d = 15; only the solve's d <= 9 reaches it."""
     g = [[1]]
     for f in range(1, d + 1):
         prev = g[-1] + [0]
         g.append([1] + [prev[j - 1] + (1 << j) * prev[j] for j in range(1, f + 1)])
-    table = np.array([row + [0] * (d - f) for f, row in enumerate(g)], dtype=np.int64 if max(g[d]) < 2**63 else object)
+    table = np.array([row + [0] * (d - f) for f, row in enumerate(g)], dtype=np.uint64)
     table.setflags(write=False)
     return table
 
@@ -195,9 +195,9 @@ def _gaussian_binomials(d: int) -> np.ndarray:
 def _pascal(n: int) -> np.ndarray:
     """p[w, s] = C(n - w, s - w), the number of s-subsets of n coordinates
     that cover a given w-subset (0 for s < w): row w is row n - w of
-    Pascal's triangle shifted right by w.  Read-only, built once per n;
-    every entry is at most C(64, 32) < 2^63 for n <= _SUBCODE_MAX_N."""
-    table = np.zeros((n + 1, n + 1), dtype=np.int64)
+    Pascal's triangle shifted right by w.  Read-only, built once per n, in
+    uint64; every entry is at most C(64, 32) < 2^63 for n <= _SUBCODE_MAX_N."""
+    table = np.zeros((n + 1, n + 1), dtype=np.uint64)
     for w in range(n + 1):
         table[w, w:] = [comb(n - w, k) for k in range(n - w + 1)]
     table.setflags(write=False)
@@ -208,17 +208,25 @@ def _zeta_cost(n: int) -> float:
     return _ZETA_S + _ZETA_S_PER_SUBSET_BIT * n * 2**n
 
 
-def _subcode_cost(n: int, d: int) -> float:
+def _subspace_count(d: int) -> int:
+    """G_d, the number of subspaces of GF(2)^d, by the Galois recurrence
+    G_0 = 1, G_1 = 2, G_(e+1) = 2 G_e + (2^e - 1) G_(e-1), in Python ints."""
+    prev, count = 1, 1
+    for e in range(d):
+        prev, count = count, 2 * count + ((1 << e) - 1) * prev
+    return count
+
+
+def _subcode_cost(d: int) -> float:
     """Estimated seconds of :func:`_subcode_free_counts`: 2^d pivot sets
-    and every subspace."""
-    subspaces = sum(_gaussian_binomials(d)[d].tolist())
-    return _SUBCODE_S + _SUBCODE_S_PER_PIVOT_SET * 2**d + _SUBCODE_S_PER_SUBSPACE * subspaces
+    and every subspace, whatever n is."""
+    return _SUBCODE_S + _SUBCODE_S_PER_PIVOT_SET * 2**d + _SUBCODE_S_PER_SUBSPACE * _subspace_count(d)
 
 
-def _subcode_max_dim(n: int) -> int:
-    """Largest d whose subcode enumeration at n stays within the cap."""
+def _subcode_max_dim() -> int:
+    """Largest d whose subcode enumeration stays within the cap."""
     d = 0
-    while _subcode_cost(n, d + 1) <= _zeta_cost(SUBSET_RANK_CAP):
+    while _subcode_cost(d + 1) <= _zeta_cost(SUBSET_RANK_CAP):
         d += 1
     return d
 
@@ -319,25 +327,22 @@ def _subcode_free_counts(side: LinearCode) -> np.ndarray:
 
         A[j, s] = sum_w cnt[j, w] C(n - w, s - w) = sum_f [f choose j]_2 h[s, f],
 
-    a unit triangle in f.  The covers C(n - w, s - w) are one gather of
-    :func:`_pascal` rows at D's support sizes w, A is one product, and the
-    triangle is solved from f = dim downward, one array step per f:
-    h[:, f] = A[f] - sum_{e > f} [e choose f]_2 h[:, e].  Every term and
-    partial sum is at most C(n, n/2) max_j [dim choose j]_2; the solve runs
-    in int64 while that stays below 2^63 and in Python ints beyond (about
-    2^78 at n = 64, dim = 8), and h itself stays below C(64, 32) < 2^63.
+    a unit triangle in f.  The covers C(n - w, s - w) are the rows of
+    :func:`_pascal`, A is one product, and the triangle is solved from
+    f = dim downward, one array step per f:
+    h[:, f] = A[f] - sum_{e > f} [e choose f]_2 h[:, e].  All of it runs in
+    uint64, whose arithmetic is exact modulo 2^64.  The triangle is unit and
+    integral, so it has one solution modulo 2^64, and the true h is one.  A
+    and the partial sums may wrap (A reaches about 2^78 at n = 64, dim = 8),
+    but 0 <= h[s, f] <= C(64, 32) < 2^63, so the residues are h itself.
     """
-    n, d = side.n, side.dim
     cnt = _subspace_support_counts(side)
-    g = _gaussian_binomials(d)
-    exact = np.int64 if comb(n, n // 2) * max(g[d].tolist()) < 2**63 else object
-    g = g.astype(exact, copy=False)
-    weights = np.flatnonzero(cnt.any(axis=0))
-    a = cnt[:, weights].astype(exact, copy=False) @ _pascal(n)[weights].astype(exact, copy=False)
+    g = _gaussian_binomials(side.dim)
+    a = cnt.astype(np.uint64) @ _pascal(side.n)
     h = np.empty_like(a)
-    for f in range(d, -1, -1):
+    for f in range(side.dim, -1, -1):
         h[f] = a[f] - g[f + 1 :, f] @ h[f + 1 :]
-    return h.astype(np.int64, copy=False).T
+    return h.T.astype(np.int64)
 
 
 def subcode_tally(c: LinearCode, *, dual_code: LinearCode | None = None) -> np.ndarray:
@@ -361,12 +366,12 @@ def subcode_tally(c: LinearCode, *, dual_code: LinearCode | None = None) -> np.n
     use_dual = 2 * c.dim > n
     d = n - c.dim if use_dual else c.dim
     zeta = _zeta_cost(n)
-    subcode = _subcode_cost(n, d) if n <= _SUBCODE_MAX_N else np.inf
+    subcode = _subcode_cost(d) if n <= _SUBCODE_MAX_N else np.inf
     if min(zeta, subcode) > _zeta_cost(SUBSET_RANK_CAP):
         raise ValueError(
             f"({n}, {c.dim}) code exceeds the subset-rank cap: above n = {SUBSET_RANK_CAP} the tally "
             f"enumerates the subcodes of the smaller of C and C-perp, which needs n <= {_SUBCODE_MAX_N} "
-            f"and dimension <= {_subcode_max_dim(n)}, here {d}"
+            f"and dimension <= {_subcode_max_dim()}, here {d}"
         )
     if use_dual and dual_code is None:
         dual_code = dual(c)

@@ -76,23 +76,27 @@ class WiretapCode:
     G'.H^T = I.  A received word y has syndrome y.H^T = m.G'.H^T = m, so
     ``decoder`` = H^T.  G'.H^T = I also makes G' a complement of C.
 
-    The constructor takes C-perp and G' and checks both at once.  A code
-    from :func:`build` derives them, by the same checks, when one of
-    ``dual_code``, ``h``, ``gprime`` or ``decoder`` is first read, so
-    ``codes.dual`` runs at most once in its life and never for a code
-    whose encoder is not read.
+    The constructor refuses C unless 0 < dim < n.  A published encoder,
+    ``dual_code`` with ``gprime``, is checked at once; without one, both
+    are derived, by the same checks, when ``dual_code``, ``h``, ``gprime``
+    or ``decoder`` is first read, so ``codes.dual`` runs at most once in
+    the code's life and never for a code whose encoder is not read.
     """
 
-    def __init__(self, base_code: LinearCode, dual_code: LinearCode, gprime: BitMatrix, label: str | None = None):
-        self._hold(base_code, label)
-        self._encoder = _checked_encoder(base_code, dual_code, gprime)
-
-    def _hold(self, base_code: LinearCode, label: str | None) -> None:
+    def __init__(self, base_code: LinearCode, dual_code: LinearCode | None = None,
+                 gprime: BitMatrix | None = None, label: str | None = None):
+        if not 0 < base_code.dim < base_code.n:
+            raise ValueError(f"base code must satisfy 0 < dim < n, got dim={base_code.dim}, n={base_code.n}")
+        if (dual_code is None) != (gprime is None):
+            missing = "gprime" if gprime is None else "dual_code"
+            raise ValueError(f"a published encoder needs both dual_code and gprime, {missing} is missing")
         self.base_code = base_code
         self.n = base_code.n
         self.k = base_code.n - base_code.dim
-        self._label = label
+        self.label = label or base_code.label
         self._dual_ghw: GHWProfile | None = None
+        if dual_code is not None:
+            self._encoder = _checked_encoder(base_code, dual_code, gprime)
 
     @functools.cached_property
     def _encoder(self) -> tuple[LinearCode, BitMatrix, BitMatrix]:
@@ -119,10 +123,6 @@ class WiretapCode:
     def h(self) -> BitMatrix:
         return self.dual_code.generator
 
-    @property
-    def label(self) -> str:
-        return self._label or self.base_code.label
-
     def dual_ghw(self) -> GHWProfile:
         """Weight hierarchy of C-perp (cached).  For a Reed-Muller base it
         is the closed form of RM(m - u - 1, m), read off C's parameters,
@@ -138,16 +138,9 @@ class WiretapCode:
 
 
 def build(c: LinearCode, label: str | None = None) -> WiretapCode:
-    """The wiretap code with base code C = c; refuses c unless 0 < dim < n.
-
-    Nothing else is derived here: C-perp, H, G' and the decoder follow on
-    first read (see :class:`WiretapCode`).
-    """
-    if not 0 < c.dim < c.n:
-        raise ValueError(f"base code must satisfy 0 < dim < n, got dim={c.dim}, n={c.n}")
-    w = WiretapCode.__new__(WiretapCode)
-    w._hold(c, label)
-    return w
+    """The wiretap code with base code C = c: ``WiretapCode(c, label=label)``,
+    which refuses c unless 0 < dim < n and derives its encoder on first read."""
+    return WiretapCode(c, label=label)
 
 
 def encode(w: WiretapCode, m, mprime) -> np.ndarray:

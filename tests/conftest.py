@@ -16,8 +16,9 @@ oracle builds one monomial row at a time, where ``codes._monomial_rows``
 builds them in one broadcast; the Reed-Muller monomial oracle is the
 frozenset greedy search that ``codes.ghw_rm``'s closed form
 replaced.  The subcode-solve oracle is the ``math.comb`` covers and
-generator back-substitution that ``codes._subcode_free_counts``'s
-binomial tables and array solve replaced.  The family oracle replays the rule of the candidate loop that
+generator back-substitution in Python ints that
+``codes._subcode_free_counts``'s binomial tables and uint64 array solve
+replaced.  The family oracle replays the rule of the candidate loop that
 ``sweep.default_code_family`` replaced on Reed-Muller parameters alone.
 Library results are checked against these, never against themselves.
 
@@ -248,24 +249,28 @@ def oracle_column_rank_tallies(generator: np.ndarray) -> np.ndarray:
     return out
 
 
+def oracle_gaussian_binomials(d: int) -> list[list[int]]:
+    """g[f][j] = [f choose j]_2 for j <= f <= d, in Python ints, by the
+    recurrence [f choose j]_2 = [f-1 choose j-1]_2 + 2^j [f-1 choose j]_2."""
+    g = [[1]]
+    for f in range(1, d + 1):
+        prev = g[-1] + [0]
+        g.append([1] + [prev[j - 1] + (1 << j) * prev[j] for j in range(1, f + 1)])
+    return g
+
+
 def oracle_subcode_solve(cnt: np.ndarray, n: int, d: int) -> np.ndarray:
     """h[s, f] of a d-dimensional length-n code from its subspace counts
     cnt[j, w]: per-weight binomial covers built by ``math.comb`` and the
     back-substitution over (e, f) one Python generator at a time.
 
     Solves sum_w cnt[j, w] C(n - w, s - w) = sum_f h[s, f] [f choose j]_2
-    from f = d downward, with the Gaussian binomials from their own
-    recurrence, in int64 while C(n, n/2) max_j [d choose j]_2 < 2^63 and
-    in Python ints beyond.
+    from f = d downward, exactly in Python ints, with the Gaussian
+    binomials from :func:`oracle_gaussian_binomials`.
     """
-    g = [[1]]
-    for f in range(1, d + 1):
-        prev = g[-1] + [0]
-        g.append([1] + [prev[j - 1] + (1 << j) * prev[j] for j in range(1, f + 1)])
-    exact = np.int64 if math.comb(n, n // 2) * max(g[d]) < 2**63 else object
-    weights = np.flatnonzero(cnt.any(axis=0))
-    covers = np.array([[0] * w + [math.comb(n - w, k) for k in range(n - w + 1)] for w in weights], dtype=exact)
-    a = cnt[:, weights].astype(exact) @ covers
+    g = oracle_gaussian_binomials(d)
+    covers = np.array([[0] * w + [math.comb(n - w, k) for k in range(n - w + 1)] for w in range(n + 1)], dtype=object)
+    a = cnt.astype(object) @ covers
     h = [0] * (d + 1)
     for f in range(d, -1, -1):
         h[f] = a[f] - sum(g[e][f] * h[e] for e in range(f + 1, d + 1))

@@ -37,7 +37,7 @@ INVOCATIONS = {
     "eqmatrix_rm15": ["eqmatrix", "--code", "rm:1,5"],
     "eqmatrix_rm16": ["eqmatrix", "--code", "rm:1,6"],
     # Bases larger than their duals (dims 26 and 57): the dual is tallied
-    # and flipped, with the Python-int solve at n = 64.
+    # and flipped; at n = 64 the uint64 solve wraps on the way to exact h.
     "eqmatrix_rm35": ["eqmatrix", "--code", "rm:3,5"],
     "eqmatrix_rm46": ["eqmatrix", "--code", "rm:4,6"],
     "ghw_exact": ["ghw", "--code", "rm:1,4"],

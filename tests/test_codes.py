@@ -15,6 +15,7 @@ from wiretapkit.codes import GHWProfile, LinearCode
 from conftest import (
     oracle_codeword_set,
     oracle_column_rank_tallies,
+    oracle_gaussian_binomials,
     oracle_ghw,
     oracle_ghw_rm_monomial,
     oracle_rank,
@@ -252,9 +253,14 @@ class TestSubsetRankTallies:
 
     def test_cost_rule_choice(self):
         for n, top in self.ENUMERATION_UP_TO.items():
-            chosen = [d for d in range(1, 13) if codes._subcode_cost(n, d) < codes._zeta_cost(n)]
+            chosen = [d for d in range(1, 13) if codes._subcode_cost(d) < codes._zeta_cost(n)]
             assert chosen == list(range(1, top + 1)), n
-        assert {codes._subcode_max_dim(n) for n in range(1, 65)} == {9}
+        assert codes._subcode_max_dim() == 9
+
+    def test_subspace_count_is_triangle_row_sum(self):
+        # every d the cap check prices at n <= 64, far past int64
+        for d in range(33):
+            assert codes._subspace_count(d) == sum(oracle_gaussian_binomials(d)[d]), d
 
     @pytest.mark.parametrize("n", [65, 128])
     def test_subcode_enumeration_stops_at_64(self, n):
@@ -269,8 +275,11 @@ class TestSubcodeSolve:
     against the ``math.comb`` oracle, above the transform's reach."""
 
     @given(st.integers(25, 64), st.integers(1, 9), st.booleans(), st.integers(0, 2**32 - 1))
-    @example(40, 9, False, 0)  # int64 solve
-    @example(64, 8, True, 0)  # Python-int solve, on the dual of the code
+    @example(40, 9, False, 0)
+    @example(64, 8, False, 0)
+    @example(64, 8, True, 0)  # on the dual of the code
+    @example(64, 9, False, 0)
+    @example(64, 9, True, 0)
     @settings(max_examples=15, deadline=None)
     def test_matches_oracle_on_random_codes(self, n, d, larger, seed):
         c = codes.random_code(n, n - d if larger else d, np.random.default_rng(seed))
@@ -282,6 +291,25 @@ class TestSubcodeSolve:
         TestWeiDuality.assert_partition(n, codes.ghw_exact(c).weights, codes.ghw_exact(dual).weights)
         assert not codes._pascal(n).flags.writeable
         assert not codes._gaussian_binomials(d).flags.writeable
+
+    # Every codeword of a packed code lies inside its first d coordinates,
+    # so the covers C(64 - w, s - w) are near their largest and the sums
+    # pass 2^64; RM(1,6) is a real code of the cap's size whose sums do not.
+    @pytest.mark.parametrize("name,d", [("rm", 7), ("packed", 8), ("packed", 9)])
+    def test_solve_exact_at_largest_sums(self, name, d):
+        if name == "rm":
+            side = codes.reed_muller(1, 6)
+        else:
+            g = np.hstack([np.eye(d, dtype=np.uint8), np.zeros((d, 64 - d), dtype=np.uint8)])
+            side = LinearCode(n=64, dim=d, generator=BitMatrix(g))
+        cnt = codes._subspace_support_counts(side)
+        h = codes._subcode_free_counts(side)
+        assert np.array_equal(h, oracle_subcode_solve(cnt, 64, d))
+        assert [int(row.sum()) for row in h] == [comb(64, s) for s in range(65)]
+        covers = max(
+            sum(int(cnt[j, w]) * comb(64 - w, s - w) for w in range(s + 1)) for j in range(d + 1) for s in range(65)
+        )
+        assert (covers >= 2**64) == (name == "packed"), covers.bit_length()
 
 
 class TestWeiDuality:

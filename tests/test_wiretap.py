@@ -48,10 +48,19 @@ class TestBuild:
         assert w.gprime.to_strings() == ["1000", "0100", "0010"] and w.gprime != w.h
         assert not (w.h.a.sum(axis=1) % 2).any()
 
-    def test_degenerate_base_rejected(self):
+    def test_degenerate_base_rejected(self, demo):
         full = LinearCode(n=3, dim=3, generator=BitMatrix.identity(3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 < dim < n"):
             wiretap.build(full)
+        # a published encoder does not make a full base a wiretap code (k = 0)
+        zero_dual = LinearCode(n=3, dim=0, generator=BitMatrix(np.zeros((0, 3), dtype=np.uint8)))
+        empty_gprime = BitMatrix(np.zeros((0, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="0 < dim < n"):
+            wiretap.WiretapCode(full, zero_dual, empty_gprime)
+        with pytest.raises(ValueError, match="gprime is missing"):
+            wiretap.WiretapCode(demo.base_code, demo.dual_code)
+        with pytest.raises(ValueError, match="dual_code is missing"):
+            wiretap.WiretapCode(demo.base_code, gprime=demo.gprime)
 
     def test_rm05_base_k31_builds_and_decodes(self):
         w = wiretap.build(codes.reed_muller(0, 5))
