@@ -88,9 +88,17 @@ def _code(spec: str) -> codes.LinearCode:
 
 
 def _resolve_code(spec: str, orientation: str) -> wiretap.WiretapCode:
-    """The wiretap code whose base is the spec's code (C) or its dual (Cperp)."""
+    """The wiretap code whose base is the spec's code (C) or its dual (Cperp).
+
+    The dual of RM(u, m) is built as RM(m - u - 1, m), as the candidate
+    family builds it, so no null space is taken to pick the base; other
+    codes (table1, RM(m, m)) take ``codes.dual``.
+    """
     c = _code(spec)
-    base = codes.dual(c) if orientation == "Cperp" else c
+    base = c
+    if orientation == "Cperp":
+        perp = codes.rm_dual_params(c.rm_params)
+        base = codes.reed_muller(*perp) if perp else codes.dual(c)
     return wiretap.build(base, label=f"{c.label}|{orientation}")
 
 

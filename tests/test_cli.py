@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wiretapkit import channel, cli, codes
+from wiretapkit import channel, cli, codes, sweep
 
 from conftest import cells_grid, grid_to_csv, save_capture, synth_capture
 
@@ -73,6 +73,15 @@ class TestEqmatrix:
     def test_bad_spec_fails(self, runner, tmp_path):
         res = runner.invoke(cli.main, ["eqmatrix", "--code", "bogus", "--out-dir", str(tmp_path)])
         assert res.exit_code != 0
+
+
+def test_rm_cperp_takes_one_null_space(null_space_calls):
+    # as many as the family's RM(4,5)|Cperp member: the one its encoder needs
+    cli._resolve_code("rm:4,5", "Cperp").decoder
+    resolved = len(null_space_calls)
+    [member] = [w for w in sweep.default_code_family(5) if w.label == "RM(4,5)|Cperp"]
+    member.decoder
+    assert resolved == len(null_space_calls) - resolved == 1
 
 
 @pytest.mark.parametrize(
