@@ -18,9 +18,10 @@ import numpy as np
 
 CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
-# At the cap on 2 shared vCPUs, synth_grid takes 0.17-0.30 s and 107 MB peak
-# RSS, 0.12-0.21 s of it the seeded fading; the synth command, which also
-# writes the CSV, takes 1.75-1.95 s.
+# At the cap on 2 shared vCPUs, synth_grid takes 0.15-0.17 s at 4 taps
+# (0.39-0.45 s at 64) and 105 MB peak RSS, 0.09-0.10 s (0.30-0.38 s) of it
+# the seeded fading; the synth command, which also writes the CSV, takes
+# 2.2-3.0 s.
 MAX_GRID_LOCATIONS = 100_000
 
 
@@ -356,32 +357,10 @@ class EnvironmentConfig:
 # grid would take 101 MB at the cap.  On the bundled plan, chunks of 256
 # and 512 locations timed within 10 % of 128 at 4 and at 64 taps.
 FADING_CHUNK = 128
-
-# default_rng([seed, i]) seeds PCG64 through numpy's SeedSequence: its hash
-# constants (numpy/random/bit_generator.pyx) and PCG64's 128-bit multiplier.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-# The multiplier as uint64 words and the low word's 32-bit limbs, for the
-# array stepping; its inverse mod 2^128 undoes one step.
-_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64)
-_MULT_LO_1, _MULT_LO_0 = np.uint64(_PCG64_MULT >> 32 & _MASK32), np.uint64(_PCG64_MULT & _MASK32)
-_PCG64_MULT_INV = pow(_PCG64_MULT, -1, 1 << 128)
-# Bytes of one block's (rows, 2 taps) float64 draws: a block is 2
-# FADING_CHUNKs at 64 taps and 32 at the default 4.
-_DRAW_BYTES = 1 << 18
-# Taps up to which rows are drawn as array passes.  A row passes them when
-# all its 2 taps draws take numpy's fast path, about 0.982^(2 taps): on the
-# bundled plan's 2,360 rows 88 % at 4 taps, 65 % at 12 and 8 % at 64; numpy
-# redraws the rest.  There the fading took 0.38-0.44 of the per-row draw's
-# time at 4 taps, 0.70-0.77 at 12, 0.74-1.07 at 16 and 3.2-3.5 at 64.
-_BULK_MAX_TAPS = 12
+# Locations that draw their fading from one Generator: block b draws from
+# default_rng([seed, b]).  Fixed for cost (one seeding per 4,096
+# locations) and a multiple of FADING_CHUNK.
+FADING_BLOCK = 4096
 
 
 def _orient(a, b, c):
@@ -422,217 +401,36 @@ def _wall_loss(cfg: EnvironmentConfig, x: np.ndarray, y: np.ndarray) -> np.ndarr
     return loss
 
 
-def _uint32_words(n: int) -> list[int]:
-    """n as SeedSequence reads an int: little-endian 32-bit words, [0] for 0."""
-    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _seed_words(seed: int, count: int) -> np.ndarray:
-    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` as row i, i < count.
-
-    numpy's entropy mixing, run as uint32 array passes over every index
-    at once.  The hash constants step the same way for every index, so
-    they stay Python ints; uint32 array arithmetic wraps as the C code's.
-    """
-    entropy = [np.full(count, w, dtype=np.uint32) for w in _uint32_words(seed)]
-    entropy.append(np.arange(count, dtype=np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
-
-    zeros = np.zeros(count, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    # Seeds of 2^96 and above bring more words than the pool holds.
-    for src in range(_POOL_SIZE, len(entropy)):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    hash_const = _INIT_B
-    state = np.empty((count, 2 * _POOL_SIZE), dtype="<u4")
-    for j in range(2 * _POOL_SIZE):
-        value = pool[j % _POOL_SIZE] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        state[:, j] = value ^ (value >> _XSHIFT)
-    return state.view("<u8")
-
-
-@functools.cache
-def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ziggurat widths ``wi`` and a bound on ``rabs`` per layer.
-
-    numpy's Generator makes a standard normal from one PCG64 output r:
-    layer idx = r & 0xff, sign = (r >> 8) & 1 and rabs = (r >> 9) &
-    (2^52 - 1).  It returns -/+ rabs wi[idx] when rabs < ki[idx], and
-    otherwise tests the wedge or the tail with more outputs.  Both tables
-    are read from numpy itself, once per process, by drawing from a state
-    whose next output is chosen.  From an output with layer idx and
-    rabs = 2^40, the draw is 2^40 wi[idx] exactly (layer 1, whose ki is
-    0, passes its wedge test on the second output).  For idx >= 2,
-    ki[idx] is floor(2^52 wi[idx-1] / wi[idx]) or one more, and
-    ``bound`` keeps 2 below that.  Layer 0's ki has no such formula, so
-    ``bound[0]`` is found by bisection as the least rabs whose draw takes
-    more than its one output: ki[0] itself.  Layer 1's bound is 0.  So a
-    draw with rabs < bound[idx] is one that numpy returns from its one
-    output.
-    """
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
-    inc = state["state"]["inc"]
-
-    def draw(output: int) -> tuple[float, bool]:
-        """numpy's normal from the state just before ``output``, and whether
-        it took that one output alone."""
-        # A state with high word 0 outputs its low word, unrotated; the
-        # state before it is one step back.
-        state["state"]["state"] = (output - inc) * _PCG64_MULT_INV & _MASK128
-        rng.bit_generator.state = state
-        return rng.standard_normal(), rng.bit_generator.state["state"]["state"] == output
-
-    rabs = 1 << 40
-    wi = np.array([draw(rabs << 9 | idx)[0] / rabs for idx in range(256)])
-    bound = np.zeros(256, dtype=np.uint64)
-    bound[2:] = np.floor(wi[1:-1] / wi[2:] * 2.0**52) - 2
-    taken, refused = 0, 1 << 52
-    while refused - taken > 1:
-        mid = (taken + refused) // 2
-        if draw(mid << 9)[1]:
-            taken = mid
-        else:
-            refused = mid
-    bound[0] = refused
-    wi.flags.writeable = bound.flags.writeable = False
-    return wi, bound
-
-
-def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray) -> None:
-    """One PCG64 step, state = state MULT + inc mod 2^128, on uint64 word arrays in place.
-
-    The high word of lo MULT_LO comes from 32-bit limb products, each
-    below 2^64 with its carries; every other product and sum wraps mod
-    2^64 as it should.
-    """
-    lo1, lo0 = lo >> 32, lo & _MASK32
-    low = lo1 * _MULT_LO_0 + (lo0 * _MULT_LO_0 >> 32)
-    mid = (low & _MASK32) + lo0 * _MULT_LO_1
-    hi *= _MULT_LO
-    hi += lo * _MULT_HI
-    hi += lo1 * _MULT_LO_1 + (low >> 32) + (mid >> 32) + inc_hi
-    lo *= _MULT_LO
-    lo += inc_lo
-    hi += lo < inc_lo
-
-
-def _pcg64_seeded(words: np.ndarray) -> np.ndarray:
-    """PCG64's start state for each row of :func:`_seed_words`, as a (rows, 4)
-    uint64 array: the state's high and low words, then inc's.
-
-    The first two words are initstate, the last two initseq (high word
-    first); the setseq rule sets inc = 2 initseq + 1 and
-    state = (inc + initstate) MULT + inc, all mod 2^128.
-    """
-    w0, w1, w2, w3 = words.T
-    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
-    lo = w1 + inc_lo
-    hi = w0 + inc_hi + (lo < inc_lo)
-    _pcg64_step(hi, lo, inc_hi, inc_lo)
-    return np.stack([hi, lo, inc_hi, inc_lo], axis=1)
-
-
-def _pcg64_outputs(states: np.ndarray, raw: np.ndarray) -> None:
-    """Write the first outputs of the PCG64 in row i of ``states`` into ``raw[i]``.
-
-    Copies of the :func:`_pcg64_seeded` states step once per column, all
-    rows at once; each output is XSL-RR, the xor of the state's words
-    rotated right by its top 6 bits.
-    """
-    hi, lo, inc_hi, inc_lo = states.T.copy()
-    for out in raw.T:
-        _pcg64_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58
-        np.bitwise_or(x >> rot, x << (-rot & 63), out=out)
-
-
-def _bulk_normals(states: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Draw row i of ``z`` from the PCG64 in row i of ``states``; True where it holds.
-
-    Each output of :func:`_pcg64_outputs` becomes numpy's ziggurat
-    fast-path normal, -/+ rabs wi[idx].  A row holds numpy's draws
-    exactly when :func:`_ziggurat`'s bound admits each of its outputs; a
-    row that is not must be redrawn.
-    """
-    wi, bound = _ziggurat()
-    raw = np.empty(z.shape, dtype=np.uint64)
-    _pcg64_outputs(states, raw)
-    # Little-endian bytes 0 and 1 of each output hold idx and the sign.
-    idx, sign = raw.view(np.uint8)[:, 0::8], raw.view(np.uint8)[:, 1::8]
-    rabs = raw >> 9 & (1 << 52) - 1
-    np.multiply(rabs, wi[idx], out=z)
-    np.negative(z, out=z, where=(sign & 1).astype(bool))
-    return (rabs < bound[idx]).all(axis=1)
-
-
 def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     """Write frequency-selective fading in dB into each row of a zeroed ``out``.
 
     Row i draws a short complex tap profile with exponentially decaying
-    power from the stream of ``default_rng([seed, i])`` and takes |H(f)|^2
-    across the 64 subcarriers, so each row depends on its own index
-    alone.  The seeding is done for all rows at once by
-    :func:`_seed_words`.  Rows are drawn a block at a time, as many
-    ``FADING_CHUNK``s as keep the block's draws within ``_DRAW_BYTES``,
-    from its rows' PCG64 start states, computed once by
-    :func:`_pcg64_seeded`.  :func:`_bulk_normals` steps copies of them as
-    uint64 array passes and keeps numpy's ziggurat fast path, whose table
-    :func:`_ziggurat` reads from numpy once per process.  A row with any
-    draw off that path (one in eight at 4 taps), and every row above
-    ``_BULK_MAX_TAPS`` taps, is redrawn whole by numpy: one reused
-    Generator set to the row's start state.  Each block is then
-    transformed ``FADING_CHUNK`` rows at a time.  The transform
-    H(f) = sum_j tap_j e^(-2 pi i f j / 64) is the 64-point DFT of the
-    tap profile, computed by FFT; taps never exceed 64, so ``n=64`` pads
-    and never truncates.
+    power and takes |H(f)|^2 across the 64 subcarriers.  Block b of
+    ``FADING_BLOCK`` rows draws from ``default_rng([seed, b])``: row i is
+    row i mod ``FADING_BLOCK`` of that Generator's
+    ``standard_normal((FADING_BLOCK, 2 taps))``, the real parts of its taps
+    first.  So each row depends on the seed, its index and the tap count
+    alone, not on the grid size.  Rows are drawn and transformed
+    ``FADING_CHUNK`` at a time; successive draws from one Generator continue
+    its stream.  The transform H(f) = sum_j tap_j e^(-2 pi i f j / 64) is
+    the 64-point DFT of the tap profile, computed by FFT; taps never exceed
+    64, so ``n=64`` pads and never truncates.
     """
     if not cfg.enabled:
         return
     powers = np.exp(-np.arange(cfg.taps) / cfg.delay_spread)
     powers /= powers.sum()
     amp = np.sqrt(powers / 2)
-    block_rows = FADING_CHUNK * max(1, _DRAW_BYTES // (FADING_CHUNK * 2 * cfg.taps * 8))
-    draws = np.empty((min(block_rows, out.shape[0]), 2 * cfg.taps))
-    seeds = _seed_words(seed, out.shape[0])
-    rng = np.random.default_rng(0)
-    bit_generator = rng.bit_generator
-    start_state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for start in range(0, out.shape[0], block_rows):
-        states = _pcg64_seeded(seeds[start:start + block_rows])
-        z = draws[: states.shape[0]]
-        drawn = _bulk_normals(states, z) if cfg.taps <= _BULK_MAX_TAPS else np.zeros(z.shape[0], dtype=bool)
-        for i in np.flatnonzero(~drawn).tolist():
-            hi, lo, inc_hi, inc_lo = states[i].tolist()
-            start_state["state"] = {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo}
-            bit_generator.state = start_state
-            rng.standard_normal(out=z[i])
-        for at in range(0, z.shape[0], FADING_CHUNK):
-            block = out[start + at:start + at + FADING_CHUNK]
-            zc = z[at:at + FADING_CHUNK]
-            taps = (zc[:, : cfg.taps] + 1j * zc[:, cfg.taps:]) * amp
-            np.abs(np.fft.fft(taps, CARRIERS, axis=1), out=block)
-            np.maximum(block, 1e-6, out=block)
-            np.log10(block, out=block)
-            block *= cfg.sigma_scale * 20.0
+    for start in range(0, out.shape[0], FADING_CHUNK):
+        if start % FADING_BLOCK == 0:
+            rng = np.random.default_rng([seed, start // FADING_BLOCK])
+        chunk = out[start:start + FADING_CHUNK]
+        z = rng.standard_normal((chunk.shape[0], 2 * cfg.taps))
+        taps = (z[:, : cfg.taps] + 1j * z[:, cfg.taps:]) * amp
+        np.abs(np.fft.fft(taps, CARRIERS, axis=1), out=chunk)
+        np.maximum(chunk, 1e-6, out=chunk)
+        np.log10(chunk, out=chunk)
+        chunk *= cfg.sigma_scale * 20.0
 
 
 def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
@@ -640,17 +438,14 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
 
     Per-subcarrier SNR = reference SNR + power offset - log-distance
     path loss - accumulated wall losses on the direct ray + a seeded
-    frequency-selective fading draw.  Locations run x-fastest; location
-    i draws its fading from the seed pair (seed, i), so the grid does
-    not depend on evaluation order.  The grid is built as columns: the
-    coordinates, region ids and labels come from array passes, and no
-    per-location object is made.  Walls and fading are computed as
-    array passes over all locations, bit-exact with the per-location loop
-    kept in the tests as the oracle: the fading steps every location's
-    PCG64 stream and numpy's ziggurat fast path as uint64 array passes
-    over blocks of locations, reading the ziggurat table from numpy once
-    per process, and has numpy redraw each location with a draw off that
-    path, or every location above ``_BULK_MAX_TAPS`` taps.  Each
+    frequency-selective fading draw.  Locations run x-fastest; block b of
+    ``FADING_BLOCK`` locations draws its fading from one Generator seeded
+    with the pair (seed, b), so location i's fading depends on the seed,
+    i and the tap count alone, not on the grid size or evaluation order.
+    The grid is built as columns: the coordinates, region ids and labels
+    come from array passes, and no per-location object is made.  Walls
+    and fading are computed as array passes over all locations, bit-exact
+    with the per-location loop kept in the tests as the oracle.  Each
     location's fading is the 64-point DFT of its tap profile, computed by
     FFT over a chunk of locations at a time (see :func:`_fading_into`).
     """

@@ -59,7 +59,7 @@ def bob_reference_index(grid: ChannelGrid, regions: RegionMap) -> int:
     floor, the sum of the lower ends, is thus within 0.5 per carrier
     (32 b/cu over 64) of its capacity, and one whose floor is that far
     or further below the best floor cannot win.  The exact
-    ``channel.capacity_sum`` runs only on the others (8 of the bundled
+    ``channel.capacity_sum`` runs only on the others (10 of the bundled
     grid's 600 cells); a 1e-6 margin absorbs rounding.  The floors take
     one gather, one clip in place and one product.  A carrier at
     ``_FINITE_CAPACITY_DB`` or above, whose capacity may overflow to inf,

@@ -8,7 +8,8 @@ and Eve's message posterior by matching her observation against all
 that the vectorised sweep replaced; it finds regions, Eve locations and
 Bob's reference by its own scans of each location's label.  The grid
 oracle is the per-location loop that ``channel.synth_grid``'s array
-passes replaced.  The elimination oracle is the per-row numpy
+passes replaced; each location takes its fading row from one
+``standard_normal`` call per block of 4,096 locations.  The elimination oracle is the per-row numpy
 Gauss-Jordan that ``bitlinalg``'s packed-row elimination replaced, and
 the wiretap-matrix oracle the greedy basis completion and GF(2) inverse
 that ``wiretap.build``'s pivot rows replaced.  The Reed-Muller generator
@@ -27,6 +28,7 @@ location's label, and write the inputs the commands read: synthetic
 sounding captures with their sidecars, and grids as CSV text.
 """
 
+import functools
 import io
 import itertools
 import json
@@ -449,27 +451,42 @@ def _segments_cross(p1, p2, q1, q2) -> bool:
     return False
 
 
+# Locations per fading Generator, as the block rule states it.
+ORACLE_FADING_BLOCK = 4096
+
+
+@functools.lru_cache(maxsize=4)
+def oracle_block_draws(seed: int, block: int, taps: int) -> np.ndarray:
+    """The (4096, 2 taps) standard normals of fading block ``block``:
+    one ``standard_normal`` call on ``default_rng([seed, block])``."""
+    z = np.random.default_rng([seed, block]).standard_normal((ORACLE_FADING_BLOCK, 2 * taps))
+    z.flags.writeable = False
+    return z
+
+
 def _fading_db(cfg: channel.FadingModel, seed: int, loc_index: int) -> np.ndarray:
     """Frequency-selective fading in dB from a seeded multipath draw.
 
     A short complex tap profile with exponentially decaying power gives
     |H(f)|^2 across the 64 subcarriers, H being the tap profile's 64-point
-    DFT; per-location seeds keep the grid deterministic under any
-    evaluation order.
+    DFT.  Location i takes row i mod 4096 of its block's draw
+    (:func:`oracle_block_draws` of block i // 4096), real parts first, so
+    the grid is the same under any evaluation order and any grid size.
     """
     if not cfg.enabled:
         return np.zeros(channel.CARRIERS)
-    rng = np.random.default_rng([seed, loc_index])
+    block, row = divmod(loc_index, ORACLE_FADING_BLOCK)
+    z = oracle_block_draws(seed, block, cfg.taps)[row]
     powers = np.exp(-np.arange(cfg.taps) / cfg.delay_spread)
     powers /= powers.sum()
-    taps = (rng.standard_normal(cfg.taps) + 1j * rng.standard_normal(cfg.taps)) * np.sqrt(powers / 2)
+    taps = (z[: cfg.taps] + 1j * z[cfg.taps:]) * np.sqrt(powers / 2)
     h = np.abs(np.fft.fft(taps, channel.CARRIERS))
     h = np.maximum(h, 1e-6)
     return cfg.sigma_scale * 20.0 * np.log10(h)
 
 
 def oracle_synth_grid(cfg, seed: int) -> channel.ChannelGrid:
-    """Synthetic SNR grid by a loop over locations, one RNG per location.
+    """Synthetic SNR grid by a loop over locations, one fading row each.
 
     The per-location loop the array passes of ``channel.synth_grid``
     replaced: Python scalar wall tests, path loss and one fading draw and
@@ -678,8 +695,10 @@ def synth_capture(
     """Synthetic 64-tone capture whose estimator-measured SNR targets snr_db.
 
     Tone amplitudes are calibrated against unit-variance complex AWGN so
-    that the even-bin/odd-bin power ratio of ``snr_estimate`` equals the
-    configured SNR in expectation.
+    that each tone's power over the noise's is the configured SNR.  The
+    even bin holds tone and noise, so the even-bin/odd-bin power ratio of
+    ``snr_estimate`` is SNR + 1 in expectation: the estimate reads high by
+    10 log10(1 + 1/SNR) dB.
     """
     snr_db = np.broadcast_to(np.asarray(snr_db, dtype=float), (CARRIERS,))
     rng = np.random.default_rng(seed)
