@@ -471,10 +471,10 @@ class TestSweepAndSimulate:
         assert report["trials"] == 20
 
     def test_simulate_sweep_best_point(self, runner, tmp_path):
-        # RM(4,5)|Cperp at 29 dB, the bundled sweep's best point (n = 32)
+        # RM(4,5)|Cperp at 30 dB, the bundled sweep's best point (n = 32)
         res = runner.invoke(
             cli.main,
-            ["simulate", "--code", "rm:4,5", "--orientation", "Cperp", "--tau", "29",
+            ["simulate", "--code", "rm:4,5", "--orientation", "Cperp", "--tau", "30",
              "--out-dir", str(tmp_path)],
         )
         assert res.exit_code == 0, res.output

@@ -50,7 +50,7 @@ INVOCATIONS = {
     "sweep_m7_interleave": ["sweep", "--max-m", "7", "--taus", WIDE_TAUS, "--interleave", "--svg"],
     "sweep_m9": ["sweep", "--max-m", "9", "--taus", WIDE_TAUS, "--allow-partial"],
     "simulate": ["simulate"],
-    "simulate_best": ["simulate", "--code", "rm:4,5", "--orientation", "Cperp", "--tau", "29"],
+    "simulate_best": ["simulate", "--code", "rm:4,5", "--orientation", "Cperp", "--tau", "30"],
     "simulate_rm15": ["simulate", "--code", "rm:1,5", "--tau", "25", "--trials", "300", "--seed", "4"],
     # The bundled grid read back from the CSV that synth writes.
     "sweep_grid_csv": ["sweep", "--grid", "{tmp}/g/grid.csv", "--regions", "{tmp}/regions.json"],
@@ -58,11 +58,11 @@ INVOCATIONS = {
 
 GOLDEN = {
     "demo": "4f209384d597ce166ab04d62c979c3b38e6d3c6b001f9666ee09233b4f036455",
-    "synth": "f13b1737a5f72f81ae8e151ece84f917ff6290f4b95856474f2795b291944b9d",
+    "synth": "3a80e3a94569f653b0bedec059aafbf8d82d0c6991282699c55e11a22a132cbe",
     "sound": "3149f83e156340ea834c4a9a154dc06dd344b93b6bbe9dfc92e5ba6e9b75c89e",
-    "heatmap": "c9dcd396024e32627e961e690d6cd2f1e2dbc4d850349f39878b2c1754a04bd3",
-    "capacity": "3278930ea8bae88754cf67ef64febf610e0cbb3ec7987be9e0c6cd2a95678b95",
-    "secrecy": "392e2d2e5c88c5187de2bb7ea6c312e3d01dfcfde53d833b1cd76a8640afd60b",
+    "heatmap": "12f56f8fc6627ab71fc0531128857b1dd0222bc24f6522cb6dc6f6c0467e5dcf",
+    "capacity": "433288d95cceb4fd0cde4f1b009c36ef7a3116051bcd3a8befd13753eac02d13",
+    "secrecy": "b87199f2bbd8d5786356c6837519850fe0b90c013538d2e61100cb8bfcb25b92",
     "eqmatrix": "5de8b0d4b1d9b0877f036086d46b68dfec4714b984323e1d2bbd9b6f32ac3dbf",
     "eqmatrix_rm24": "3b45efd6e8944a5f56aa327d41b69ba301b9a3ddab5ffc3b9097f76a7174b892",
     "eqmatrix_rm15": "8cbbace093ea744d3da3f2659f2bb8a699348bf896dcab67b3c513e587eda46f",
@@ -73,15 +73,15 @@ GOLDEN = {
     "ghw_table1": "e3512a1163bd27cf71c0d5b3863daa382e78a22cc941b141e27ec5725c95e237",
     "ghw_monomial": "67572c9337feffc3d9720dcd634e279dec7134475d9bc1a2ea61dd688e2bceaf",
     "ghw_monomial_m9": "9446756ad3cb06efc8326c946196b810ef774875959c37a93b0c771822df0039",
-    "sweep": "3da4b20a381baf98e6d242c9c799bb00b8b419f45506b9d7dfa4eb1eb782b3ff",
-    "sweep_interleave": "6efbdcf71e69da6cf62edfd971ad0daa035e0519dda7636e3177071c2cd9d50a",
-    "sweep_m7": "78b2e00108f5caf987d09c8beb176c2d01de8d7678566aeaa317c4d0cad6e14f",
-    "sweep_m7_interleave": "11d877d618308fe9b7b27f5a0f1b801eb3e7841454e0fbc284bab25055d573b9",
-    "sweep_m9": "c14e367e64041f4e7bbaeedf57c2f8da9669b11f67399f9cc60d635c27c3ae5a",
-    "simulate": "f278545ba7f9b5745dbbc3f1ceafc1bcfa075272cddfde10024bbf310ba28e24",
-    "simulate_rm15": "5e6f8ef7b297beff296ce288be1e8ea049ed5349675533c070e0e7bca5daa2aa",
-    "simulate_best": "667aead281e4ad154d77cce288681690dd65f95a9977872526e9fc8580b53cdb",
-    "sweep_grid_csv": "910f4f7ed90ef9c2c55ce7f7c09234b599497f754ef959de5c8da87df9e3e5aa",
+    "sweep": "f7b901be16689c5979d36fbbfe30f174fc3625ac74ea7861f6195673034fda42",
+    "sweep_interleave": "9df1425391bebb43049de8bf284dbccaa8b8aea4b9dccd27ecddfbe94f676915",
+    "sweep_m7": "9b9c3fdf3534850cd1af06149eb836213a041c7a1275071b1a3180a5cb9a0b07",
+    "sweep_m7_interleave": "9ffc6a0dd6572f38a96f63d7a24e89363b7584fdb6c75bf0ce31be03b6390d31",
+    "sweep_m9": "a73d7de7c23caed906a59ece4ae9bcb1ec5915bcebc14add8914128db1933858",
+    "simulate": "389b46cd42919c9be81c4704affb575993b8a2fc4b4509f623bf7543bf8fd6b4",
+    "simulate_rm15": "a23b12325bd24299abeef28de2814d02a166c1ccee5996811123b78a35c32414",
+    "simulate_best": "fcd21002743cf8261ee470a63b9ed2ed9e1a7b804150e77485879e9618e46ea0",
+    "sweep_grid_csv": "8db1bd57d985463d8f6c2d80e2e23d9528d93b5f274dd0509ee36ed1fcd42a8f",
 }
 
 

@@ -231,7 +231,7 @@ class TestBobReference:
         grid, regions = channel.default_grid(), channel.default_environment().region_map
         assert sweep.bob_reference_index(grid, regions) == oracle_bob_reference(grid, regions.bob_region)
         assert grid.region_indices((regions.bob_region,)).size == 600
-        assert sum(capacity_rows) <= 8
+        assert sum(capacity_rows) <= 10
 
 
 class TestSweepAndSelect:
@@ -613,7 +613,7 @@ def bundled():
 class TestSimulateMatchesOracles:
     """simulate_mc's exact leakage against the codebook posterior and the sweep."""
 
-    @pytest.mark.parametrize("tau", [20.0, 22.0, 26.0, 29.0])
+    @pytest.mark.parametrize("tau", [18.0, 19.0, 26.0, 29.0])
     def test_leakage_equals_posterior_oracle(self, bundled, tau):
         grid, regions = bundled
         bases = random_corpus(max_n=12, count=12, seed=73) + rm_family_codes(max_m=3)
@@ -645,7 +645,7 @@ class TestSimulateMatchesOracles:
             assert rep["worst_case_bound"] == round(w.k * (100.0 - p.min_equivocation_pct) / 100.0)
             assert rep["eve_leakage_bits_max"] <= rep["worst_case_bound"]
             assert rep["bob_error_rate"] == 0.0
-        # Eve reads 58 of 64 carriers, 116 of 128 bits: 3 of RM(1,7)|Cperp's 8 bits leak
+        # Eve reads 59 of 64 carriers, 118 of 128 bits: 3 of RM(1,7)|Cperp's 8 bits leak
         cperp = next(p for p in points if p.code_label == "RM(1,7)|Cperp")
         assert cperp.min_equivocation_pct == 62.5
 
