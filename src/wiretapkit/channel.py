@@ -359,7 +359,8 @@ class EnvironmentConfig:
 FADING_CHUNK = 128
 # Locations that draw their fading from one Generator: block b draws from
 # default_rng([seed, b]).  Fixed for cost (one seeding per 4,096
-# locations) and a multiple of FADING_CHUNK.
+# locations), and a multiple of FADING_CHUNK; changing it changes every
+# synthesized grid.
 FADING_BLOCK = 4096
 
 

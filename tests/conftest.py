@@ -9,8 +9,9 @@ that the vectorised sweep replaced; it finds regions, Eve locations and
 Bob's reference by its own scans of each location's label.  The grid
 oracle is the per-location loop that ``channel.synth_grid``'s array
 passes replaced; each location takes its fading row from one
-``standard_normal`` call per block of 4,096 locations.  The elimination oracle is the per-row numpy
-Gauss-Jordan that ``bitlinalg``'s packed-row elimination replaced, and
+``standard_normal`` call per block of 4,096 locations.  The elimination
+oracle is the per-row numpy Gauss-Jordan that ``bitlinalg``'s packed-row
+elimination replaced, and
 the wiretap-matrix oracle the greedy basis completion and GF(2) inverse
 that ``wiretap.build``'s pivot rows replaced.  The Reed-Muller generator
 oracle builds one monomial row at a time, where ``codes._monomial_rows``

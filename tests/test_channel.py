@@ -361,9 +361,7 @@ class TestFadingTransform:
             powers = np.exp(-np.arange(t) / fading.delay_spread)
             amp = np.sqrt(powers / powers.sum() / 2)
             phase = np.exp(-2j * np.pi * f * np.arange(t) / CARRIERS)
-            draws = oracle_block_draws(seed, 0, t)
-            for i in range(rows):
-                z = draws[i]
+            for i, z in enumerate(oracle_block_draws(seed, 0, t)[:rows]):
                 h = np.abs(((z[:t] + 1j * z[t:]) * amp * phase).sum(axis=1))
                 want = 20.0 * np.log10(np.maximum(h, 1e-6))
                 assert np.max(np.abs(got[i] - want)) <= 1e-9, (t, i)
