@@ -444,9 +444,11 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     with the pair (seed, b), so location i's fading depends on the seed,
     i and the tap count alone, not on the grid size or evaluation order.
     The grid is built as columns: the coordinates, region ids and labels
-    come from array passes, and no per-location object is made.  Walls
-    and fading are computed as array passes over all locations, bit-exact
-    with the per-location loop kept in the tests as the oracle.  Each
+    come from array passes, and no per-location object is made.  Path
+    loss, walls and fading are computed as array passes over all
+    locations, bit-exact with the per-location loop kept in the tests as
+    the oracle; path loss uses numpy's ``hypot`` and ``log10``, which the
+    oracle calls on each location's scalars.  Each
     location's fading is the 64-point DFT of its tap profile, computed by
     FFT over a chunk of locations at a time (see :func:`_fading_into`).
     """
@@ -464,11 +466,8 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
         region_id[r.contains(x, y)] = names.index(r.label)
     used = np.bincount(region_id, minlength=len(names)) > 0
     labels = tuple(name for name, kept in zip(names, used.tolist()) if kept)
-    # math.hypot and math.log10, not numpy's: these differ in the last bit.
-    tx_x, tx_y = cfg.tx
-    dist = np.fromiter(map(math.hypot, (x - tx_x).tolist(), (y - tx_y).tolist()), float, x.size)
-    ratio = np.maximum(dist, cfg.ref_distance) / cfg.ref_distance
-    path_loss = 10.0 * cfg.path_loss_exponent * np.fromiter(map(math.log10, ratio.tolist()), float, x.size)
+    dist = np.hypot(x - cfg.tx[0], y - cfg.tx[1])
+    path_loss = 10.0 * cfg.path_loss_exponent * np.log10(np.maximum(dist, cfg.ref_distance) / cfg.ref_distance)
     base = cfg.ref_snr_db + cfg.tx_power_offset_db - path_loss - _wall_loss(cfg, x, y)
     snr_db = np.zeros((x.size, CARRIERS))
     _fading_into(cfg.fading, seed, snr_db)

@@ -491,7 +491,9 @@ def oracle_synth_grid(cfg, seed: int) -> channel.ChannelGrid:
 
     The per-location loop the array passes of ``channel.synth_grid``
     replaced: Python scalar wall tests, path loss and one fading draw and
-    transform per location.
+    transform per location.  Path loss calls numpy's ``hypot`` and
+    ``log10`` on the location's scalars, the ufuncs that ``synth_grid``
+    runs over the lattice arrays.
     """
     nx, ny = cfg.lattice
     cells: list[tuple[float, float, str]] = []
@@ -501,8 +503,8 @@ def oracle_synth_grid(cfg, seed: int) -> channel.ChannelGrid:
             x = ix * cfg.grid_spacing
             y = iy * cfg.grid_spacing
             label = next((r.label for r in cfg.regions if r.contains(x, y)), "open")
-            d = math.hypot(x - cfg.tx[0], y - cfg.tx[1])
-            path_loss = 10.0 * cfg.path_loss_exponent * math.log10(
+            d = np.hypot(x - cfg.tx[0], y - cfg.tx[1])
+            path_loss = 10.0 * cfg.path_loss_exponent * np.log10(
                 max(d, cfg.ref_distance) / cfg.ref_distance
             )
             wall_loss = sum(
