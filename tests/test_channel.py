@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretapkit import channel, maps
 from wiretapkit.channel import (
@@ -315,6 +317,29 @@ def _oracle_cases():
     return cases
 
 
+@st.composite
+def path_loss_envs(draw):
+    """A wall-free plan of at most 14 x 14 locations with fading off.  The
+    transmitter is inside the plan, on a lattice point or outside it, and
+    the reference distance is drawn up to 1.5 times the farthest corner's,
+    so that it clamps all, some or none of the locations."""
+    spacing = draw(st.floats(0.05, 2.0))
+    cfg = flat_env(width=spacing * draw(st.floats(0.0, 13.9)), height=spacing * draw(st.floats(0.0, 13.9)),
+                   grid_spacing=spacing, path_loss_exponent=draw(st.floats(1.0, 6.0)))
+    nx, ny = cfg.lattice
+    where = draw(st.sampled_from(["inside", "lattice", "outside"]))
+    if where == "inside":
+        tx = (draw(st.floats(0.0, cfg.width)), draw(st.floats(0.0, cfg.height)))
+    elif where == "lattice":
+        tx = (draw(st.integers(0, nx - 1)) * spacing, draw(st.integers(0, ny - 1)) * spacing)
+    else:
+        side = draw(st.floats(1e-3, 30.0))
+        tx = (draw(st.sampled_from([-side, cfg.width + side])), draw(st.floats(-30.0, cfg.height + 30.0)))
+    corners = [(cx, cy) for cx in (0.0, (nx - 1) * spacing) for cy in (0.0, (ny - 1) * spacing)]
+    far = max(math.hypot(cx - tx[0], cy - tx[1]) for cx, cy in corners)
+    return dataclasses.replace(cfg, tx=tx, ref_distance=max(far, spacing) * draw(st.floats(0.01, 1.5)))
+
+
 def assert_same_grid(got: ChannelGrid, want: ChannelGrid) -> None:
     """Equal coordinates, label per location and SNR bytes."""
     assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
@@ -335,6 +360,11 @@ class TestSynthGridMatchesOracle:
         got = channel.synth_grid(cfg, seed)
         want = oracle_synth_grid(cfg, seed)
         assert_same_grid(got, want)
+
+    @given(path_loss_envs())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_path_loss(self, cfg):
+        assert_same_grid(channel.synth_grid(cfg, 0), oracle_synth_grid(cfg, 0))
 
     def test_cases_cover_a_partial_chunk(self):
         nx, ny = dict((c[0], c[1]) for c in _oracle_cases())["chunk_remainder"].lattice
