@@ -301,6 +301,7 @@ def simulate_mc(
         "trials": trials,
         "eve_location": int(point.worst_eve_location),
         "worst_case_bound": w.dual_ghw().leakage_at(len(revealed)),
+        "frontier_min_equivocation_pct": point.min_equivocation_pct,
     }
 
 

@@ -634,6 +634,14 @@ class TestSimulateMatchesOracles:
         if tau < 25.0:  # Eve reads part of the block for some code
             assert (True, True) in leaks
 
+    @pytest.mark.parametrize("tau", [20.0, 25.0, 29.0])
+    def test_reports_the_frontier_figure(self, bundled, tau):
+        grid, regions = bundled
+        for w in sweep.default_code_family(max_m=4):
+            rep = sweep.simulate_mc(w, grid, regions, tau, trials=1, seed=0)
+            want = sweep.evaluate(w, grid, regions, tau).min_equivocation_pct
+            assert rep["frontier_min_equivocation_pct"] == want, (w.label, tau)
+
     def test_bound_equals_sweep_leakage_at_n128(self, bundled):
         grid, regions = bundled
         family = [w for w in sweep.default_code_family(max_m=7) if w.n == 128]
