@@ -78,9 +78,9 @@ GOLDEN = {
     "sweep_m7": "9b9c3fdf3534850cd1af06149eb836213a041c7a1275071b1a3180a5cb9a0b07",
     "sweep_m7_interleave": "9ffc6a0dd6572f38a96f63d7a24e89363b7584fdb6c75bf0ce31be03b6390d31",
     "sweep_m9": "a73d7de7c23caed906a59ece4ae9bcb1ec5915bcebc14add8914128db1933858",
-    "simulate": "389b46cd42919c9be81c4704affb575993b8a2fc4b4509f623bf7543bf8fd6b4",
-    "simulate_rm15": "a23b12325bd24299abeef28de2814d02a166c1ccee5996811123b78a35c32414",
-    "simulate_best": "fcd21002743cf8261ee470a63b9ed2ed9e1a7b804150e77485879e9618e46ea0",
+    "simulate": "739120355dcc1d37cd3c72a6ec7db88e9875f214c9d42f3e921e3cf23245d0fb",
+    "simulate_rm15": "a7458f7b0fdc619937910568b8612ed40fe809965071a222ac9364aace009408",
+    "simulate_best": "aaa47c5947dbcf8035d22b360fabf8676f43f148aa90f7d26894c20a668402c3",
     "sweep_grid_csv": "8db1bd57d985463d8f6c2d80e2e23d9528d93b5f274dd0509ee36ed1fcd42a8f",
 }
 
