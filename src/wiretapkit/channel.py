@@ -18,10 +18,10 @@ import numpy as np
 
 CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
-# At the cap on 2 shared vCPUs, synth_grid takes 0.15-0.17 s at 4 taps
-# (0.39-0.45 s at 64) and 105 MB peak RSS, 0.09-0.10 s (0.30-0.38 s) of it
+# At the cap on 2 shared vCPUs, synth_grid takes 0.11-0.12 s at 4 taps
+# (0.27-0.30 s at 64) and 103 MB peak RSS, 0.07-0.11 s (0.23-0.25 s) of it
 # the seeded fading; the synth command, which also writes the CSV, takes
-# 2.2-3.0 s.
+# 1.7-2.0 s.
 MAX_GRID_LOCATIONS = 100_000
 
 
@@ -443,12 +443,10 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     ``FADING_BLOCK`` locations draws its fading from one Generator seeded
     with the pair (seed, b), so location i's fading depends on the seed,
     i and the tap count alone, not on the grid size or evaluation order.
-    The grid is built as columns: the coordinates, region ids and labels
-    come from array passes, and no per-location object is made.  Path
-    loss, walls and fading are computed as array passes over all
-    locations, bit-exact with the per-location loop kept in the tests as
-    the oracle; path loss uses numpy's ``hypot`` and ``log10``, which the
-    oracle calls on each location's scalars.  Each
+    The grid is built as columns, by array passes over all locations; no
+    per-location object is made.  Path loss (numpy's ``hypot`` and
+    ``log10``), walls and fading are bit-exact with the per-location loop
+    kept in the tests as the oracle, which calls the same ufuncs.  Each
     location's fading is the 64-point DFT of its tap profile, computed by
     FFT over a chunk of locations at a time (see :func:`_fading_into`).
     """
