@@ -22,36 +22,15 @@ from .bitlinalg import BitMatrix
 DEFAULT_ENUM_CAP = 24
 # Subcode tallies (equivocation matrices, and the exhaustive GHW search
 # that any code but a Reed-Muller code takes) run one of two ways, picked
-# by a cost estimate in seconds fitted to best-of-7 timings on 2 vCPUs at
-# n = 8-64 and d = 1-9, where d is the dimension of the smaller of C and
-# C-perp; the fit was within about 25 % of each timing.  Enumeration has
-# since got 15-40 % faster at d <= 7; re-timed at n = 16-64, d = 4-9, the
-# rule still takes the faster way in every cell (at n = 16, d = 7 the two
-# tie), so the constants stand.  The solve after the enumeration is d + 1
-# array steps, so it has no term of its own; dropping the per-product term
-# that priced its former back-substitution changed no choice at
-# n = 16-24, d = 1-12, nor the cap.
-# - The zeta transform holds one uint16 count per coordinate subset (32 MB
-#   at n = 24) and finishes in blocks of 2^_BLOCK_BITS subsets (64 KB,
-#   cache-resident): 0.7-1.0 ms at n = 16, 9-16 ms at n = 20 and
-#   0.17-0.27 s at n = 24, whatever d.
-# - Subcode enumeration costs about one OR per subspace of the smaller
-#   side and a few numpy calls per pivot set:
-#   0.14-0.26 ms at d = 5 (0.5 ms at n = 64), 2.4-3.6 ms at d = 8 and
-#   36-53 ms at d = 9 (36 MB peak), whatever n up to _SUBCODE_MAX_N,
-#   where a support fills a uint64.
-# So subcode enumeration runs for d <= 6 at n = 16, d <= 8 at n = 20 and
-# d <= 9 at n = 24, the transform for the rest.
-# A code is refused only where the cheaper way would cost more than the
-# transform at n = SUBSET_RANK_CAP; above that n this leaves d <= 9.
+# from (n, d) alone, d being the dimension of the smaller of C and C-perp,
+# by the number of sets each visits: the zeta transform visits all 2^n
+# coordinate subsets, subcode enumeration the G_d subspaces of that side
+# (n <= _SUBCODE_MAX_N, where a support fills a uint64).  The one that
+# visits fewer runs, and a code is refused only when both visit more than
+# 2^SUBSET_RANK_CAP sets; above that n this leaves d <= 9.
 SUBSET_RANK_CAP = 24
 _BLOCK_BITS = 15
 _SUBCODE_MAX_N = 64
-_ZETA_S = 1.2e-4
-_ZETA_S_PER_SUBSET_BIT = 7e-10
-_SUBCODE_S = 1e-4
-_SUBCODE_S_PER_PIVOT_SET = 6e-6
-_SUBCODE_S_PER_SUBSPACE = 8e-9
 # Largest Reed-Muller degree m (n = 2^m) anything here builds.  No cost
 # measured on 2 vCPUs sets it any more: the sweep's candidate family with
 # its dual GHW profiles, all in closed form and with no encoder derived,
@@ -204,10 +183,6 @@ def _pascal(n: int) -> np.ndarray:
     return table
 
 
-def _zeta_cost(n: int) -> float:
-    return _ZETA_S + _ZETA_S_PER_SUBSET_BIT * n * 2**n
-
-
 def _subspace_count(d: int) -> int:
     """G_d, the number of subspaces of GF(2)^d, by the Galois recurrence
     G_0 = 1, G_1 = 2, G_(e+1) = 2 G_e + (2^e - 1) G_(e-1), in Python ints."""
@@ -215,20 +190,6 @@ def _subspace_count(d: int) -> int:
     for e in range(d):
         prev, count = count, 2 * count + ((1 << e) - 1) * prev
     return count
-
-
-def _subcode_cost(d: int) -> float:
-    """Estimated seconds of :func:`_subcode_free_counts`: 2^d pivot sets
-    and every subspace, whatever n is."""
-    return _SUBCODE_S + _SUBCODE_S_PER_PIVOT_SET * 2**d + _SUBCODE_S_PER_SUBSPACE * _subspace_count(d)
-
-
-def _subcode_max_dim() -> int:
-    """Largest d whose subcode enumeration stays within the cap."""
-    d = 0
-    while _subcode_cost(d + 1) <= _zeta_cost(SUBSET_RANK_CAP):
-        d += 1
-    return d
 
 
 def _support_masks(side: LinearCode) -> np.ndarray:
@@ -354,10 +315,11 @@ def subcode_tally(c: LinearCode, *, dual_code: LinearCode | None = None) -> np.n
     subset-sum (zeta) transform over all 2^n subsets, or an enumeration of
     D's subspaces that costs about G_d, the number of subspaces, whatever
     n is, and then solves a (dim+1)-step triangle over tabled binomials.
-    The cheaper way by a cost estimate runs, and a code is refused only
-    where both would cost more than the transform at
-    n = ``SUBSET_RANK_CAP``.  When D = C-perp, one flip turns D's tally
-    into C's: dim C(S) = dim C - |S^c| + dim C-perp(S^c), so
+    The way that visits fewer sets runs, 2^n subsets against G_d
+    subspaces: enumeration takes d <= 7 at n = 16, d <= 8 at n = 20 and
+    d <= 9 at n = 24.  A code is refused only where both would visit
+    more than 2^``SUBSET_RANK_CAP`` sets.  When D = C-perp, one flip
+    turns D's tally into C's: dim C(S) = dim C - |S^c| + dim C-perp(S^c), so
     h[n - t, dim - t + g] = h_D[t, g].  ``dual_code``, if given, must be
     C-perp (a ``WiretapCode`` holds it); otherwise it is derived when D
     is C-perp.
@@ -365,18 +327,19 @@ def subcode_tally(c: LinearCode, *, dual_code: LinearCode | None = None) -> np.n
     n = c.n
     use_dual = 2 * c.dim > n
     d = n - c.dim if use_dual else c.dim
-    zeta = _zeta_cost(n)
-    subcode = _subcode_cost(d) if n <= _SUBCODE_MAX_N else np.inf
-    if min(zeta, subcode) > _zeta_cost(SUBSET_RANK_CAP):
+    subsets = 1 << n
+    subspaces = _subspace_count(d) if n <= _SUBCODE_MAX_N else subsets
+    if min(subsets, subspaces) > 1 << SUBSET_RANK_CAP:
+        top = next(e for e in itertools.count() if _subspace_count(e + 1) > 1 << SUBSET_RANK_CAP)
         raise ValueError(
             f"({n}, {c.dim}) code exceeds the subset-rank cap: above n = {SUBSET_RANK_CAP} the tally "
             f"enumerates the subcodes of the smaller of C and C-perp, which needs n <= {_SUBCODE_MAX_N} "
-            f"and dimension <= {_subcode_max_dim()}, here {d}"
+            f"and dimension <= {top}, here {d}"
         )
     if use_dual and dual_code is None:
         dual_code = dual(c)
     side = dual_code if use_dual else c
-    h = _subcode_free_counts(side) if subcode < zeta else _zeta_free_counts(side)
+    h = _subcode_free_counts(side) if subspaces < subsets else _zeta_free_counts(side)
     if not use_dual:
         return h
     t, g = np.nonzero(h)

@@ -155,7 +155,7 @@ def sweep(
     at construction, and Eve's rows are gathered once by an index array.
     Each threshold compares her SNRs once and packs each read mask, ANDed
     with Bob's, into one 64-bit key.  Eves sharing a key leak alike, so
-    each distinct key (1-12 of the bundled grid's 1,170 Eves at 25-31 dB)
+    each distinct key (1-15 of the bundled grid's 1,170 Eves at 25-31 dB)
     is one row, standing for the first Eve in grid order that reads it;
     one stable sort of every threshold's keys finds the rows.
 

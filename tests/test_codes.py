@@ -1,5 +1,6 @@
 """Tests for code construction, duals, and weight hierarchies."""
 
+import re
 import tracemalloc
 from math import comb
 
@@ -229,10 +230,17 @@ class TestSubsetRankTallies:
             tracemalloc.stop()
         assert peak <= 2**25 + 2**20, peak
 
+    @staticmethod
+    def refusal(n: int, dim: int, d: int) -> str:
+        return re.escape(
+            f"({n}, {dim}) code exceeds the subset-rank cap: above n = 24 the tally enumerates the subcodes "
+            f"of the smaller of C and C-perp, which needs n <= 64 and dimension <= 9, here {d}"
+        )
+
     def test_cap(self):
         # above n = 24 only subcode enumeration runs, and d = 12 is over its budget
         c = codes.random_code(codes.SUBSET_RANK_CAP + 1, 12, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="subset-rank cap"):
+        with pytest.raises(ValueError, match=self.refusal(25, 12, 12)):
             codes.subcode_tally(c)
 
     def test_over_budget_refused_before_allocating(self):
@@ -247,15 +255,33 @@ class TestSubsetRankTallies:
         assert peak < 2**20, peak
 
     # Largest smaller-side dimension d that subcode enumeration takes at
-    # each n; the transform takes the rest.  Taken when the cost rule still
-    # priced the back-substitution the array solve replaced.
-    ENUMERATION_UP_TO = {16: 6, 17: 7, 18: 7, 19: 8, 20: 8, 21: 8, 22: 8, 23: 9, 24: 9}
+    # each n, the largest d with fewer subspaces than 2^n subsets; the
+    # transform takes the rest.
+    ENUMERATION_UP_TO = {16: 7, 17: 7, 18: 7, 19: 8, 20: 8, 21: 8, 22: 8, 23: 9, 24: 9}
 
-    def test_cost_rule_choice(self):
+    def test_fewer_visited_sets_choice(self, monkeypatch):
+        ran = []
+
+        def recording(name):
+            method = getattr(codes, name)
+
+            def run(side):
+                ran.append((name, side.dim))
+                return method(side)
+
+            return run
+
+        for name in ("_zeta_free_counts", "_subcode_free_counts"):
+            monkeypatch.setattr(codes, name, recording(name))
+        rng = np.random.default_rng(16)
         for n, top in self.ENUMERATION_UP_TO.items():
-            chosen = [d for d in range(1, 13) if codes._subcode_cost(d) < codes._zeta_cost(n)]
-            assert chosen == list(range(1, top + 1)), n
-        assert codes._subcode_max_dim() == 9
+            for d in (top, top + 1):
+                # C the smaller side, then C-perp (at n = 2d both are d)
+                for dim in (d, n - d):
+                    ran.clear()
+                    codes.subcode_tally(codes.random_code(n, dim, rng))
+                    method = "_subcode_free_counts" if d <= top else "_zeta_free_counts"
+                    assert ran == [(method, d)], (n, dim)
 
     def test_subspace_count_is_triangle_row_sum(self):
         # every d the cap check prices at n <= 64, far past int64
@@ -266,7 +292,7 @@ class TestSubsetRankTallies:
     def test_subcode_enumeration_stops_at_64(self, n):
         # a support must fit one uint64, however small the smaller side
         c = LinearCode(n=n, dim=1, generator=BitMatrix(np.ones((1, n), dtype=np.uint8)))
-        with pytest.raises(ValueError, match="subset-rank cap"):
+        with pytest.raises(ValueError, match=self.refusal(n, 1, 1)):
             codes.subcode_tally(c)
 
 
