@@ -18,9 +18,9 @@ import numpy as np
 
 CARRIERS = 64
 FFT_LENGTH = 2 * CARRIERS
-# At the cap on 2 shared vCPUs, synth_grid takes 0.11-0.12 s at 4 taps
-# (0.27-0.30 s at 64) and 103 MB peak RSS, 0.07-0.11 s (0.23-0.25 s) of it
-# the seeded fading; the synth command, which also writes the CSV, takes
+# At the cap on 2 shared vCPUs, synth_grid takes 65-87 ms at 4 taps
+# (0.25-0.29 s at 64) and 103 MB peak RSS, 34-38 ms (0.22-0.25 s) of it the
+# seeded fading; the synth command, which also writes the CSV, takes
 # 1.7-2.0 s.
 MAX_GRID_LOCATIONS = 100_000
 
@@ -352,11 +352,13 @@ class EnvironmentConfig:
             return cls.from_dict(json.load(fh))
 
 
-# Locations whose fading is drawn and transformed together.  Per chunk
-# the FFT's complex (locations, 64) output takes 128 KB; one for a whole
-# grid would take 101 MB at the cap.  On the bundled plan, chunks of 256
-# and 512 locations timed within 10 % of 128 at 4 and at 64 taps.
-FADING_CHUNK = 128
+# Locations whose fading is drawn and transformed together, in a product
+# of this many rows however many the grid has left (see _fading_into).
+# Per chunk the real and imaginary (512, 64) products take 256 KB each
+# and the draw up to 512 KB (64 taps).  Timed on the bundled plan and at
+# the cap (2 vCPUs, OpenBLAS), 512 was fastest of 128, 256, 512 and 1,024
+# at 4 and at 64 taps, or within 5 % of the fastest.
+FADING_CHUNK = 512
 # Locations that draw their fading from one Generator: block b draws from
 # default_rng([seed, b]).  Fixed for cost (one seeding per 4,096
 # locations), and a multiple of FADING_CHUNK; changing it changes every
@@ -410,28 +412,43 @@ def _fading_into(cfg: FadingModel, seed: int, out: np.ndarray) -> None:
     ``FADING_BLOCK`` rows draws from ``default_rng([seed, b])``: row i is
     row i mod ``FADING_BLOCK`` of that Generator's
     ``standard_normal((FADING_BLOCK, 2 taps))``, the real parts of its taps
-    first.  So each row depends on the seed, its index and the tap count
-    alone, not on the grid size.  Rows are drawn and transformed
-    ``FADING_CHUNK`` at a time; successive draws from one Generator continue
-    its stream.  The transform H(f) = sum_j tap_j e^(-2 pi i f j / 64) is
-    the 64-point DFT of the tap profile, computed by FFT; taps never exceed
-    64, so ``n=64`` pads and never truncates.
+    first.  Rows are drawn and transformed ``FADING_CHUNK`` at a time;
+    successive draws from one Generator continue its stream.  Every
+    product has ``FADING_CHUNK`` rows, a short last chunk's too, since
+    BLAS may round a row differently in a product of another height; so
+    each row depends on the seed, its index and the tap count alone, not
+    on the grid size.  The transform H(f) = sum_j tap_j
+    e^(-2 pi i f j / 64) is the 64-point DFT of the t taps, taken as two
+    real products of the draw with (2t, 64) matrices that hold the tap
+    amplitudes times the cosines and sines: Re H first, then Im H.  The
+    fading is sigma_scale * 10 log10(max(Re^2 + Im^2, 1e-12)), floored at
+    -120 dB.
     """
     if not cfg.enabled:
         return
     powers = np.exp(-np.arange(cfg.taps) / cfg.delay_spread)
     powers /= powers.sum()
-    amp = np.sqrt(powers / 2)
+    # w[j, f] = amp_j e^(-2 pi i f j / 64), the exponent reduced mod 64
+    turns = np.arange(cfg.taps)[:, None] * np.arange(CARRIERS) % CARRIERS
+    w = np.sqrt(powers / 2)[:, None] * np.exp((-2j * np.pi / CARRIERS) * turns)
+    to_re, to_im = np.concatenate([w.real, -w.imag]), np.concatenate([w.imag, w.real])
+    z = np.zeros((FADING_CHUNK, 2 * cfg.taps))
+    re, im = np.empty((FADING_CHUNK, CARRIERS)), np.empty((FADING_CHUNK, CARRIERS))
     for start in range(0, out.shape[0], FADING_CHUNK):
         if start % FADING_BLOCK == 0:
             rng = np.random.default_rng([seed, start // FADING_BLOCK])
         chunk = out[start:start + FADING_CHUNK]
-        z = rng.standard_normal((chunk.shape[0], 2 * cfg.taps))
-        taps = (z[:, : cfg.taps] + 1j * z[:, cfg.taps:]) * amp
-        np.abs(np.fft.fft(taps, CARRIERS, axis=1), out=chunk)
-        np.maximum(chunk, 1e-6, out=chunk)
-        np.log10(chunk, out=chunk)
-        chunk *= cfg.sigma_scale * 20.0
+        # a short last chunk draws its own rows; the product still takes
+        # every row of z, the rest holding zeros or an earlier chunk's draw
+        rng.standard_normal(out=z[: chunk.shape[0]])
+        np.matmul(z, to_re, out=re)
+        np.matmul(z, to_im, out=im)
+        re *= re
+        im *= im
+        re += im
+        np.maximum(re, 1e-12, out=re)
+        np.log10(re, out=re)
+        np.multiply(re[: chunk.shape[0]], cfg.sigma_scale * 10.0, out=chunk)
 
 
 def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
@@ -447,8 +464,9 @@ def synth_grid(cfg: EnvironmentConfig, seed: int) -> ChannelGrid:
     per-location object is made.  Path loss (numpy's ``hypot`` and
     ``log10``), walls and fading are bit-exact with the per-location loop
     kept in the tests as the oracle, which calls the same ufuncs.  Each
-    location's fading is the 64-point DFT of its tap profile, computed by
-    FFT over a chunk of locations at a time (see :func:`_fading_into`).
+    location's fading is the 64-point DFT of its few taps, taken as real
+    matrix products over a chunk of locations at a time (see
+    :func:`_fading_into`).
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

@@ -8,8 +8,9 @@ and Eve's message posterior by matching her observation against all
 that the vectorised sweep replaced; it finds regions, Eve locations and
 Bob's reference by its own scans of each location's label.  The grid
 oracle is the per-location loop that ``channel.synth_grid``'s array
-passes replaced; each location takes its fading row from one
-``standard_normal`` call per block of 4,096 locations.  The elimination
+passes replaced; each location takes its fading from its row of the DFT
+product over its whole chunk of 512 rows of one ``standard_normal`` call
+per block of 4,096 locations.  The elimination
 oracle is the per-row numpy Gauss-Jordan that ``bitlinalg``'s packed-row
 elimination replaced, and
 the wiretap-matrix oracle the greedy basis completion and GF(2) inverse
@@ -452,8 +453,10 @@ def _segments_cross(p1, p2, q1, q2) -> bool:
     return False
 
 
-# Locations per fading Generator, as the block rule states it.
+# Locations per fading Generator and per fading product, as the block and
+# chunk rules state them.
 ORACLE_FADING_BLOCK = 4096
+ORACLE_FADING_CHUNK = 512
 
 
 @functools.lru_cache(maxsize=4)
@@ -465,25 +468,43 @@ def oracle_block_draws(seed: int, block: int, taps: int) -> np.ndarray:
     return z
 
 
+@functools.lru_cache(maxsize=4)
+def _chunk_fading_db(cfg: channel.FadingModel, seed: int, block: int, start: int) -> np.ndarray:
+    """Fading in dB of the 512 draw rows from ``start`` on of block ``block``.
+
+    H(f) = sum_j tap_j e^(-2 pi i f j / 64) of each row's taps, its real
+    and imaginary parts taken as products of the 512 rows with the tap
+    amplitudes times the cosines and sines, one (2 taps, 64) matrix each.
+    """
+    z = oracle_block_draws(seed, block, cfg.taps)[start:start + ORACLE_FADING_CHUNK]
+    powers = np.exp(-np.arange(cfg.taps) / cfg.delay_spread)
+    powers /= powers.sum()
+    turns = np.arange(cfg.taps)[:, None] * np.arange(channel.CARRIERS) % channel.CARRIERS
+    w = np.sqrt(powers / 2)[:, None] * np.exp((-2j * np.pi / channel.CARRIERS) * turns)
+    re = z @ np.concatenate([w.real, -w.imag])
+    im = z @ np.concatenate([w.imag, w.real])
+    db = cfg.sigma_scale * 10.0 * np.log10(np.maximum(re * re + im * im, 1e-12))
+    db.flags.writeable = False
+    return db
+
+
 def _fading_db(cfg: channel.FadingModel, seed: int, loc_index: int) -> np.ndarray:
     """Frequency-selective fading in dB from a seeded multipath draw.
 
     A short complex tap profile with exponentially decaying power gives
     |H(f)|^2 across the 64 subcarriers, H being the tap profile's 64-point
     DFT.  Location i takes row i mod 4096 of its block's draw
-    (:func:`oracle_block_draws` of block i // 4096), real parts first, so
-    the grid is the same under any evaluation order and any grid size.
+    (:func:`oracle_block_draws` of block i // 4096), real parts first, and
+    its fading is row i mod 512 of the product over the whole chunk of 512
+    draw rows that holds it (:func:`_chunk_fading_db`), never a product
+    over fewer rows, so the grid is the same under any evaluation order
+    and any grid size.
     """
     if not cfg.enabled:
         return np.zeros(channel.CARRIERS)
     block, row = divmod(loc_index, ORACLE_FADING_BLOCK)
-    z = oracle_block_draws(seed, block, cfg.taps)[row]
-    powers = np.exp(-np.arange(cfg.taps) / cfg.delay_spread)
-    powers /= powers.sum()
-    taps = (z[: cfg.taps] + 1j * z[cfg.taps:]) * np.sqrt(powers / 2)
-    h = np.abs(np.fft.fft(taps, channel.CARRIERS))
-    h = np.maximum(h, 1e-6)
-    return cfg.sigma_scale * 20.0 * np.log10(h)
+    start, row = divmod(row, ORACLE_FADING_CHUNK)
+    return _chunk_fading_db(cfg, seed, block, start * ORACLE_FADING_CHUNK)[row]
 
 
 def oracle_synth_grid(cfg, seed: int) -> channel.ChannelGrid:

@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,7 +294,7 @@ def _oracle_cases():
         walls=(Wall(1.0, 0.5, 1.0, 1.5, 7.0), Wall(0.0, 1.0, 0.5, 1.0, 3.0)),
     )
     chunks = flat_env(
-        width=2.0, height=1.5, grid_spacing=0.1, tx=(0.7, 0.3), walls=env.walls,
+        width=3.0, height=2.0, grid_spacing=0.1, tx=(0.7, 0.3), walls=env.walls,
         fading=FadingModel(taps=6, delay_spread=2.0, sigma_scale=0.7),
     )
     cases += [
@@ -308,8 +312,8 @@ def _oracle_cases():
         ("seed_two_words", env, 2**40 + 7),
         ("seed_above_2^96", chunks, 2**100 + 12345),
     ]
-    # Tap profiles from 1 to 64 taps, each padded to the 64-point FFT, on
-    # the plan with a partial chunk.
+    # Tap profiles from 1 to 64 taps, each multiplied into its 64-carrier
+    # transform, on the plan with a partial chunk.
     cases += [
         (f"taps_{t}", dataclasses.replace(chunks, fading=FadingModel(taps=t, delay_spread=3.0)), 40 + t)
         for t in (1, 3, 5, 8, 9, 64)
@@ -410,8 +414,45 @@ class TestFadingTransform:
         for row, values in want.items():
             assert out[row, [0, 21, 42, 63]].tolist() == pytest.approx(values, abs=1e-9), row
 
+    @pytest.mark.parametrize("taps", [1, 4, 5, 64])
+    def test_rows_independent_of_row_count(self, taps):
+        # BLAS rounds a row of a product differently at different row
+        # counts; every chunk is transformed at FADING_CHUNK rows, so the
+        # rows that two fills share agree byte for byte
+        fading = FadingModel(taps=taps, delay_spread=3.0)
+        fills = []
+        for rows in (1, 37, 600, 4097, 4796):
+            fills.append(np.zeros((rows, CARRIERS)))
+            channel._fading_into(fading, 7, fills[-1])
+        for out in fills[:-1]:
+            assert out.tobytes() == fills[-1][: out.shape[0]].tobytes(), (taps, out.shape[0])
+
+    def test_grid_independent_of_blas_threads(self):
+        # BLAS reads its thread count when numpy loads, so each count runs
+        # in its own interpreter; 64 taps give a product large enough for
+        # OpenBLAS to split across threads
+        script = (
+            "import dataclasses, hashlib\n"
+            "from wiretapkit import channel\n"
+            "env = channel.default_environment()\n"
+            "print(hashlib.sha256(channel.default_grid().snr_db).hexdigest())\n"
+            "cfg = dataclasses.replace(env, fading=channel.FadingModel(taps=64))\n"
+            "print(hashlib.sha256(channel.synth_grid(cfg, channel.DEFAULT_GRID_SEED).snr_db).hexdigest())\n"
+        )
+        src = str(Path(channel.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+            )
+            digests.append(run.stdout.split())
+        assert len(digests[0]) == 2 and digests[0] == digests[1]
+
     def test_fading_peak_memory(self):
-        # a (chunk, 64, 64) complex product would take 8 MiB; the first
+        # at 64 taps a chunk's draw and its two products take 1 MiB, where
+        # a (chunk, 64, 64) complex product would take 32 MiB; the first
         # call's one-time allocations are made before tracing
         fading = FadingModel(taps=64)
         channel._fading_into(fading, 2024, np.zeros((1, CARRIERS)))
